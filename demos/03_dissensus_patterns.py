@@ -11,19 +11,20 @@ condition.
 
 import os
 
-from indecision import enumerate_axial, get_scenario, run_scenario
+from indecision import get_scenario, run_scenario
 
 OUT = os.path.join(os.path.dirname(__file__), "demos_out")
 
 for name in ("dissensus-orbital-4x6", "dissensus-exotic-4x6"):
     scenario = get_scenario(name).replace(seeds=(0, 1, 2, 3))
-    catalog = enumerate_axial(scenario.shape)
     print(f"\n=== {name} (lambda = {scenario.lambda_value():.4f}) ===")
-    for r in run_scenario(scenario, out_dir=OUT, catalog=catalog):
+    for r in run_scenario(scenario, out_dir=OUT):
         if r.axial_index is not None:
             extra = f"rho={r.axial_rho}" if r.axial_rho else f"split={r.axial_split}"
             print(f"seed {r.seed}: axial catalog entry #{r.axial_index} "
                   f"(case {r.axial_case}, {extra}) -> {r.axial_verdict}")
+        elif r.pattern is None:
+            print(f"seed {r.seed}: did not converge (residual {r.residual:.2e})")
         else:
             ncolors = len(r.pattern.color_values)
             print(f"seed {r.seed}: no axial match "

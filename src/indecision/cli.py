@@ -7,21 +7,8 @@ Subcommands:
   classify    read a value matrix from CSV and print its pattern report
   synthesize  verify a stable equilibrium on a balanced coloring
 
-Scenario configs are JSON; command line flags override file values.  Schema
-(all keys optional except coefficients when no --scenario is given):
-
-{
-  "name": "my-scenario",
-  "shape": [4, 6],
-  "coefficients": {"c_d": 1.0, "c_c": -1.0, "c_dl": -0.5, "c_s": -0.5},
-  "sigmoids": [0.5, 0.3],
-  "epsilon": 0.01,
-  "seeds": [0, 1, 2],
-  "radius": 0.001,
-  "quantize_tol": 0.0001,
-  "integrator": {"step": 0.05, "t_max": 3000.0,
-                 "equilibrium_tol": 1e-9, "record_stride": 10}
-}
+Scenario configs are JSON files read by `Scenario.from_dict`, whose
+docstring gives the schema; --seeds and --epsilon override file values.
 """
 
 from __future__ import annotations
@@ -35,7 +22,7 @@ import numpy as np
 from .colorings import synthesize_stable_admissible
 from .experiments import (BUILTIN_SCENARIOS, Scenario, catalog_rows, get_scenario,
                           run_scenario, sweep_lambda)
-from .model import CriticalCoefficients, NetworkShape, SigmoidParams
+from .model import NetworkShape
 from .patterns import Coloring, classify_state, quantize_to_coloring
 
 
@@ -52,34 +39,7 @@ def _scenario_from_args(args) -> Scenario:
     sc = get_scenario(args.scenario) if args.scenario else None
     if args.config:
         with open(args.config) as fh:
-            raw = json.load(fh)
-        base = sc if sc is not None else None
-        shape = NetworkShape(*raw["shape"]) if "shape" in raw else (base.shape if base else NetworkShape(4, 6))
-        if "coefficients" in raw:
-            co = raw["coefficients"]
-            coeffs = CriticalCoefficients(c_d=co["c_d"], c_c=co["c_c"],
-                                          c_dl=co["c_dl"], c_s=co["c_s"])
-        elif base is not None:
-            coeffs = base.coefficients
-        else:
-            raise SystemExit("config needs 'coefficients' (or use --scenario)")
-        sig = SigmoidParams(*raw["sigmoids"]) if "sigmoids" in raw else \
-            (base.sigmoids if base else SigmoidParams(0.5, 0.3))
-        kw = {}
-        for key in ("epsilon", "radius", "quantize_tol"):
-            if key in raw:
-                kw[key] = raw[key]
-        if "seeds" in raw:
-            kw["seeds"] = tuple(raw["seeds"])
-        integ = raw.get("integrator", {})
-        for src, dst in (("step", "step"), ("t_max", "t_max"),
-                         ("equilibrium_tol", "equilibrium_tol"),
-                         ("record_stride", "record_stride")):
-            if src in integ:
-                kw[dst] = integ[src]
-        sc = Scenario(name=raw.get("name", sc.name if sc else "custom"),
-                      shape=shape, coefficients=coeffs, sigmoids=sig,
-                      **({k: v for k, v in kw.items()}))
+            sc = Scenario.from_dict(json.load(fh), base=sc)
     if sc is None:
         raise SystemExit("need --scenario or --config")
     if args.seeds:

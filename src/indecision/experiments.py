@@ -69,6 +69,49 @@ class Scenario:
     def __post_init__(self):
         if self.epsilon < 0:
             raise ValueError("epsilon must be >= 0")
+        if not self.seeds:
+            raise ValueError("seeds must be nonempty")
+        if self.quantize_tol <= 0:
+            raise ValueError("quantize_tol must be > 0")
+
+    @classmethod
+    def from_dict(cls, raw: dict, base: "Scenario | None" = None) -> "Scenario":
+        """Scenario from a JSON config; keys missing from raw keep base's
+        values.  Schema (every key optional, except coefficients when no
+        base is given; without a base, name defaults to "custom", shape to
+        [4, 6] and sigmoids to [0.5, 0.3]):
+
+        {
+          "name": "my-scenario",
+          "shape": [4, 6],
+          "coefficients": {"c_d": 1.0, "c_c": -1.0, "c_dl": -0.5, "c_s": -0.5},
+          "sigmoids": [0.5, 0.3],
+          "epsilon": 0.01,
+          "seeds": [0, 1, 2],
+          "radius": 0.001,
+          "quantize_tol": 0.0001,
+          "integrator": {"step": 0.05, "t_max": 3000.0,
+                         "equilibrium_tol": 1e-9, "record_stride": 10}
+        }
+        """
+        kw = {k: raw[k] for k in ("name", "epsilon", "radius", "quantize_tol") if k in raw}
+        integ = raw.get("integrator", {})
+        kw.update((k, integ[k]) for k in ("step", "t_max", "equilibrium_tol", "record_stride")
+                  if k in integ)
+        if "shape" in raw:
+            kw["shape"] = NetworkShape(*raw["shape"])
+        if "coefficients" in raw:
+            kw["coefficients"] = CriticalCoefficients(**raw["coefficients"])
+        if "sigmoids" in raw:
+            kw["sigmoids"] = SigmoidParams(*raw["sigmoids"])
+        if "seeds" in raw:
+            kw["seeds"] = tuple(raw["seeds"])
+        if base is not None:
+            return dataclasses.replace(base, **kw)
+        if "coefficients" not in kw:
+            raise ValueError("config needs 'coefficients' when no base scenario is given")
+        return cls(**{"name": "custom", "shape": NetworkShape(4, 6),
+                      "sigmoids": SigmoidParams(0.5, 0.3), **kw})
 
     def first_threshold(self):
         infos = [bifurcation_threshold(self.coefficients, w)
@@ -179,24 +222,13 @@ class RunReport:
         return d
 
 
-def run_scenario(scenario: Scenario, out_dir: str | None = None,
-                 catalog: AxialCatalog | None = None,
-                 match_catalog: bool = True) -> list[RunReport]:
-    """Integrate every seed of the scenario, classify the finals, and match
-    them against the axial catalog of the shape.
+def _run_seeds(scenario: Scenario, cfg: ModelConfig, icfg: IntegratorConfig):
+    """Integrate every seed of the scenario under one model and integrator
+    config, yielding (trajectory, report, coloring) per seed in seed order.
 
-    Divergent runs are flagged in their report, never fatal.  When out_dir
-    is given, per-seed JSON reports, CSV trajectories and SVG heatmaps plus
-    a scenario summary are written there.
+    Only a run that converged without diverging is quantized and classified;
+    any other run keeps pattern = None and coloring = None.
     """
-    cfg = scenario.model_config()
-    icfg = scenario.integrator_config()
-    if catalog is None and match_catalog:
-        catalog = enumerate_axial(scenario.shape)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-
-    reports = []
     for seed in scenario.seeds:
         Z0 = random_near_origin(scenario.shape, scenario.radius, seed)
         traj, res = integrate(Z0, cfg, icfg)
@@ -204,29 +236,48 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None,
                            converged=res.converged, diverged=res.diverged,
                            residual=res.residual, elapsed_time=res.elapsed_time,
                            final=res.final, pattern=None)
-        if not res.diverged:
+        coloring = None
+        if res.converged and not res.diverged:
             coloring = quantize_to_coloring(res.final, scenario.quantize_tol)
-            pattern = classify_state(coloring, res.final)
-            pattern.quantization_tol = scenario.quantize_tol
-            report.pattern = pattern
-            if match_catalog:
-                entry = catalog.match(coloring)
-                if entry is not None:
-                    assert is_axial_Vd(entry.coloring)
-                    report.axial_index = catalog.index_of(entry)
-                    report.axial_case = entry.case
-                    report.axial_verdict = classify_orbital_exotic(entry.coloring)
-                    report.axial_rho = None if entry.rho is None else str(entry.rho)
-                    report.axial_split = entry.split
+            report.pattern = classify_state(coloring, res.final)
+            report.pattern.quantization_tol = scenario.quantize_tol
+        yield traj, report, coloring
+
+
+def run_scenario(scenario: Scenario, out_dir: str | None = None,
+                 match_catalog: bool = True) -> list[RunReport]:
+    """Integrate every seed of the scenario, classify the converged finals,
+    and match them against the axial catalog of the shape.
+
+    Divergent and unconverged runs are flagged in their report, never fatal.
+    When out_dir is given, per-seed JSON reports, CSV trajectories and SVG
+    heatmaps plus a scenario summary are written there.
+    """
+    catalog = enumerate_axial(scenario.shape) if match_catalog else None
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+
+    reports = []
+    runs = _run_seeds(scenario, scenario.model_config(), scenario.integrator_config())
+    for traj, report, coloring in runs:
+        if catalog is not None and coloring is not None:
+            entry = catalog.match(coloring)
+            if entry is not None:
+                assert is_axial_Vd(entry.coloring)
+                report.axial_index = catalog.index_of(entry)
+                report.axial_case = entry.case
+                report.axial_verdict = classify_orbital_exotic(entry.coloring)
+                report.axial_rho = None if entry.rho is None else str(entry.rho)
+                report.axial_split = entry.split
         reports.append(report)
         if out_dir is not None:
-            stem = os.path.join(out_dir, f"{scenario.name}_seed{seed}")
+            stem = os.path.join(out_dir, f"{scenario.name}_seed{report.seed}")
             with open(stem + ".json", "w") as fh:
                 json.dump(report.to_json_dict(), fh, sort_keys=True, indent=2)
                 fh.write("\n")
             trajectory_to_csv(traj, stem + ".csv")
-            write_heatmap_svg(res.final, stem + ".svg",
-                              title=f"{scenario.name} seed {seed}")
+            write_heatmap_svg(report.final, stem + ".svg",
+                              title=f"{scenario.name} seed {report.seed}")
 
     if out_dir is not None:
         summary = _summarize(scenario, reports)
@@ -240,7 +291,10 @@ def _summarize(scenario: Scenario, reports: list[RunReport]) -> dict:
     counts: dict[str, int] = {}
     verdicts: dict[str, int] = {}
     for r in reports:
-        key = r.pattern.pattern_class.value if r.pattern else "Divergent"
+        if r.pattern is not None:
+            key = r.pattern.pattern_class.value
+        else:
+            key = "Divergent" if r.diverged else "Unconverged"
         counts[key] = counts.get(key, 0) + 1
         if r.axial_verdict:
             verdicts[r.axial_verdict] = verdicts.get(r.axial_verdict, 0) + 1
@@ -269,28 +323,19 @@ def sweep_lambda(scenario: Scenario, lambdas, out_csv: str | None = None) -> lis
         cfg = scenario.model_config(lam=lam)
         rate = abs(lam * c_first - 1.0)
         icfg = scenario.integrator_config(growth_rate=max(rate, 1e-3))
-        n_zero = n_conv = 0
         class_counts = {c.value: 0 for c in PatternClass}
         amps = []
-        for seed in scenario.seeds:
-            Z0 = random_near_origin(scenario.shape, scenario.radius, seed)
-            _, res = integrate(Z0, cfg, icfg)
-            if res.diverged or not res.converged:
+        for _, report, _ in _run_seeds(scenario, cfg, icfg):
+            if report.pattern is None:
                 continue
-            n_conv += 1
-            amp = float(np.abs(res.final).max())
-            amps.append(amp)
-            if amp <= ZERO_AMPLITUDE:
-                n_zero += 1
-            coloring = quantize_to_coloring(res.final, scenario.quantize_tol)
-            cls = classify_state(coloring, res.final).pattern_class
-            class_counts[cls.value] += 1
+            amps.append(float(np.abs(report.final).max()))
+            class_counts[report.pattern.pattern_class.value] += 1
         n = len(scenario.seeds)
         row = {
             "lambda": lam,
             "n_seeds": n,
-            "frac_converged": n_conv / n,
-            "frac_zero": n_zero / n,
+            "frac_converged": len(amps) / n,
+            "frac_zero": sum(a <= ZERO_AMPLITUDE for a in amps) / n,
             "mean_amplitude": sum(amps) / len(amps) if amps else float("nan"),
         }
         for cls, cnt in class_counts.items():
@@ -307,10 +352,10 @@ def sweep_lambda(scenario: Scenario, lambdas, out_csv: str | None = None) -> lis
     return rows
 
 
-def catalog_rows(shape: NetworkShape, max_cells: int = 42) -> tuple[AxialCatalog, list[dict]]:
-    """Axial catalog of the shape plus printable rows (stable order) and
-    per-case / per-verdict counts appended as a trailing summary row."""
-    cat = enumerate_axial(shape, max_cells=max_cells)
+def catalog_rows(shape: NetworkShape) -> tuple[AxialCatalog, list[dict]]:
+    """Axial catalog of the shape plus one printable row per entry, in
+    catalog order."""
+    cat = enumerate_axial(shape)
     rows = []
     for idx, e in enumerate(cat):
         rows.append({

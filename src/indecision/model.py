@@ -23,6 +23,7 @@ synchrony subspaces hold *bitwise*, not merely to rounding tolerance.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -221,23 +222,14 @@ def interaction_matrix(shape: NetworkShape) -> list[list[int]]:
 
 
 def interaction_matrix_det(shape: NetworkShape) -> Fraction:
-    """Determinant of L, computed exactly (equals -m^2 n^2)."""
-    mat = [[Fraction(x) for x in row] for row in interaction_matrix(shape)]
-    det = Fraction(1)
-    for c in range(4):
-        piv = next((r for r in range(c, 4) if mat[r][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            mat[c], mat[piv] = mat[piv], mat[c]
-            det = -det
-        det *= mat[c][c]
-        inv = 1 / mat[c][c]
-        for r in range(c + 1, 4):
-            f = mat[r][c] * inv
-            for k in range(c, 4):
-                mat[r][k] -= f * mat[c][k]
-    return det
+    """Determinant of L, computed exactly (equals -m^2 n^2) as the Leibniz
+    sum over the 24 permutations of its integer entries."""
+    L = interaction_matrix(shape)
+    det = 0
+    for perm in itertools.permutations(range(4)):
+        inversions = sum(perm[i] > perm[j] for i in range(4) for j in range(i + 1, 4))
+        det += (-1) ** inversions * math.prod(L[i][perm[i]] for i in range(4))
+    return Fraction(det)
 
 
 def coefficients_from_gains(g: GainParams, shape: NetworkShape) -> CriticalCoefficients:

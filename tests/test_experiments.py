@@ -15,6 +15,7 @@ from indecision import (
     sweep_lambda,
     write_heatmap_svg,
 )
+from indecision import experiments
 from indecision.cli import main as cli_main
 
 
@@ -51,6 +52,23 @@ def test_scenario_gains_invert_coefficients():
 def test_unknown_scenario():
     with pytest.raises(KeyError):
         get_scenario("nope")
+
+
+@pytest.mark.parametrize("bad", [{"seeds": ()}, {"quantize_tol": 0.0}])
+def test_scenario_rejects_invalid_fields(bad):
+    with pytest.raises(ValueError):
+        fast_consensus_2x2().replace(**bad)
+
+
+def test_scenario_from_dict_overrides_base():
+    sc = get_scenario("dissensus-exotic-4x6")
+    raw = {"epsilon": 0.02, "integrator": {"t_max": 50.0}}
+    assert Scenario.from_dict(raw, base=sc) == sc.replace(epsilon=0.02, t_max=50.0)
+
+
+def test_scenario_from_dict_needs_coefficients_without_base():
+    with pytest.raises(ValueError):
+        Scenario.from_dict({"name": "x", "shape": [2, 2], "epsilon": 0.05})
 
 
 def test_run_scenario_mini_consensus():
@@ -96,6 +114,18 @@ def test_run_report_json_shape(tmp_path):
     summary = json.loads((tmp_path / "mini-consensus-2x2_summary.json").read_text())
     assert summary["n_converged"] == 1
     assert summary["class_counts"] == {"Consensus": 1}
+
+
+def test_unconverged_runs_are_not_classified(tmp_path):
+    sc = fast_consensus_2x2(seeds=(0, 1)).replace(t_max=1.0)
+    reports = run_scenario(sc, out_dir=str(tmp_path))
+    assert all(not r.converged and not r.diverged for r in reports)
+    assert all(r.pattern is None for r in reports)
+    payload = json.loads((tmp_path / "mini-consensus-2x2_seed0.json").read_text())
+    assert payload["pattern"] is None
+    summary = json.loads((tmp_path / "mini-consensus-2x2_summary.json").read_text())
+    assert summary["n_converged"] == 0
+    assert summary["class_counts"] == {"Unconverged": 2}
 
 
 def test_trajectory_csv_written(tmp_path):
@@ -194,6 +224,14 @@ def test_cli_simulate_flag_overrides(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "lambda=1.06" in out
     assert "seed   1" in out and "seed   2" in out
+
+
+def test_cli_rejects_empty_seed_range(monkeypatch):
+    def no_integration(*args):
+        raise AssertionError("integrated an invalid scenario")
+    monkeypatch.setattr(experiments, "integrate", no_integration)
+    with pytest.raises(ValueError):
+        cli_main(["simulate", "--scenario", "consensus-4x6", "--seeds", "5..3"])
 
 
 def test_cli_sweep(tmp_path, capsys):
