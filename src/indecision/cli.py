@@ -16,10 +16,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
-from .colorings import synthesize_stable_admissible
+from .colorings import SearchBudgetError, check_axial_shape, synthesize_stable_admissible
 from .experiments import (BUILTIN_SCENARIOS, Scenario, catalog_rows, get_scenario,
                           run_scenario, sweep_lambda)
 from .model import NetworkShape
@@ -35,13 +36,22 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(",") if x.strip())
 
 
+@contextmanager
+def _usage_errors(args):
+    """Invalid input raised in the block becomes a usage error, exit status 2."""
+    try:
+        yield
+    except (ValueError, SearchBudgetError) as exc:
+        args.parser.error(str(exc))
+
+
 def _scenario_from_args(args) -> Scenario:
     sc = get_scenario(args.scenario) if args.scenario else None
     if args.config:
         with open(args.config) as fh:
             sc = Scenario.from_dict(json.load(fh), base=sc)
     if sc is None:
-        raise SystemExit("need --scenario or --config")
+        raise ValueError("need --scenario or --config")
     if args.seeds:
         sc = sc.replace(seeds=_parse_seeds(args.seeds))
     if args.epsilon is not None:
@@ -50,7 +60,8 @@ def _scenario_from_args(args) -> Scenario:
 
 
 def _cmd_simulate(args) -> int:
-    sc = _scenario_from_args(args)
+    with _usage_errors(args):
+        sc = _scenario_from_args(args)
     reports = run_scenario(sc, out_dir=args.out_dir,
                            match_catalog=args.catalog != "off")
     n_conv = sum(r.converged for r in reports)
@@ -68,8 +79,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    sc = _scenario_from_args(args)
-    lambdas = [float(x) for x in args.lambda_list.split(",") if x.strip()]
+    with _usage_errors(args):
+        sc = _scenario_from_args(args)
+        lambdas = [float(x) for x in args.lambda_list.split(",") if x.strip()]
     out_csv = None
     if args.out_dir:
         import os
@@ -87,7 +99,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    shape = NetworkShape(args.m, args.n)
+    with _usage_errors(args):
+        shape = NetworkShape(args.m, args.n)
+        check_axial_shape(shape)
     cat, rows = catalog_rows(shape)
     by_case: dict[str, int] = {}
     by_verdict: dict[str, int] = {}
@@ -165,6 +179,7 @@ def main(argv=None) -> int:
         p.add_argument("--epsilon", type=float, default=None,
                        help="offset above the bifurcation threshold")
         p.add_argument("--out-dir", default=None, help="directory for reports")
+        p.set_defaults(parser=p)
 
     p_sim = sub.add_parser("simulate", help="run a scenario over its seeds")
     add_scenario_flags(p_sim)
@@ -182,7 +197,7 @@ def main(argv=None) -> int:
     p_cat.add_argument("m", type=int)
     p_cat.add_argument("n", type=int)
     p_cat.add_argument("--out-dir", default=None)
-    p_cat.set_defaults(func=_cmd_catalog)
+    p_cat.set_defaults(func=_cmd_catalog, parser=p_cat)
 
     p_cls = sub.add_parser("classify", help="pattern report for a CSV matrix")
     p_cls.add_argument("matrix", help="CSV file: one matrix row per line, or "

@@ -60,6 +60,7 @@ __all__ = [
     "dissensus_intersection_basis",
     "is_axial_Vd",
     "canonical_form",
+    "check_axial_shape",
     "enumerate_axial",
     "isotropy_subgroup",
     "classify_orbital_exotic",
@@ -86,7 +87,11 @@ class NotBalancedError(ValueError):
 
 
 class SearchBudgetError(RuntimeError):
-    """A permutation search would exceed its configured budget."""
+    """A permutation search would exceed its budget."""
+
+
+SEARCH_BUDGET = 1e9     # most permutations one canonical-form or isotropy search may visit
+MAX_AXIAL_CELLS = 42    # largest grid (m * n cells) enumerate_axial accepts
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +380,14 @@ def _column_word_min(cols: list[tuple[int, ...]], m: int, n: int):
     return best
 
 
+def _check_canonical_budget(m: int, n: int):
+    if factorial(m) * factorial(n) > SEARCH_BUDGET:
+        raise SearchBudgetError(f"canonical form search for {m}x{n} exceeds "
+                                f"budget {SEARCH_BUDGET:g}")
+
+
 @lru_cache(maxsize=4096)
-def canonical_form(c: Coloring, budget: float = 1e9) -> Coloring:
+def canonical_form(c: Coloring) -> Coloring:
     """Canonical representative of a coloring under row and column
     permutations.
 
@@ -386,8 +397,7 @@ def canonical_form(c: Coloring, budget: float = 1e9) -> Coloring:
     forms are equal.
     """
     m, n = c.m, c.n
-    if factorial(m) * factorial(n) > budget:
-        raise SearchBudgetError(f"canonical form search for {m}x{n} exceeds budget {budget:g}")
+    _check_canonical_budget(m, n)
     cols0 = [tuple(c.cells[i][j] for i in range(m)) for j in range(n)]
     best = None
     for sigma in permutations(range(m)):
@@ -487,14 +497,6 @@ class AxialColoring:
     yellow_color: int | None = None
     block_colors: tuple[int, int, int, int] | None = None
 
-    def describe(self) -> str:
-        if self.case == "C":
-            return f"case C split {self.split}"
-        z = len(self.zero_block or ())
-        axis = "columns" if self.case == "A" else "rows"
-        zb = f", zero block of {z} {axis}" if z else ""
-        return f"case {self.case} rho={self.rho}{zb}"
-
 
 class AxialCatalog:
     """Axial colorings of one shape, deduplicated up to conjugacy and sorted
@@ -541,8 +543,37 @@ def _case_c_coloring(m, n, r, s) -> Coloring:
     return Coloring.from_rows(grid)
 
 
+def _bordered_latin(case: str, L, z: int) -> AxialColoring:
+    """Case A: the two-color Latin rectangle L (ids 0, 1) right of z
+    forced-zero columns.  Case B, z forced-zero rows above L, is case A of
+    L transposed, transposed back."""
+    flip = (lambda g: list(zip(*g))) if case == "B" else list
+    grid = flip([(2,) * z + row for row in flip(L)])
+    col = Coloring.from_rows(grid).relabeled()
+    ids = {a: b for row, new in zip(grid, col.cells) for a, b in zip(row, new)}
+    m, n = col.m, col.n
+    rows, cols = (range(z, m), range(n)) if case == "B" else (range(m), range(z, n))
+    return AxialColoring(
+        case=case, coloring=col, zero_block=tuple(range(z)) or None,
+        latin_block=LatinRectangleBlock(
+            rows=tuple(rows), cols=tuple(cols),
+            colors=tuple(tuple(col.cells[i][j] for j in cols) for i in rows)),
+        rho=Fraction(sum(L[0]), len(L[0])),
+        red_color=ids[1], blue_color=ids[0], yellow_color=ids.get(2))
+
+
+def check_axial_shape(shape):
+    """Raise SearchBudgetError, as enumerate_axial does before any work, for
+    more than MAX_AXIAL_CELLS cells or a canonical form over SEARCH_BUDGET."""
+    m, n = shape.m, shape.n
+    if m * n > MAX_AXIAL_CELLS:
+        raise SearchBudgetError(
+            f"axial enumeration for {m}x{n} exceeds the {MAX_AXIAL_CELLS}-cell guard")
+    _check_canonical_budget(m, n)
+
+
 @lru_cache(maxsize=32)
-def enumerate_axial(shape, max_cells: int = 42) -> AxialCatalog:
+def enumerate_axial(shape) -> AxialCatalog:
     """All axial colorings of the shape, up to conjugacy.  The returned
     catalog is cached per shape and must be treated as read-only.
 
@@ -553,11 +584,8 @@ def enumerate_axial(shape, max_cells: int = 42) -> AxialCatalog:
     representatives of all two-color Latin rectangles, bordered by the
     forced-zero block when they do not fill the grid.
     """
+    check_axial_shape(shape)
     m, n = shape.m, shape.n
-    if m * n > max_cells:
-        raise SearchBudgetError(
-            f"axial enumeration for {m}x{n} exceeds the {max_cells}-cell guard")
-
     raw: list[AxialColoring] = []
 
     for r in range(1, m):
@@ -571,49 +599,9 @@ def enumerate_axial(shape, max_cells: int = 42) -> AxialCatalog:
                               col.cells[m - 1][0], col.cells[m - 1][n - 1])))
 
     for q in range(2, n + 1):
-        z = n - q
-        for L in _two_color_latin_reps(m, q):
-            grid = [[0] * z + [1 + L[i][j] for j in range(q)] for i in range(m)]
-            if z == 0:
-                grid = [[L[i][j] for j in range(q)] for i in range(m)]
-            col = Coloring.from_rows(grid).relabeled()
-            ri, rj = next((i, z + j) for i in range(m) for j in range(q)
-                          if L[i][j] == 1)
-            bi, bj = next((i, z + j) for i in range(m) for j in range(q)
-                          if L[i][j] == 0)
-            a = sum(L[0])
-            raw.append(AxialColoring(
-                case="A", coloring=col,
-                zero_block=tuple(range(z)) if z else None,
-                latin_block=LatinRectangleBlock(
-                    rows=tuple(range(m)), cols=tuple(range(z, n)),
-                    colors=tuple(tuple(col.cells[i][z:]) for i in range(m))),
-                rho=Fraction(a, q),
-                red_color=col.cells[ri][rj],
-                blue_color=col.cells[bi][bj],
-                yellow_color=col.cells[0][0] if z else None))
-
+        raw += [_bordered_latin("A", L, n - q) for L in _two_color_latin_reps(m, q)]
     for p in range(2, m):
-        zr = m - p
-        for L in _two_color_latin_reps(p, n):
-            grid = [[0] * n for _ in range(zr)] + \
-                   [[1 + L[i][j] for j in range(n)] for i in range(p)]
-            col = Coloring.from_rows(grid).relabeled()
-            ri, rj = next((zr + i, j) for i in range(p) for j in range(n)
-                          if L[i][j] == 1)
-            bi, bj = next((zr + i, j) for i in range(p) for j in range(n)
-                          if L[i][j] == 0)
-            a = sum(L[0])
-            raw.append(AxialColoring(
-                case="B", coloring=col,
-                zero_block=tuple(range(zr)),
-                latin_block=LatinRectangleBlock(
-                    rows=tuple(range(zr, m)), cols=tuple(range(n)),
-                    colors=tuple(tuple(col.cells[zr + i]) for i in range(p))),
-                rho=Fraction(a, n),
-                red_color=col.cells[ri][rj],
-                blue_color=col.cells[bi][bj],
-                yellow_color=col.cells[0][0]))
+        raw += [_bordered_latin("B", L, m - p) for L in _two_color_latin_reps(p, n)]
 
     dedup: dict[Coloring, AxialColoring] = {}
     for e in raw:
@@ -657,7 +645,7 @@ def _closure_sm(gens, m):
     return seen
 
 
-def isotropy_subgroup(c: Coloring, budget: float = 1e9) -> IsotropyReport:
+def isotropy_subgroup(c: Coloring) -> IsotropyReport:
     """All (sigma, tau) in S_m x S_n with color(sigma(i), tau(j)) =
     color(i, j), reported as order, a generating set, and the cell-orbit
     partition.
@@ -670,8 +658,9 @@ def isotropy_subgroup(c: Coloring, budget: float = 1e9) -> IsotropyReport:
     group) and Exotic otherwise.
     """
     m, n = c.m, c.n
-    if factorial(m) * (2 * m * n) > budget:
-        raise SearchBudgetError(f"isotropy search for {m}x{n} exceeds budget {budget:g}")
+    if factorial(m) * (2 * m * n) > SEARCH_BUDGET:
+        raise SearchBudgetError(f"isotropy search for {m}x{n} exceeds "
+                                f"budget {SEARCH_BUDGET:g}")
 
     cols = [tuple(c.cells[i][j] for i in range(m)) for j in range(n)]
     groups: dict[tuple, list[int]] = {}
@@ -759,11 +748,11 @@ def isotropy_subgroup(c: Coloring, budget: float = 1e9) -> IsotropyReport:
 
 
 @lru_cache(maxsize=4096)
-def classify_orbital_exotic(c: Coloring, budget: float = 1e9) -> str:
+def classify_orbital_exotic(c: Coloring) -> str:
     """Orbital / Exotic verdict for an axial coloring."""
     if not is_axial_Vd(c):
         raise ValueError("coloring is not axial relative to the dissensus subspace")
-    return isotropy_subgroup(c, budget=budget).verdict
+    return isotropy_subgroup(c).verdict
 
 
 # ---------------------------------------------------------------------------
@@ -828,30 +817,21 @@ def exotic_sufficient_4xn(c: Coloring) -> bool:
 
 def axial_values(a: AxialColoring, amplitude) -> list[list[Fraction]]:
     """The unique element of the pattern's line with the red (case A/B) or
-    top-left block (case C) value equal to `amplitude`; exact rationals,
-    all row and column sums are exactly zero."""
+    top-left block (case C) value equal to `amplitude`: the exact basis
+    vector of dissensus_intersection_basis, scaled.  Exact rationals; all
+    row and column sums are exactly zero."""
     amp = Fraction(amplitude)
     if amp == 0:
         raise ValueError("amplitude must be nonzero")
-    c = a.coloring
     if a.case in ("A", "B"):
-        rho = a.rho
-        values = {a.red_color: amp, a.blue_color: -rho / (1 - rho) * amp}
-        if a.yellow_color is not None:
-            values[a.yellow_color] = Fraction(0)
+        ref = a.red_color
     elif a.case == "C":
-        r, s = a.split
-        m, n = c.m, c.n
-        b11, b12, b21, b22 = a.block_colors
-        values = {
-            b11: amp,
-            b12: -Fraction(s, n - s) * amp,
-            b21: -Fraction(r, m - r) * amp,
-            b22: Fraction(s, n - s) * Fraction(r, m - r) * amp,
-        }
+        ref = a.block_colors[0]
     else:
         raise ValueError(f"unknown case {a.case!r}")
-    return [[values[col] for col in row] for row in c.cells]
+    (line,) = dissensus_intersection_basis(a.coloring)
+    scale = amp / line[ref]
+    return [[line[col] * scale for col in row] for row in a.coloring.cells]
 
 
 def axial_value_matrix(a: AxialColoring, amplitude: float) -> np.ndarray:
@@ -873,12 +853,6 @@ class StablePolynomialMap:
 
     coeffs: tuple[Fraction, ...]  # ascending powers, exact
     levels: tuple[Fraction, ...]
-
-    def __call__(self, x: float) -> float:
-        acc = 0.0
-        for coef in reversed(self.coeffs):
-            acc = acc * x + float(coef)
-        return acc
 
     def field(self, Z: np.ndarray) -> np.ndarray:
         acc = np.zeros_like(Z, dtype=float)

@@ -47,6 +47,9 @@ __all__ = [
 
 DEFAULT_SEEDS = tuple(range(20))
 ZERO_AMPLITUDE = 1e-6  # below this a final state counts as "converged to 0"
+_CONFIG_KEYS = ("name", "shape", "coefficients", "sigmoids", "epsilon", "seeds",
+                "radius", "quantize_tol", "integrator")
+_INTEGRATOR_KEYS = ("step", "t_max", "equilibrium_tol", "record_stride")
 
 
 @dataclass(frozen=True)
@@ -73,13 +76,17 @@ class Scenario:
             raise ValueError("seeds must be nonempty")
         if self.quantize_tol <= 0:
             raise ValueError("quantize_tol must be > 0")
+        if self.radius <= 0:
+            raise ValueError("radius must be > 0")
+        self.integrator_config()  # raises on an invalid step, t_max, tol or stride
 
     @classmethod
     def from_dict(cls, raw: dict, base: "Scenario | None" = None) -> "Scenario":
         """Scenario from a JSON config; keys missing from raw keep base's
         values.  Schema (every key optional, except coefficients when no
         base is given; without a base, name defaults to "custom", shape to
-        [4, 6] and sigmoids to [0.5, 0.3]):
+        [4, 6] and sigmoids to [0.5, 0.3]; any other key, top-level or
+        under "integrator", raises ValueError naming it):
 
         {
           "name": "my-scenario",
@@ -94,10 +101,13 @@ class Scenario:
                          "equilibrium_tol": 1e-9, "record_stride": 10}
         }
         """
-        kw = {k: raw[k] for k in ("name", "epsilon", "radius", "quantize_tol") if k in raw}
         integ = raw.get("integrator", {})
-        kw.update((k, integ[k]) for k in ("step", "t_max", "equilibrium_tol", "record_stride")
-                  if k in integ)
+        unknown = [k for k in raw if k not in _CONFIG_KEYS] + \
+                  [f"integrator.{k}" for k in integ if k not in _INTEGRATOR_KEYS]
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        kw = {k: raw[k] for k in ("name", "epsilon", "radius", "quantize_tol") if k in raw}
+        kw.update((k, integ[k]) for k in _INTEGRATOR_KEYS if k in integ)
         if "shape" in raw:
             kw["shape"] = NetworkShape(*raw["shape"])
         if "coefficients" in raw:

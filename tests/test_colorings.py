@@ -28,6 +28,7 @@ from indecision import (
     synthesize_stable_admissible,
     tiling_decomposition,
 )
+from indecision import colorings
 from helpers import (
     EXOTIC_4X6,
     EXOTIC_4X6_GENERATORS,
@@ -232,9 +233,9 @@ def test_canonical_classes_of_2x2_match_hand_count():
 
 
 def test_canonical_form_budget_guard():
-    big = Coloring.from_rows([[0] * 8] * 8)
+    big = Coloring.from_rows([[0] * 8] * 8)  # 8! * 8! > SEARCH_BUDGET
     with pytest.raises(SearchBudgetError):
-        canonical_form(big, budget=1e6)
+        canonical_form(big)
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +303,30 @@ def test_enumerate_axial_guard():
         enumerate_axial(NetworkShape(7, 7))
 
 
+@pytest.mark.parametrize("m, n", [(2, 13), (3, 12)])
+def test_enumerate_axial_checks_search_budget_first(monkeypatch, m, n):
+    # within the cell guard, but m! * n! exceeds SEARCH_BUDGET: refuse the
+    # shape before any Latin rectangle is enumerated
+    def no_enumeration(*args):
+        raise AssertionError("enumerated a shape the guard refuses")
+    monkeypatch.setattr(colorings, "_two_color_latin_indicators", no_enumeration)
+    with pytest.raises(SearchBudgetError):
+        enumerate_axial(NetworkShape(m, n))
+
+
+@pytest.mark.parametrize("m, n", [(3, 4), (5, 4), (3, 6)])
+def test_case_b_is_transposed_case_a(m, n):
+    # case B of m x n (zero rows above a Latin block) is case A of n x m
+    # with a zero block (zero columns left of it), transposed
+    case_b = [e.coloring for e in enumerate_axial(NetworkShape(m, n)) if e.case == "B"]
+    transposed_a = [Coloring.from_rows(zip(*e.coloring.cells)).relabeled()
+                    for e in enumerate_axial(NetworkShape(n, m))
+                    if e.case == "A" and e.zero_block]
+    assert case_b
+    assert sorted(case_b, key=lambda c: c.cells) == \
+        sorted(transposed_a, key=lambda c: c.cells)
+
+
 # ---------------------------------------------------------------------------
 # isotropy and verdicts
 # ---------------------------------------------------------------------------
@@ -360,8 +385,9 @@ def test_classify_requires_axial():
 
 
 def test_isotropy_budget_guard():
+    tall = Coloring.from_rows([[0, 1]] * 12)  # 12! * (2 * 12 * 2) > SEARCH_BUDGET
     with pytest.raises(SearchBudgetError):
-        isotropy_subgroup(CHECKER_2X2, budget=1)
+        isotropy_subgroup(tall)
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,10 @@ def test_unknown_scenario():
         get_scenario("nope")
 
 
-@pytest.mark.parametrize("bad", [{"seeds": ()}, {"quantize_tol": 0.0}])
+@pytest.mark.parametrize("bad", [
+    {"seeds": ()}, {"quantize_tol": 0.0}, {"radius": 0.0}, {"step": 0.0},
+    {"equilibrium_tol": 0.0}, {"record_stride": 0}, {"t_max": 0.01},
+])
 def test_scenario_rejects_invalid_fields(bad):
     with pytest.raises(ValueError):
         fast_consensus_2x2().replace(**bad)
@@ -64,6 +67,15 @@ def test_scenario_from_dict_overrides_base():
     sc = get_scenario("dissensus-exotic-4x6")
     raw = {"epsilon": 0.02, "integrator": {"t_max": 50.0}}
     assert Scenario.from_dict(raw, base=sc) == sc.replace(epsilon=0.02, t_max=50.0)
+
+
+@pytest.mark.parametrize("raw, key", [
+    ({"epsilo": 0.5}, "epsilo"),
+    ({"integrator": {"tmax": 5}}, "integrator.tmax"),
+])
+def test_scenario_from_dict_rejects_unknown_keys(raw, key):
+    with pytest.raises(ValueError, match=key):
+        Scenario.from_dict(raw, base=get_scenario("consensus-4x6"))
 
 
 def test_scenario_from_dict_needs_coefficients_without_base():
@@ -230,8 +242,30 @@ def test_cli_rejects_empty_seed_range(monkeypatch):
     def no_integration(*args):
         raise AssertionError("integrated an invalid scenario")
     monkeypatch.setattr(experiments, "integrate", no_integration)
-    with pytest.raises(ValueError):
+    with pytest.raises(SystemExit) as exc:
         cli_main(["simulate", "--scenario", "consensus-4x6", "--seeds", "5..3"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog", "7", "7"],
+    ["catalog", "1", "5"],
+    ["simulate", "--scenario", "consensus-4x6", "--seeds", "0..x"],
+    ["simulate", "--config", "no_coefficients.json"],
+    ["sweep", "--config", "unknown_key.json", "--lambda-list", "1.0"],
+])
+def test_cli_invalid_input_is_usage_error(tmp_path, monkeypatch, capsys, argv):
+    def no_integration(*args):
+        raise AssertionError("integrated invalid input")
+    monkeypatch.setattr(experiments, "integrate", no_integration)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "no_coefficients.json").write_text('{"shape": [2, 2]}')
+    mini = json.loads(write_mini_config(tmp_path / "mini.json").read_text())
+    (tmp_path / "unknown_key.json").write_text(json.dumps({**mini, "epsilo": 0.5}))
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
 
 
 def test_cli_sweep(tmp_path, capsys):
