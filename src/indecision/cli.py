@@ -82,6 +82,8 @@ def _cmd_sweep(args) -> int:
     with _usage_errors(args):
         sc = _scenario_from_args(args)
         lambdas = [float(x) for x in args.lambda_list.split(",") if x.strip()]
+        if not lambdas:
+            raise ValueError("--lambda-list names no lambda value")
     out_csv = None
     if args.out_dir:
         import os

@@ -449,28 +449,35 @@ def _two_color_latin_indicators(p: int, q: int):
     return grids
 
 
-def _indicator_key(g) -> tuple:
-    """Conjugacy key of a 0/1 grid up to row perms, column perms and symbol
-    swap: the sorted column tuples, minimized over row permutations and the
-    complement."""
-    p, q = len(g), len(g[0])
-    best = None
-    comp = tuple(tuple(1 - x for x in row) for row in g)
-    for mat in (g, comp):
-        for sigma in permutations(range(p)):
-            key = tuple(sorted(tuple(mat[s][j] for s in sigma) for j in range(q)))
-            if best is None or key < best:
-                best = key
-    return best
-
-
 def _two_color_latin_reps(p: int, q: int):
-    reps = {}
-    for g in _two_color_latin_indicators(p, q):
-        key = _indicator_key(g)
-        if key not in reps:
-            reps[key] = g
-    return [reps[k] for k in sorted(reps)]
+    """One two-color Latin indicator per class under row permutations,
+    column permutations and symbol swap: the first grid generated in each
+    class, in ascending key order.
+
+    The key of a grid is its sorted column tuples (read top-down), minimized
+    over the p! row permutations and the complement.  Each column is a p-bit
+    integer with row 0 as the most significant bit, and the sorted q columns
+    pack into one int64 (p * q <= MAX_AXIAL_CELLS bits), first column
+    highest.  0/1 tuples of one length compare like their binary values, and
+    sorted tuples of q columns like their packed values, so the integer keys
+    sort exactly like the tuple keys."""
+    grids = _two_color_latin_indicators(p, q)
+    if not grids:
+        return []
+    masks = np.zeros((len(grids), q), dtype=np.int64)
+    for i in range(p):
+        masks = (masks << 1) | np.array([g[i] for g in grids], dtype=np.int64)
+    bits = (np.arange(1 << p, dtype=np.int64)[:, None] >> (p - 1 - np.arange(p))) & 1
+    row_weights = 1 << np.arange(p - 1, -1, -1, dtype=np.int64)
+    col_weights = 1 << (p * np.arange(q - 1, -1, -1, dtype=np.int64))
+    keys = np.full(len(grids), np.iinfo(np.int64).max)
+    for sigma in permutations(range(p)):
+        moved = bits[:, sigma] @ row_weights    # column mask with row sigma[k] at row k
+        # moved[::-1][c] = moved[2**p - 1 - c]: the same step on the complement
+        for table in (moved, moved[::-1]):
+            np.minimum(keys, np.sort(table[masks], axis=1) @ col_weights, out=keys)
+    _, first = np.unique(keys, return_index=True)
+    return [grids[i] for i in first]
 
 
 # ---------------------------------------------------------------------------

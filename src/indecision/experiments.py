@@ -32,7 +32,8 @@ from .colorings import AxialCatalog, classify_orbital_exotic, enumerate_axial, i
 from .integrate import IntegratorConfig, integrate, random_near_origin, trajectory_to_csv
 from .model import (CriticalCoefficients, GainParams, ModelConfig, NetworkShape,
                     SigmoidParams, bifurcation_threshold, gains_from_coefficients)
-from .patterns import PatternClass, PatternReport, classify_state, quantize_to_coloring
+from .patterns import (AmbiguousQuantizationError, PatternClass, PatternReport,
+                       classify_state, quantize_to_coloring)
 
 __all__ = [
     "Scenario",
@@ -237,7 +238,8 @@ def _run_seeds(scenario: Scenario, cfg: ModelConfig, icfg: IntegratorConfig):
     config, yielding (trajectory, report, coloring) per seed in seed order.
 
     Only a run that converged without diverging is quantized and classified;
-    any other run keeps pattern = None and coloring = None.
+    any other run, and a converged one whose quantization is ambiguous,
+    keeps pattern = None and coloring = None.
     """
     for seed in scenario.seeds:
         Z0 = random_near_origin(scenario.shape, scenario.radius, seed)
@@ -248,9 +250,13 @@ def _run_seeds(scenario: Scenario, cfg: ModelConfig, icfg: IntegratorConfig):
                            final=res.final, pattern=None)
         coloring = None
         if res.converged and not res.diverged:
-            coloring = quantize_to_coloring(res.final, scenario.quantize_tol)
-            report.pattern = classify_state(coloring, res.final)
-            report.pattern.quantization_tol = scenario.quantize_tol
+            try:
+                coloring = quantize_to_coloring(res.final, scenario.quantize_tol)
+            except AmbiguousQuantizationError:
+                pass
+            else:
+                report.pattern = classify_state(coloring, res.final)
+                report.pattern.quantization_tol = scenario.quantize_tol
         yield traj, report, coloring
 
 
@@ -303,8 +309,10 @@ def _summarize(scenario: Scenario, reports: list[RunReport]) -> dict:
     for r in reports:
         if r.pattern is not None:
             key = r.pattern.pattern_class.value
+        elif r.diverged:
+            key = "Divergent"
         else:
-            key = "Divergent" if r.diverged else "Unconverged"
+            key = "Ambiguous" if r.converged else "Unconverged"
         counts[key] = counts.get(key, 0) + 1
         if r.axial_verdict:
             verdicts[r.axial_verdict] = verdicts.get(r.axial_verdict, 0) + 1

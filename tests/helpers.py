@@ -1,6 +1,7 @@
 """Shared test utilities: independent oracles and input generators."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 
@@ -103,6 +104,21 @@ def brute_force_axial(m: int, n: int) -> set:
             assert refines(other, best)
         reps.append(best)
     return {canonical_form(c) for c in reps}
+
+
+def indicator_key(g) -> tuple:
+    """Reference conjugacy key of a 0/1 grid up to row perms, column perms
+    and symbol swap: the sorted column tuples, minimized over row
+    permutations and the complement."""
+    p, q = len(g), len(g[0])
+    best = None
+    comp = tuple(tuple(1 - x for x in row) for row in g)
+    for mat in (g, comp):
+        for sigma in permutations(range(p)):
+            key = tuple(sorted(tuple(mat[s][j] for s in sigma) for j in range(q)))
+            if best is None or key < best:
+                best = key
+    return best
 
 
 def random_balanced_coloring(m: int, n: int, rng) -> Coloring:

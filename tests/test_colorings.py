@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -34,6 +35,7 @@ from helpers import (
     EXOTIC_4X6_GENERATORS,
     brute_force_axial,
     closure_pairs,
+    indicator_key,
     line_of,
     preserves_coloring,
     random_balanced_coloring,
@@ -325,6 +327,33 @@ def test_case_b_is_transposed_case_a(m, n):
     assert case_b
     assert sorted(case_b, key=lambda c: c.cells) == \
         sorted(transposed_a, key=lambda c: c.cells)
+
+
+def test_two_color_latin_reps_match_reference_key():
+    # same representatives in the same order as keying each grid with the
+    # pure-Python reference, and one per conjugacy class of the indicators
+    for p in range(2, 6):
+        for q in range(2, 24 // p + 1):
+            grids = colorings._two_color_latin_indicators(p, q)
+            reference = {}
+            for g in grids:
+                reference.setdefault(indicator_key(g), g)
+            reps = colorings._two_color_latin_reps(p, q)
+            assert reps == [reference[k] for k in sorted(reference)], (p, q)
+            classes = {canonical_form(Coloring.from_rows(g)) for g in grids}
+            assert len(reps) == len(classes), (p, q)
+
+
+@pytest.mark.parametrize("m, n, digest", [
+    (4, 6, "63c10a61c513fa162edbbc3486a8245e358ba37bf0fa51d8f500a549cac8ad24"),
+    (5, 5, "2a3000d16611c4e7bb358c6c6269240348226f8b2301195300a6f51ec800f1cd"),
+    (5, 6, "3fc2b56647990bc53ac6246a357db15a80ea6d11b835ceea6bfe6f0644092469"),
+])
+def test_catalog_export_is_pinned(m, n, digest):
+    # SHA-256 of the exported catalog: entry order, colorings, rho, splits
+    # and verdicts must not drift
+    text = enumerate_axial(NetworkShape(m, n)).export_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

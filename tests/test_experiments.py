@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from indecision import (
+    AmbiguousQuantizationError,
     CriticalCoefficients,
     NetworkShape,
     PatternClass,
@@ -140,6 +141,24 @@ def test_unconverged_runs_are_not_classified(tmp_path):
     assert summary["class_counts"] == {"Unconverged": 2}
 
 
+def test_ambiguous_quantization_fails_one_seed_only(tmp_path, monkeypatch):
+    quantize = experiments.quantize_to_coloring
+    calls = []
+
+    def ambiguous_first(Z, tol):
+        calls.append(tol)
+        if len(calls) == 1:
+            raise AmbiguousQuantizationError("cluster too wide")
+        return quantize(Z, tol)
+    monkeypatch.setattr(experiments, "quantize_to_coloring", ambiguous_first)
+    reports = run_scenario(fast_consensus_2x2(seeds=(0, 1)), out_dir=str(tmp_path))
+    assert [r.converged for r in reports] == [True, True]
+    assert reports[0].pattern is None
+    assert reports[1].pattern.pattern_class == PatternClass.CONSENSUS
+    summary = json.loads((tmp_path / "mini-consensus-2x2_summary.json").read_text())
+    assert summary["class_counts"] == {"Ambiguous": 1, "Consensus": 1}
+
+
 def test_trajectory_csv_written(tmp_path):
     sc = fast_consensus_2x2(seeds=(0,))
     run_scenario(sc, out_dir=str(tmp_path))
@@ -253,6 +272,7 @@ def test_cli_rejects_empty_seed_range(monkeypatch):
     ["simulate", "--scenario", "consensus-4x6", "--seeds", "0..x"],
     ["simulate", "--config", "no_coefficients.json"],
     ["sweep", "--config", "unknown_key.json", "--lambda-list", "1.0"],
+    ["sweep", "--scenario", "consensus-4x6", "--lambda-list", ","],
 ])
 def test_cli_invalid_input_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     def no_integration(*args):
