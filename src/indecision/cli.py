@@ -41,7 +41,7 @@ def _usage_errors(args):
     """Invalid input raised in the block becomes a usage error, exit status 2."""
     try:
         yield
-    except (ValueError, SearchBudgetError) as exc:
+    except (ValueError, SearchBudgetError, OSError) as exc:
         args.parser.error(str(exc))
 
 
@@ -126,19 +126,22 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
-def _cmd_classify(args) -> int:
-    with open(args.matrix) as fh:
+def _read_matrix(path) -> np.ndarray:
+    with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if lines and lines[0].startswith("t,"):
         # trajectory file: infer the shape from the header, use the last sample
         last_label = lines[0].split(",")[-1]          # "z_m_n"
         _, m, n = last_label.split("_")
-        m, n = int(m), int(n)
         vals = [float(x) for x in lines[-1].split(",")][1:]
-        Z = np.array(vals).reshape(m, n)
-    else:
-        Z = np.array([[float(x) for x in ln.split(",")] for ln in lines])
-    coloring = quantize_to_coloring(Z, args.tol)
+        return np.array(vals).reshape(int(m), int(n))
+    return np.array([[float(x) for x in ln.split(",")] for ln in lines])
+
+
+def _cmd_classify(args) -> int:
+    with _usage_errors(args):
+        Z = _read_matrix(args.matrix)
+        coloring = quantize_to_coloring(Z, args.tol)
     report = classify_state(coloring, Z)
     report.quantization_tol = args.tol
     print(report.to_json())
@@ -146,13 +149,14 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
-    with open(args.coloring) as fh:
-        coloring = Coloring.from_text(fh.read())
-    # generic levels: distinct integers centered on zero
-    K = coloring.num_colors
-    levels = [k - (K - 1) / 2 for k in range(K)]
-    y = [[levels[c] for c in row] for row in coloring.cells]
-    fmap, report = synthesize_stable_admissible(coloring, y)
+    with _usage_errors(args):
+        with open(args.coloring) as fh:
+            coloring = Coloring.from_text(fh.read())
+        # generic levels: distinct integers centered on zero
+        K = coloring.num_colors
+        levels = [k - (K - 1) / 2 for k in range(K)]
+        y = [[levels[c] for c in row] for row in coloring.cells]
+        fmap, report = synthesize_stable_admissible(coloring, y)
     payload = {
         "levels": [float(v) for v in fmap.levels],
         "polynomial_degree": len(fmap.coeffs) - 1,
@@ -206,12 +210,12 @@ def main(argv=None) -> int:
                                       "a trajectory file (the last sample is used)")
     p_cls.add_argument("--tol", type=float, default=1e-5,
                        help="quantization tolerance")
-    p_cls.set_defaults(func=_cmd_classify)
+    p_cls.set_defaults(func=_cmd_classify, parser=p_cls)
 
     p_syn = sub.add_parser("synthesize",
                            help="stable equilibrium on a balanced coloring")
     p_syn.add_argument("coloring", help="text file, one row of color ids per line")
-    p_syn.set_defaults(func=_cmd_synthesize)
+    p_syn.set_defaults(func=_cmd_synthesize, parser=p_syn)
 
     args = parser.parse_args(argv)
     return args.func(args)

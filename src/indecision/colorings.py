@@ -313,9 +313,7 @@ def _exact_rref(rows: list[list[Fraction]]):
 def dim_Vd_intersection(c: Coloring) -> int:
     """Dimension (exact, over the rationals) of the space of color-constant
     states whose row sums and column sums all vanish."""
-    mat = [[Fraction(x) for x in row] for row in _sum_constraints(c)]
-    rank = len(_exact_rref(mat))
-    return c.num_colors - rank
+    return len(dissensus_intersection_basis(c))
 
 
 def dissensus_intersection_basis(c: Coloring) -> list[tuple[Fraction, ...]]:
@@ -413,71 +411,60 @@ def canonical_form(c: Coloring) -> Coloring:
 # two-color Latin rectangles
 # ---------------------------------------------------------------------------
 
-def _two_color_latin_indicators(p: int, q: int):
+def _two_color_latin_masks(p: int, q: int) -> np.ndarray:
     """All p x q 0/1 arrays with constant row sums and constant column sums,
-    both symbols present.  DFS over rows with column-capacity pruning."""
-    out = []
+    both symbols present, as an (N, q) int64 array of column masks (a column
+    read top-down is a p-bit integer, row 0 the most significant bit).
+
+    Rows are added one at a time, each row ranging over
+    combinations(range(q), a) with row 0 varying slowest.  A partial array
+    is kept while every column count c satisfies b - rows_left <= c <= b;
+    with equal row sums every such partial array completes (Gale-Ryser), and
+    its last row is forced: b - counts."""
+    out = [np.zeros((0, q), dtype=np.int64)]
     for a in range(1, q):
-        if (a * p) % q:
+        b, rem = divmod(a * p, q)
+        if rem:
             continue
-        b = a * p // q
-        if not 1 <= b <= p - 1:
-            continue
-        row_choices = list(combinations(range(q), a))
-        colcnt = [0] * q
-
-        def dfs(i, acc):
-            if i == p:
-                out.append(tuple(acc))
-                return
-            for comb in row_choices:
-                if any(colcnt[j] + 1 > b for j in comb):
-                    continue
-                for j in comb:
-                    colcnt[j] += 1
-                acc.append(comb)
-                dfs(i + 1, acc)
-                acc.pop()
-                for j in comb:
-                    colcnt[j] -= 1
-
-        dfs(0, [])
-    grids = []
-    for mat in out:
-        grids.append(tuple(tuple(1 if j in mat[i] else 0 for j in range(q))
-                           for i in range(p)))
-    return grids
+        choices = np.array([[j in comb for j in range(q)]
+                            for comb in combinations(range(q), a)], dtype=np.int8)
+        masks = np.zeros((1, q), dtype=np.int64)
+        counts = np.zeros((1, q), dtype=np.int8)
+        for rows_left in range(p - 1, 0, -1):
+            grown = counts[:, None] + choices     # (kept, choices, q) column counts
+            keep = ((grown >= b - rows_left) & (grown <= b)).all(axis=2)
+            kept, choice = np.nonzero(keep)       # row-major: earlier rows vary slowest
+            masks = (masks[kept] << 1) | choices[choice]
+            counts = grown[keep]
+        out.append((masks << 1) | (b - counts))
+    return np.concatenate(out)
 
 
 def _two_color_latin_reps(p: int, q: int):
     """One two-color Latin indicator per class under row permutations,
-    column permutations and symbol swap: the first grid generated in each
-    class, in ascending key order.
+    column permutations and symbol swap: the first array of
+    _two_color_latin_masks in each class, in ascending key order, as a
+    tuple of row tuples.
 
-    The key of a grid is its sorted column tuples (read top-down), minimized
-    over the p! row permutations and the complement.  Each column is a p-bit
-    integer with row 0 as the most significant bit, and the sorted q columns
-    pack into one int64 (p * q <= MAX_AXIAL_CELLS bits), first column
-    highest.  0/1 tuples of one length compare like their binary values, and
-    sorted tuples of q columns like their packed values, so the integer keys
-    sort exactly like the tuple keys."""
-    grids = _two_color_latin_indicators(p, q)
-    if not grids:
-        return []
-    masks = np.zeros((len(grids), q), dtype=np.int64)
-    for i in range(p):
-        masks = (masks << 1) | np.array([g[i] for g in grids], dtype=np.int64)
+    The key of an array is its sorted column masks, minimized over the p!
+    row permutations and the complement.  The sorted q masks pack into one
+    int64 (p * q <= MAX_AXIAL_CELLS bits), first column highest.  0/1 tuples
+    of one length compare like their binary values, and sorted tuples of q
+    columns like their packed values, so the keys order the classes as the
+    sorted column tuples would."""
+    masks = _two_color_latin_masks(p, q)
     bits = (np.arange(1 << p, dtype=np.int64)[:, None] >> (p - 1 - np.arange(p))) & 1
     row_weights = 1 << np.arange(p - 1, -1, -1, dtype=np.int64)
     col_weights = 1 << (p * np.arange(q - 1, -1, -1, dtype=np.int64))
-    keys = np.full(len(grids), np.iinfo(np.int64).max)
+    keys = np.full(len(masks), np.iinfo(np.int64).max)
     for sigma in permutations(range(p)):
         moved = bits[:, sigma] @ row_weights    # column mask with row sigma[k] at row k
         # moved[::-1][c] = moved[2**p - 1 - c]: the same step on the complement
         for table in (moved, moved[::-1]):
             np.minimum(keys, np.sort(table[masks], axis=1) @ col_weights, out=keys)
     _, first = np.unique(keys, return_index=True)
-    return [grids[i] for i in first]
+    grids = (masks[first][:, None, :] >> (p - 1 - np.arange(p))[:, None]) & 1
+    return [tuple(map(tuple, g)) for g in grids.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -584,19 +571,22 @@ def enumerate_axial(shape) -> AxialCatalog:
     """All axial colorings of the shape, up to conjugacy.  The returned
     catalog is cached per shape and must be treated as read-only.
 
-    Case C runs over all block splits (r, s); the split with r = m/2 and
-    s = n/2 is skipped because its value line coincides with the coarser
-    two-color Latin rectangle of the same block layout, and a branch follows
-    the pattern with fewest colors.  Cases A and B run over conjugacy
-    representatives of all two-color Latin rectangles, bordered by the
-    forced-zero block when they do not fill the grid.
+    Case C runs over the block splits (r, s) with r <= m/2 and s <= n/2 (the
+    other splits swap blocks, so they are conjugate to these); the split
+    with r = m/2 and s = n/2 is skipped because its value line coincides
+    with the coarser two-color Latin rectangle of the same block layout,
+    and a branch follows the pattern with fewest colors.  Cases A and B run
+    over conjugacy representatives of all two-color Latin rectangles,
+    bordered by the forced-zero block when they do not fill the grid.  No
+    two entries are conjugate, so the catalog is the entries sorted by
+    canonical form.
     """
     check_axial_shape(shape)
     m, n = shape.m, shape.n
     raw: list[AxialColoring] = []
 
-    for r in range(1, m):
-        for s in range(1, n):
+    for r in range(1, m // 2 + 1):
+        for s in range(1, n // 2 + 1):
             if 2 * r == m and 2 * s == n:
                 continue
             col = _case_c_coloring(m, n, r, s)
@@ -610,13 +600,7 @@ def enumerate_axial(shape) -> AxialCatalog:
     for p in range(2, m):
         raw += [_bordered_latin("B", L, m - p) for L in _two_color_latin_reps(p, n)]
 
-    dedup: dict[Coloring, AxialColoring] = {}
-    for e in raw:
-        can = canonical_form(e.coloring)
-        if can not in dedup:
-            dedup[can] = e
-    ordered = [dedup[k] for k in sorted(dedup, key=lambda col: col.cells)]
-    return AxialCatalog(shape, ordered)
+    return AxialCatalog(shape, sorted(raw, key=lambda e: canonical_form(e.coloring).cells))
 
 
 # ---------------------------------------------------------------------------
@@ -631,38 +615,28 @@ class IsotropyReport:
     verdict: str  # "Orbital" | "Exotic"
 
 
-def _perm_compose(a, b):
-    return tuple(a[x] for x in b)
-
-
-def _closure_sm(gens, m):
-    """Subgroup of S_m generated by gens (tuples)."""
-    ident = tuple(range(m))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for el in frontier:
-            for g in gens:
-                e2 = _perm_compose(g, el)
-                if e2 not in seen:
-                    seen.add(e2)
-                    nxt.append(e2)
-        frontier = nxt
-    return seen
-
-
 def isotropy_subgroup(c: Coloring) -> IsotropyReport:
     """All (sigma, tau) in S_m x S_n with color(sigma(i), tau(j)) =
     color(i, j), reported as order, a generating set, and the cell-orbit
     partition.
 
-    The search loops over row permutations only: for a fixed sigma, the
-    admissible tau are exactly the column matchings of the sigma-permuted
-    column vectors, so the pruned search size is m! * (m n) rather than
-    m! * n!.  The verdict is Orbital when the cell orbits coincide with the
-    color classes (the pattern equals the fixed set of its own isotropy
-    group) and Exotic otherwise.
+    The search loops over row permutations only.  A sigma belongs to the
+    group's row image when the sigma-permuted columns are, as a multiset,
+    the original columns; tau_sigma matches them up, equal columns in index
+    order.  For that sigma the admissible tau are tau_sigma followed by any
+    permutation within the groups of equal columns, so with S the set of
+    such sigma:
+
+    * order = |S| * prod(k!) over the groups of k equal columns;
+    * generators = (sigma, tau_sigma) for each non-identity sigma in S, plus
+      the transpositions of neighbouring equal columns;
+    * orbit of (i, j) = {(sigma(i), k) : sigma in S, column k equal to
+      column tau_sigma(j)}.
+
+    The pruned search size is m! * (m n) rather than m! * n!.  The verdict
+    is Orbital when the cell orbits coincide with the color classes (the
+    pattern equals the fixed set of its own isotropy group) and Exotic
+    otherwise.
     """
     m, n = c.m, c.n
     if factorial(m) * (2 * m * n) > SEARCH_BUDGET:
@@ -673,82 +647,33 @@ def isotropy_subgroup(c: Coloring) -> IsotropyReport:
     groups: dict[tuple, list[int]] = {}
     for j, v in enumerate(cols):
         groups.setdefault(v, []).append(j)
-    col_counts = {v: len(g) for v, g in groups.items()}
+    sorted_cols = sorted(cols)
 
-    matching_sigmas = []
-    taus = {}
-    for sigma in permutations(range(m)):
-        target = []
-        ok = True
-        cnt: dict[tuple, int] = {}
-        for j in range(n):
-            v = [0] * m
-            colj = cols[j]
-            for i in range(m):
-                v[sigma[i]] = colj[i]
-            tv = tuple(v)
-            if tv not in col_counts:
-                ok = False
-                break
-            cnt[tv] = cnt.get(tv, 0) + 1
-            if cnt[tv] > col_counts[tv]:
-                ok = False
-                break
-            target.append(tv)
-        if not ok:
-            continue
-        matching_sigmas.append(sigma)
-        used = {v: 0 for v in groups}
-        tau = [0] * n
-        for j, tv in enumerate(target):
-            tau[j] = groups[tv][used[tv]]
-            used[tv] += 1
-        taus[sigma] = tuple(tau)
+    taus: dict[tuple, tuple] = {}
+    for inv in permutations(range(m)):     # inv = sigma^-1: moved[j][sigma[i]] = cols[j][i]
+        if tuple(map(cols[0].__getitem__, inv)) not in groups:
+            continue    # most permutations already move column 0 off every column
+        moved = [tuple(map(col.__getitem__, inv)) for col in cols]
+        if sorted(moved) == sorted_cols:
+            sigma = tuple(sorted(range(m), key=inv.__getitem__))
+            pools = {v: iter(g) for v, g in groups.items()}
+            taus[sigma] = tuple(next(pools[v]) for v in moved)
 
-    stab = 1
+    order = len(taus)
     for g in groups.values():
-        stab *= factorial(len(g))
-    order = len(matching_sigmas) * stab
-
-    # generators: column transpositions within equal-column groups, plus one
-    # coset representative per generator of the row-permutation image
-    gens: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    ident_rows = tuple(range(m))
+        order *= factorial(len(g))
+    gens = [(sigma, tau) for sigma, tau in taus.items() if sigma != tuple(range(m))]
     for g in groups.values():
         for a, b in zip(g, g[1:]):
             tau = list(range(n))
-            tau[a], tau[b] = tau[b], tau[a]
-            gens.append((ident_rows, tuple(tau)))
-    image_gens = []
-    closed = {ident_rows}
-    for sigma in matching_sigmas:
-        if sigma not in closed:
-            image_gens.append(sigma)
-            closed = _closure_sm(image_gens, m)
-    gens.extend((sigma, taus[sigma]) for sigma in image_gens)
+            tau[a], tau[b] = b, a
+            gens.append((tuple(range(m)), tuple(tau)))
 
-    # orbits of the generated group = components of the generator moves
-    parent = list(range(m * n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for sigma, tau in gens:
-        for i in range(m):
-            for j in range(n):
-                a, b = find(i * n + j), find(sigma[i] * n + tau[j])
-                if a != b:
-                    parent[a] = b
-    orbits: dict[int, set] = {}
-    for i in range(m):
-        for j in range(n):
-            orbits.setdefault(find(i * n + j), set()).add((i, j))
-    orbit_partition = tuple(sorted((frozenset(s) for s in orbits.values()),
-                                   key=lambda s: sorted(s)))
-    colors = tuple(sorted(c.color_classes(), key=lambda s: sorted(s)))
+    orbits = {frozenset((sigma[i], k) for sigma, tau in taus.items()
+                        for k in groups[cols[tau[j]]])
+              for i in range(m) for j in range(n)}
+    orbit_partition = tuple(sorted(orbits, key=sorted))
+    colors = tuple(sorted(c.color_classes(), key=sorted))
     verdict = "Orbital" if orbit_partition == colors else "Exotic"
     return IsotropyReport(group_order=order, generators=gens,
                           orbit_partition=orbit_partition, verdict=verdict)

@@ -25,6 +25,7 @@ import dataclasses
 import json
 import os
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -51,6 +52,8 @@ ZERO_AMPLITUDE = 1e-6  # below this a final state counts as "converged to 0"
 _CONFIG_KEYS = ("name", "shape", "coefficients", "sigmoids", "epsilon", "seeds",
                 "radius", "quantize_tol", "integrator")
 _INTEGRATOR_KEYS = ("step", "t_max", "equilibrium_tol", "record_stride")
+_NUMERIC_FIELDS = ("epsilon", "radius", "quantize_tol", "step", "equilibrium_tol",
+                   "record_stride")
 
 
 @dataclass(frozen=True)
@@ -71,6 +74,13 @@ class Scenario:
     record_stride: int = 10
 
     def __post_init__(self):
+        if not all(isinstance(s, Integral) for s in self.seeds):
+            raise ValueError("seeds must be integers")
+        bad = [k for k in _NUMERIC_FIELDS if not isinstance(getattr(self, k), Real)]
+        if self.t_max is not None and not isinstance(self.t_max, Real):
+            bad.append("t_max")
+        if bad:
+            raise ValueError(f"not a number: {', '.join(bad)}")
         if self.epsilon < 0:
             raise ValueError("epsilon must be >= 0")
         if not self.seeds:
@@ -102,21 +112,28 @@ class Scenario:
                          "equilibrium_tol": 1e-9, "record_stride": 10}
         }
         """
+        if not isinstance(raw, dict):
+            raise ValueError("config must be a JSON object")
         integ = raw.get("integrator", {})
+        if not isinstance(integ, dict):
+            raise ValueError("config key integrator must be a JSON object")
         unknown = [k for k in raw if k not in _CONFIG_KEYS] + \
                   [f"integrator.{k}" for k in integ if k not in _INTEGRATOR_KEYS]
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         kw = {k: raw[k] for k in ("name", "epsilon", "radius", "quantize_tol") if k in raw}
         kw.update((k, integ[k]) for k in _INTEGRATOR_KEYS if k in integ)
-        if "shape" in raw:
-            kw["shape"] = NetworkShape(*raw["shape"])
-        if "coefficients" in raw:
-            kw["coefficients"] = CriticalCoefficients(**raw["coefficients"])
-        if "sigmoids" in raw:
-            kw["sigmoids"] = SigmoidParams(*raw["sigmoids"])
-        if "seeds" in raw:
-            kw["seeds"] = tuple(raw["seeds"])
+        parsers = {"shape": lambda v: NetworkShape(*v),
+                   "coefficients": lambda v: CriticalCoefficients(**v),
+                   "sigmoids": lambda v: SigmoidParams(*v),
+                   "seeds": tuple}
+        for key, parse in parsers.items():
+            if key not in raw:
+                continue
+            try:
+                kw[key] = parse(raw[key])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"config key {key}: {exc}") from None
         if base is not None:
             return dataclasses.replace(base, **kw)
         if "coefficients" not in kw:

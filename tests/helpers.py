@@ -1,7 +1,7 @@
 """Shared test utilities: independent oracles and input generators."""
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -13,7 +13,6 @@ from indecision import (
     dissensus_intersection_basis,
     is_balanced,
 )
-from indecision.colorings import _two_color_latin_indicators
 
 # the known exotic 4x6 two-color pattern (columns: one complementary pair
 # once, another pair twice) and the generators of its symmetry group
@@ -106,6 +105,39 @@ def brute_force_axial(m: int, n: int) -> set:
     return {canonical_form(c) for c in reps}
 
 
+def two_color_latin_indicators(p: int, q: int):
+    """Reference list of all p x q 0/1 arrays with constant row sums and
+    constant column sums, both symbols present, as tuples of row tuples:
+    DFS over rows (row 0 slowest, each row over combinations(range(q), a))
+    with column-capacity pruning."""
+    out = []
+    for a in range(1, q):
+        if (a * p) % q:
+            continue
+        b = a * p // q
+        row_choices = list(combinations(range(q), a))
+        colcnt = [0] * q
+
+        def dfs(i, acc):
+            if i == p:
+                out.append(tuple(acc))
+                return
+            for comb in row_choices:
+                if any(colcnt[j] + 1 > b for j in comb):
+                    continue
+                for j in comb:
+                    colcnt[j] += 1
+                acc.append(comb)
+                dfs(i + 1, acc)
+                acc.pop()
+                for j in comb:
+                    colcnt[j] -= 1
+
+        dfs(0, [])
+    return [tuple(tuple(1 if j in mat[i] else 0 for j in range(q)) for i in range(p))
+            for mat in out]
+
+
 def indicator_key(g) -> tuple:
     """Reference conjugacy key of a 0/1 grid up to row perms, column perms
     and symbol swap: the sorted column tuples, minimized over row
@@ -143,7 +175,7 @@ def random_balanced_coloring(m: int, n: int, rng) -> Coloring:
     for p in row_sizes:
         j0 = 0
         for q in col_sizes:
-            two = _two_color_latin_indicators(p, q)
+            two = two_color_latin_indicators(p, q)
             if two and rng.random() < 0.6:
                 L = two[int(rng.integers(0, len(two)))]
                 for di in range(p):

@@ -40,7 +40,6 @@ from indecision import (
     tiling_decomposition,
     zero_sum_report,
 )
-from indecision.colorings import _two_color_latin_indicators
 from helpers import (
     EXOTIC_4X6,
     EXOTIC_4X6_GENERATORS,
@@ -50,6 +49,7 @@ from helpers import (
     random_balanced_coloring,
     random_generic_levels,
     sample_balanced_coloring,
+    two_color_latin_indicators,
 )
 
 
@@ -325,7 +325,7 @@ def test_criterion_09_dimension_law():
 # ---------------------------------------------------------------------------
 
 def test_criterion_10_pairing_law_and_sufficiency():
-    rectangles = _two_color_latin_indicators(4, 6)
+    rectangles = two_color_latin_indicators(4, 6)
     assert len(rectangles) > 0
     n_sufficient = 0
     verdict_counts = {"Orbital": 0, "Exotic": 0}

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -41,6 +42,7 @@ from helpers import (
     random_balanced_coloring,
     random_generic_levels,
     sample_balanced_coloring,
+    two_color_latin_indicators,
 )
 
 # 3x6 Latin rectangle with three colors: two columns of each cyclic shift
@@ -311,7 +313,7 @@ def test_enumerate_axial_checks_search_budget_first(monkeypatch, m, n):
     # shape before any Latin rectangle is enumerated
     def no_enumeration(*args):
         raise AssertionError("enumerated a shape the guard refuses")
-    monkeypatch.setattr(colorings, "_two_color_latin_indicators", no_enumeration)
+    monkeypatch.setattr(colorings, "_two_color_latin_masks", no_enumeration)
     with pytest.raises(SearchBudgetError):
         enumerate_axial(NetworkShape(m, n))
 
@@ -334,7 +336,7 @@ def test_two_color_latin_reps_match_reference_key():
     # pure-Python reference, and one per conjugacy class of the indicators
     for p in range(2, 6):
         for q in range(2, 24 // p + 1):
-            grids = colorings._two_color_latin_indicators(p, q)
+            grids = two_color_latin_indicators(p, q)
             reference = {}
             for g in grids:
                 reference.setdefault(indicator_key(g), g)
@@ -342,6 +344,29 @@ def test_two_color_latin_reps_match_reference_key():
             assert reps == [reference[k] for k in sorted(reference)], (p, q)
             classes = {canonical_form(Coloring.from_rows(g)) for g in grids}
             assert len(reps) == len(classes), (p, q)
+
+
+def test_two_color_latin_masks_match_reference_dfs():
+    # the row-by-row mask builder yields exactly the reference DFS grids, in
+    # the same order (representatives are the first grid of each class)
+    for p in range(2, 13):
+        for q in range(2, 24 // p + 1):
+            masks = colorings._two_color_latin_masks(p, q)
+            grids = [tuple(tuple((int(col) >> (p - 1 - i)) & 1 for col in row)
+                           for i in range(p)) for row in masks]
+            assert grids == two_color_latin_indicators(p, q), (p, q)
+
+
+def test_catalog_entries_are_pairwise_nonconjugate():
+    # one entry per conjugacy class: case C runs only over r <= m/2,
+    # s <= n/2, and no two generated entries share a canonical form.  Shapes
+    # with more than 7 rows are left out: canonical_form visits m! row
+    # permutations per coloring.
+    for m in range(2, 8):
+        for n in range(2, 24 // m + 1):
+            cat = enumerate_axial(NetworkShape(m, n))
+            forms = [canonical_form(e.coloring) for e in cat]
+            assert len(set(forms)) == len(forms), (m, n)
 
 
 @pytest.mark.parametrize("m, n, digest", [
@@ -377,6 +402,27 @@ def test_isotropy_exotic_4x6_matches_known_generators():
     # the report's generators generate the same group
     H2 = closure_pairs(rep.generators, 4, 6)
     assert H2 == H
+
+
+def _brute_force_isotropy(c):
+    """Every (sigma, tau) in S_m x S_n preserving c, and the cell orbits of
+    that group."""
+    group = {(sigma, tau) for sigma in itertools.permutations(range(c.m))
+             for tau in itertools.permutations(range(c.n))
+             if preserves_coloring(c, (sigma, tau))}
+    orbits = {frozenset((sigma[i], tau[j]) for sigma, tau in group)
+              for i in range(c.m) for j in range(c.n)}
+    return group, orbits
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 3), (2, 4)])
+def test_isotropy_matches_brute_force(m, n):
+    for c in all_colorings(m, n):
+        group, orbits = _brute_force_isotropy(c)
+        rep = isotropy_subgroup(c)
+        assert rep.group_order == len(group), c
+        assert set(rep.orbit_partition) == orbits, c
+        assert closure_pairs(rep.generators, m, n) == group, c
 
 
 def test_isotropy_orbits_refine_colors():
@@ -474,10 +520,9 @@ def test_column_pair_multiplicities_of_known_pattern():
 def test_pairing_law_exhaustive_up_to_eight_columns():
     # every two-color Latin rectangle on four rows balances each
     # complementary column pair
-    from indecision.colorings import _two_color_latin_indicators
     total = 0
     for n in (2, 4, 6, 8):
-        for g in _two_color_latin_indicators(4, n):
+        for g in two_color_latin_indicators(4, n):
             if any(sum(col) != 2 for col in zip(*g)):
                 continue  # only the 2+2-per-column family pairs up
             c = Coloring.from_rows(g)

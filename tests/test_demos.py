@@ -1,0 +1,30 @@
+"""The quick demos run end to end as scripts, with src on the import path."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_demo(name, cwd):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, str(ROOT / "demos" / name)], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("name", [
+    "01_linearization_and_thresholds.py",
+    "04_axial_catalog.py",
+    "05_exotic_4x6.py",
+    "06_stable_synthesis.py",
+])
+def test_demo_runs(tmp_path, name):
+    proc = run_demo(name, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    if name.startswith("05"):
+        assert "verdict: Exotic" in proc.stdout

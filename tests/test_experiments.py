@@ -79,6 +79,25 @@ def test_scenario_from_dict_rejects_unknown_keys(raw, key):
         Scenario.from_dict(raw, base=get_scenario("consensus-4x6"))
 
 
+@pytest.mark.parametrize("raw, key", [
+    ({"seeds": 5}, "seeds"),
+    ({"seeds": [0.5]}, "seeds"),
+    ({"integrator": 3}, "integrator"),
+    ({"shape": [4]}, "shape"),
+    ({"coefficients": [1.0]}, "coefficients"),
+    ({"epsilon": "0.5"}, "epsilon"),
+    ({"integrator": {"t_max": "long"}}, "t_max"),
+])
+def test_scenario_from_dict_names_malformed_key(raw, key):
+    with pytest.raises(ValueError, match=key):
+        Scenario.from_dict(raw, base=get_scenario("consensus-4x6"))
+
+
+def test_scenario_from_dict_rejects_non_object():
+    with pytest.raises(ValueError, match="JSON object"):
+        Scenario.from_dict([1])
+
+
 def test_scenario_from_dict_needs_coefficients_without_base():
     with pytest.raises(ValueError):
         Scenario.from_dict({"name": "x", "shape": [2, 2], "epsilon": 0.05})
@@ -273,6 +292,15 @@ def test_cli_rejects_empty_seed_range(monkeypatch):
     ["simulate", "--config", "no_coefficients.json"],
     ["sweep", "--config", "unknown_key.json", "--lambda-list", "1.0"],
     ["sweep", "--scenario", "consensus-4x6", "--lambda-list", ","],
+    ["simulate", "--config", "seeds_5.json"],
+    ["simulate", "--config", "integrator_3.json"],
+    ["simulate", "--config", "shape_4.json"],
+    ["simulate", "--config", "seeds_half.json"],
+    ["simulate", "--config", "list.json"],
+    ["simulate", "--config", "missing.json"],
+    ["classify", "matrix.csv", "--tol", "0"],
+    ["classify", "missing.csv"],
+    ["synthesize", "unbalanced.txt"],
 ])
 def test_cli_invalid_input_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     def no_integration(*args):
@@ -282,6 +310,12 @@ def test_cli_invalid_input_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     (tmp_path / "no_coefficients.json").write_text('{"shape": [2, 2]}')
     mini = json.loads(write_mini_config(tmp_path / "mini.json").read_text())
     (tmp_path / "unknown_key.json").write_text(json.dumps({**mini, "epsilo": 0.5}))
+    for name, key, value in [("seeds_5", "seeds", 5), ("integrator_3", "integrator", 3),
+                             ("shape_4", "shape", [4]), ("seeds_half", "seeds", [0.5])]:
+        (tmp_path / f"{name}.json").write_text(json.dumps({**mini, key: value}))
+    (tmp_path / "list.json").write_text("[1]")
+    (tmp_path / "matrix.csv").write_text("1.0,2.0\n2.0,1.0\n")
+    (tmp_path / "unbalanced.txt").write_text("0 1\n0 0\n")
     with pytest.raises(SystemExit) as exc:
         cli_main(argv)
     assert exc.value.code == 2
