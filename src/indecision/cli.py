@@ -68,11 +68,10 @@ def _cmd_simulate(args) -> int:
     print(f"{sc.name}: lambda={sc.lambda_value():.6g}, "
           f"{n_conv}/{len(reports)} converged")
     for r in reports:
-        cls = r.pattern.pattern_class.value if r.pattern else "-"
         match = f"axial #{r.axial_index} case {r.axial_case} {r.axial_verdict}" \
             if r.axial_index is not None else "no axial match"
         print(f"  seed {r.seed:3d}: converged={r.converged} residual={r.residual:.2e} "
-              f"class={cls} ({match})")
+              f"class={r.outcome} ({match})")
     if args.out_dir:
         print(f"reports written to {args.out_dir}")
     return 0
@@ -144,7 +143,7 @@ def _cmd_classify(args) -> int:
         coloring = quantize_to_coloring(Z, args.tol)
     report = classify_state(coloring, Z)
     report.quantization_tol = args.tol
-    print(report.to_json())
+    print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
     return 0
 
 

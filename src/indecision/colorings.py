@@ -456,6 +456,10 @@ def _two_color_latin_reps(p: int, q: int):
     bits = (np.arange(1 << p, dtype=np.int64)[:, None] >> (p - 1 - np.arange(p))) & 1
     row_weights = 1 << np.arange(p - 1, -1, -1, dtype=np.int64)
     col_weights = 1 << (p * np.arange(q - 1, -1, -1, dtype=np.int64))
+    # arrays with equal sorted columns are conjugate by a column permutation;
+    # keeping the first of each in mask order keeps every class's first array
+    _, first = np.unique(np.sort(masks, axis=1) @ col_weights, return_index=True)
+    masks = masks[np.sort(first)]
     keys = np.full(len(masks), np.iinfo(np.int64).max)
     for sigma in permutations(range(p)):
         moved = bits[:, sigma] @ row_weights    # column mask with row sigma[k] at row k

@@ -24,13 +24,15 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass
 from numbers import Integral, Real
 
 import numpy as np
 
 from .colorings import AxialCatalog, classify_orbital_exotic, enumerate_axial, is_axial_Vd
-from .integrate import IntegratorConfig, integrate, random_near_origin, trajectory_to_csv
+from .integrate import (EquilibriumResult, IntegratorConfig, integrate, random_near_origin,
+                        trajectory_to_csv)
 from .model import (CriticalCoefficients, GainParams, ModelConfig, NetworkShape,
                     SigmoidParams, bifurcation_threshold, gains_from_coefficients)
 from .patterns import (AmbiguousQuantizationError, PatternClass, PatternReport,
@@ -204,49 +206,45 @@ def get_scenario(name: str) -> Scenario:
                        f"{', '.join(sorted(BUILTIN_SCENARIOS))}") from None
 
 
-@dataclass
-class RunReport:
-    """Outcome of one seeded run, serializable and reproducible from
-    (scenario, seed)."""
+@dataclass(kw_only=True)
+class RunReport(EquilibriumResult):
+    """Outcome of one seeded run: the integrator's result plus what the
+    scenario made of it; serializable and reproducible from (scenario, seed)."""
 
     scenario: str
     seed: int
     lam: float
-    converged: bool
-    diverged: bool
-    residual: float
-    elapsed_time: float
-    final: np.ndarray
-    pattern: PatternReport | None
+    pattern: PatternReport | None = None
     axial_index: int | None = None
     axial_case: str | None = None
     axial_verdict: str | None = None
     axial_rho: str | None = None
     axial_split: tuple[int, int] | None = None
 
-    def to_json_dict(self) -> dict:
-        d = {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "lambda": self.lam,
-            "converged": self.converged,
-            "diverged": self.diverged,
-            "residual": self.residual,
-            "elapsed_time": self.elapsed_time,
-            "final": [list(map(float, row)) for row in self.final],
-            "pattern": None,
-            "axial_match": None,
-        }
+    @property
+    def outcome(self) -> str:
+        """The pattern class of the final state, or why there is none:
+        Divergent, Ambiguous (converged, but its quantization is ambiguous)
+        or Unconverged."""
         if self.pattern is not None:
-            d["pattern"] = json.loads(self.pattern.to_json())
-        if self.axial_index is not None:
-            d["axial_match"] = {
-                "index": self.axial_index,
-                "case": self.axial_case,
-                "verdict": self.axial_verdict,
-                "rho": self.axial_rho,
-                "split": None if self.axial_split is None else list(self.axial_split),
-            }
+            return self.pattern.pattern_class.value
+        if self.diverged:
+            return "Divergent"
+        return "Ambiguous" if self.converged else "Unconverged"
+
+    def to_json_dict(self) -> dict:
+        d = {"scenario": self.scenario, "seed": self.seed, "lambda": self.lam}
+        d.update((f.name, getattr(self, f.name))
+                 for f in dataclasses.fields(EquilibriumResult))
+        d["final"] = self.final.tolist()
+        d["pattern"] = None if self.pattern is None else self.pattern.to_dict()
+        d["axial_match"] = None if self.axial_index is None else {
+            "index": self.axial_index,
+            "case": self.axial_case,
+            "verdict": self.axial_verdict,
+            "rho": self.axial_rho,
+            "split": None if self.axial_split is None else list(self.axial_split),
+        }
         return d
 
 
@@ -261,10 +259,7 @@ def _run_seeds(scenario: Scenario, cfg: ModelConfig, icfg: IntegratorConfig):
     for seed in scenario.seeds:
         Z0 = random_near_origin(scenario.shape, scenario.radius, seed)
         traj, res = integrate(Z0, cfg, icfg)
-        report = RunReport(scenario=scenario.name, seed=seed, lam=cfg.lam,
-                           converged=res.converged, diverged=res.diverged,
-                           residual=res.residual, elapsed_time=res.elapsed_time,
-                           final=res.final, pattern=None)
+        report = RunReport(**vars(res), scenario=scenario.name, seed=seed, lam=cfg.lam)
         coloring = None
         if res.converged and not res.diverged:
             try:
@@ -321,34 +316,24 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None,
 
 
 def _summarize(scenario: Scenario, reports: list[RunReport]) -> dict:
-    counts: dict[str, int] = {}
-    verdicts: dict[str, int] = {}
-    for r in reports:
-        if r.pattern is not None:
-            key = r.pattern.pattern_class.value
-        elif r.diverged:
-            key = "Divergent"
-        else:
-            key = "Ambiguous" if r.converged else "Unconverged"
-        counts[key] = counts.get(key, 0) + 1
-        if r.axial_verdict:
-            verdicts[r.axial_verdict] = verdicts.get(r.axial_verdict, 0) + 1
     return {
         "scenario": scenario.name,
         "lambda": scenario.lambda_value(),
         "epsilon": scenario.epsilon,
         "n_seeds": len(reports),
         "n_converged": sum(r.converged for r in reports),
-        "class_counts": counts,
+        "class_counts": Counter(r.outcome for r in reports),
         "axial_matches": sum(r.axial_index is not None for r in reports),
-        "axial_verdict_counts": verdicts,
+        "axial_verdict_counts": Counter(r.axial_verdict for r in reports
+                                        if r.axial_verdict),
     }
 
 
 def sweep_lambda(scenario: Scenario, lambdas, out_csv: str | None = None) -> list[dict]:
     """Re-integrate the scenario's seeds at each lambda; per lambda, report
-    the fraction of seeds converging to zero, the fraction per pattern
-    class, and the mean final amplitude."""
+    the fraction of seeds that converged, the fraction converging to zero,
+    the fraction per pattern class (RunReport.outcome), and the mean final
+    amplitude over the classified seeds."""
     lambdas = list(lambdas)
     if not lambdas:
         raise ValueError("lambda list must be nonempty")
@@ -358,23 +343,19 @@ def sweep_lambda(scenario: Scenario, lambdas, out_csv: str | None = None) -> lis
         cfg = scenario.model_config(lam=lam)
         rate = abs(lam * c_first - 1.0)
         icfg = scenario.integrator_config(growth_rate=max(rate, 1e-3))
-        class_counts = {c.value: 0 for c in PatternClass}
-        amps = []
-        for _, report, _ in _run_seeds(scenario, cfg, icfg):
-            if report.pattern is None:
-                continue
-            amps.append(float(np.abs(report.final).max()))
-            class_counts[report.pattern.pattern_class.value] += 1
-        n = len(scenario.seeds)
+        reports = [report for _, report, _ in _run_seeds(scenario, cfg, icfg)]
+        outcomes = Counter(r.outcome for r in reports)
+        amps = [float(np.abs(r.final).max()) for r in reports if r.pattern is not None]
+        n = len(reports)
         row = {
             "lambda": lam,
             "n_seeds": n,
-            "frac_converged": len(amps) / n,
+            "frac_converged": sum(r.converged for r in reports) / n,
             "frac_zero": sum(a <= ZERO_AMPLITUDE for a in amps) / n,
             "mean_amplitude": sum(amps) / len(amps) if amps else float("nan"),
         }
-        for cls, cnt in class_counts.items():
-            row[f"frac_{cls}"] = cnt / n
+        for cls in PatternClass:
+            row[f"frac_{cls.value}"] = outcomes[cls.value] / n
         rows.append(row)
     if out_csv is not None:
         cols = list(rows[0].keys())

@@ -80,7 +80,6 @@ class EquilibriumResult:
     residual: float
     elapsed_time: float
     diverged: bool = False
-    jacobian_spectrum: list[complex] | None = None
 
 
 def random_near_origin(shape: NetworkShape, radius: float, seed: int) -> np.ndarray:
@@ -95,8 +94,8 @@ def random_near_origin(shape: NetworkShape, radius: float, seed: int) -> np.ndar
     return rng.uniform(-radius, radius, size=(shape.m, shape.n))
 
 
-def integrate(Z0, cfg: ModelConfig, icfg: IntegratorConfig,
-              with_spectrum: bool = False) -> tuple[Trajectory, EquilibriumResult]:
+def integrate(Z0, cfg: ModelConfig,
+              icfg: IntegratorConfig) -> tuple[Trajectory, EquilibriumResult]:
     """Run RK4 from Z0 until the sampled residual drops below tolerance or
     t_max is reached.  The trajectory contains the initial state, every
     record_stride-th step, and the final state.
@@ -149,13 +148,9 @@ def integrate(Z0, cfg: ModelConfig, icfg: IntegratorConfig,
         t += h
         k += 1
 
-    result = EquilibriumResult(final=traj.final, converged=converged,
-                               residual=residual, elapsed_time=t,
-                               diverged=diverged)
-    if with_spectrum and not diverged:
-        J = numerical_jacobian(result.final, cfg, 1e-6)
-        result.jacobian_spectrum = [complex(v) for v in np.linalg.eigvals(J)]
-    return traj, result
+    return traj, EquilibriumResult(final=traj.final, converged=converged,
+                                   residual=residual, elapsed_time=t,
+                                   diverged=diverged)
 
 
 def fd_jacobian(f, Z: np.ndarray, h_fd: float) -> np.ndarray:

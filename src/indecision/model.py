@@ -51,9 +51,6 @@ __all__ = [
     "as_state",
 ]
 
-IRREPS = ("dissensus", "consensus", "deadlock", "sync")
-
-
 @dataclass(frozen=True)
 class NetworkShape:
     """Agent count m and option count n, both at least 2."""

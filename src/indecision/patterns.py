@@ -14,7 +14,6 @@ is always the lowest level ("red is small, blue is high" in heatmaps).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
@@ -58,10 +57,6 @@ class Coloring:
     @classmethod
     def from_rows(cls, rows) -> "Coloring":
         return cls(tuple(tuple(int(c) for c in row) for row in rows))
-
-    @classmethod
-    def from_array(cls, arr) -> "Coloring":
-        return cls.from_rows(np.asarray(arr).tolist())
 
     @property
     def m(self) -> int:
@@ -127,8 +122,9 @@ class PatternReport:
     col_sums: list[float]
     quantization_tol: float | None = None
 
-    def to_json(self) -> str:
-        payload = {
+    def to_dict(self) -> dict:
+        """JSON-ready fields; color ids become string keys."""
+        return {
             "class": self.pattern_class.value,
             "agent_clusters": self.agent_clusters,
             "option_clusters": self.option_clusters,
@@ -137,7 +133,6 @@ class PatternReport:
             "col_sums": self.col_sums,
             "quantization_tol": self.quantization_tol,
         }
-        return json.dumps(payload, sort_keys=True, indent=2)
 
 
 def quantize_to_coloring(Z, tol: float) -> Coloring:

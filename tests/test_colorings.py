@@ -373,6 +373,8 @@ def test_catalog_entries_are_pairwise_nonconjugate():
     (4, 6, "63c10a61c513fa162edbbc3486a8245e358ba37bf0fa51d8f500a549cac8ad24"),
     (5, 5, "2a3000d16611c4e7bb358c6c6269240348226f8b2301195300a6f51ec800f1cd"),
     (5, 6, "3fc2b56647990bc53ac6246a357db15a80ea6d11b835ceea6bfe6f0644092469"),
+    (4, 8, "f73b79658a223376170a8cfb488a2422e77c30e9bd4dd2e3a1ef51779b18e76c"),
+    (6, 6, "6fcd48ccb49ed5bbb691002813397825875b2c296b083858132ba81006e8049f"),
 ])
 def test_catalog_export_is_pinned(m, n, digest):
     # SHA-256 of the exported catalog: entry order, colorings, rho, splits

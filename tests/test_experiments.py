@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,14 +115,14 @@ def test_run_scenario_mini_consensus():
 
 def test_converged_attractor_is_linearly_stable():
     # the jacobian spectrum at a converged scenario final has negative real parts
-    from indecision import integrate, random_near_origin
+    from indecision import integrate, numerical_jacobian, random_near_origin
     sc = fast_consensus_2x2(seeds=(0,))
+    cfg = sc.model_config()
     Z0 = random_near_origin(sc.shape, sc.radius, 0)
-    _, res = integrate(Z0, sc.model_config(), sc.integrator_config(),
-                       with_spectrum=True)
+    _, res = integrate(Z0, cfg, sc.integrator_config())
     assert res.converged
-    assert res.jacobian_spectrum is not None
-    assert max(v.real for v in res.jacobian_spectrum) < 0
+    spectrum = np.linalg.eigvals(numerical_jacobian(res.final, cfg, 1e-6))
+    assert spectrum.real.max() < 0
 
 
 def test_run_scenario_outputs_are_deterministic(tmp_path):
@@ -160,7 +162,9 @@ def test_unconverged_runs_are_not_classified(tmp_path):
     assert summary["class_counts"] == {"Unconverged": 2}
 
 
-def test_ambiguous_quantization_fails_one_seed_only(tmp_path, monkeypatch):
+@pytest.fixture
+def ambiguous_first(monkeypatch):
+    """The first quantization of the test is ambiguous, the others are not."""
     quantize = experiments.quantize_to_coloring
     calls = []
 
@@ -170,12 +174,23 @@ def test_ambiguous_quantization_fails_one_seed_only(tmp_path, monkeypatch):
             raise AmbiguousQuantizationError("cluster too wide")
         return quantize(Z, tol)
     monkeypatch.setattr(experiments, "quantize_to_coloring", ambiguous_first)
+
+
+def test_ambiguous_quantization_fails_one_seed_only(tmp_path, ambiguous_first):
     reports = run_scenario(fast_consensus_2x2(seeds=(0, 1)), out_dir=str(tmp_path))
     assert [r.converged for r in reports] == [True, True]
     assert reports[0].pattern is None
     assert reports[1].pattern.pattern_class == PatternClass.CONSENSUS
     summary = json.loads((tmp_path / "mini-consensus-2x2_summary.json").read_text())
     assert summary["class_counts"] == {"Ambiguous": 1, "Consensus": 1}
+
+
+def test_sweep_counts_ambiguous_seed_as_converged_without_class(ambiguous_first):
+    sc = fast_consensus_2x2(seeds=(0, 1))
+    [row] = sweep_lambda(sc, [sc.lambda_value()])
+    assert row["frac_converged"] == 1.0
+    assert row["frac_Consensus"] == 0.5
+    assert sum(row[f"frac_{c.value}"] for c in PatternClass) == 0.5
 
 
 def test_trajectory_csv_written(tmp_path):
@@ -274,6 +289,29 @@ def test_cli_simulate_flag_overrides(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "lambda=1.06" in out
     assert "seed   1" in out and "seed   2" in out
+
+
+def test_cli_simulate_prints_unconverged_outcome(tmp_path, capsys):
+    cfg = write_mini_config(tmp_path / "cfg.json", seeds=(0, 1))
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps({**json.loads(cfg.read_text()),
+                                 "integrator": {"t_max": 1.0}}))
+    assert cli_main(["simulate", "--config", str(short)]) == 0
+    out = capsys.readouterr().out
+    assert "0/2 converged" in out
+    assert out.count("class=Unconverged") == 2
+
+
+def test_benchmark_patch_targets_resolve():
+    # the benchmark wraps these attributes by name at run time
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    targets = workloads.patch_targets()
+    assert targets
+    for owner, attr, span, _ in targets:
+        assert callable(getattr(owner, attr)), span
 
 
 def test_cli_rejects_empty_seed_range(monkeypatch):

@@ -116,7 +116,7 @@ def test_pattern_report_json_fields():
     Z = np.array([[1.0, -1.0], [-1.0, 1.0]])
     rep = classify_state(quantize_to_coloring(Z, 1e-6), Z)
     rep.quantization_tol = 1e-6
-    payload = json.loads(rep.to_json())
+    payload = json.loads(json.dumps(rep.to_dict()))
     assert set(payload) == {"class", "agent_clusters", "option_clusters",
                             "color_values", "row_sums", "col_sums",
                             "quantization_tol"}
