@@ -1,5 +1,6 @@
 """Shared test utilities: independent oracles and input generators."""
 
+import math
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -7,6 +8,8 @@ import numpy as np
 
 from indecision import (
     Coloring,
+    EquilibriumResult,
+    Trajectory,
     all_colorings,
     canonical_form,
     dim_Vd_intersection,
@@ -226,3 +229,73 @@ def clustered_spectrum(eigs, tol=1e-6):
         else:
             groups.append([v])
     return [(sum(g) / len(g), len(g)) for g in groups]
+
+
+def reference_field(cfg):
+    """Reference vector field: the two saturations evaluated one after the
+    other, with Python-float constants and list-built fsum reductions."""
+    m, n = cfg.shape.m, cfg.shape.n
+    a, b, g, d = cfg.gains.as_tuple()
+    s1, s2 = cfg.sigmoids.s1, cfg.sigmoids.s2
+    lam = cfg.lam
+    t1, t2 = math.tanh(s1), math.tanh(s2)
+    den1, den2 = 1.0 - t1 * t1, 1.0 - t2 * t2
+    fsum = math.fsum
+
+    def field(Z):
+        C = np.array([fsum(col) for col in Z.T.tolist()])
+        U = a * Z + g * (C - Z)
+        S1 = (np.tanh(U - s1) + t1) / den1
+        W = b * Z + d * (C - Z)
+        S2 = (np.tanh(W - s2) + t2) / den2
+        T = np.array([[fsum(row)] for row in S2.tolist()])
+        return -Z + lam * (S1 + T - S2)
+
+    return field
+
+
+def reference_integrate(Z0, cfg, icfg):
+    """Reference RK4 loop: Python-float step constants, a finiteness check
+    on both k1 and Z, and a copy of every recorded state."""
+    Z = np.asarray(Z0, dtype=float)
+    f = reference_field(cfg)
+    h = icfg.step
+    tol = icfg.equilibrium_tol
+    stride = icfg.record_stride
+    nstep = int(round(icfg.t_max / h))
+    traj = Trajectory()
+    t = 0.0
+    converged = False
+    diverged = False
+    residual = float("inf")
+    k = 0
+    while True:
+        k1 = f(Z)
+        if not np.isfinite(k1).all() or not np.isfinite(Z).all():
+            diverged = True
+            residual = float("inf")
+            if not traj.times or traj.times[-1] != t:
+                traj.append(t, Z.copy())
+            break
+        sampled = (k % stride == 0)
+        if sampled:
+            traj.append(t, Z.copy())
+            residual = float(np.abs(k1).max())
+            if residual <= tol:
+                converged = True
+                break
+        if k >= nstep:
+            if not sampled:
+                traj.append(t, Z.copy())
+                residual = float(np.abs(k1).max())
+            converged = residual <= tol
+            break
+        k2 = f(Z + 0.5 * h * k1)
+        k3 = f(Z + 0.5 * h * k2)
+        k4 = f(Z + h * k3)
+        Z = Z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += h
+        k += 1
+    return traj, EquilibriumResult(final=traj.final, converged=converged,
+                                   residual=residual, elapsed_time=t,
+                                   diverged=diverged)

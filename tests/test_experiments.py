@@ -213,6 +213,17 @@ def test_sweep_below_threshold_goes_to_zero():
     assert rows[0]["mean_amplitude"] <= 1e-7
 
 
+@pytest.mark.filterwarnings("error")
+def test_sweep_survives_diverging_runs():
+    # step 5.0 is far outside the RK4 stability region: every run blows up
+    # and is reported diverged instead of raising out of the sweep
+    sc = get_scenario("consensus-4x6").replace(step=5.0, seeds=(0, 1))
+    rows = sweep_lambda(sc, [0.5, 1.5])
+    assert [row["lambda"] for row in rows] == [0.5, 1.5]
+    assert all(row["frac_converged"] == 0 for row in rows)
+    assert all(row["frac_zero"] == 0 for row in rows)
+
+
 def test_sweep_detects_threshold_crossing(tmp_path):
     sc = fast_consensus_2x2(seeds=(0, 1))
     lambdas = [0.8, 0.95, 1.05, 1.2]

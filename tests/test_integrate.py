@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from helpers import reference_integrate
 from indecision import (
+    BUILTIN_SCENARIOS,
     GainParams,
     IntegratorConfig,
     ModelConfig,
@@ -138,6 +140,90 @@ def test_integrate_reports_divergence():
     assert res.diverged and not res.converged
     assert res.residual == float("inf")
     assert res.elapsed_time == 0.0
+
+
+def assert_same_run(got, want):
+    (traj, res), (ref_traj, ref_res) = got, want
+    assert traj.times == ref_traj.times
+    assert len(traj.states) == len(ref_traj.states)
+    for A, B in zip(traj.states, ref_traj.states):
+        assert np.array_equal(A, B, equal_nan=True)
+    assert np.array_equal(res.final, ref_res.final, equal_nan=True)
+    assert (res.residual, res.elapsed_time, res.converged, res.diverged) == \
+        (ref_res.residual, ref_res.elapsed_time, ref_res.converged, ref_res.diverged)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_integrate_matches_reference_bitwise_on_scenarios(name):
+    sc = get_scenario(name)
+    cfg = sc.model_config()
+    icfg = IntegratorConfig(step=sc.step, t_max=60.0,
+                            equilibrium_tol=sc.equilibrium_tol,
+                            record_stride=sc.record_stride)
+    Z0 = random_near_origin(sc.shape, sc.radius, 0)
+    assert_same_run(integrate(Z0, cfg, icfg), reference_integrate(Z0, cfg, icfg))
+
+
+@pytest.mark.parametrize("nan_start", [False, True])
+def test_integrate_matches_reference_bitwise_on_stable_config(nan_start):
+    cfg = stable_config()
+    Z0 = random_near_origin(cfg.shape, 1e-2, 5)
+    if nan_start:
+        Z0[1, 2] = np.nan
+    icfg = IntegratorConfig(t_max=50.0)
+    got = integrate(Z0, cfg, icfg)
+    assert (got[1].converged, got[1].diverged) == (not nan_start, nan_start)
+    assert_same_run(got, reference_integrate(Z0, cfg, icfg))
+
+
+def test_trajectory_does_not_alias_the_start():
+    cfg = stable_config()
+    Z0 = random_near_origin(cfg.shape, 1e-2, 2)
+    kept = Z0.copy()
+    traj, _ = integrate(Z0, cfg, IntegratorConfig(t_max=5.0))
+    Z0[0, 0] = 7.0
+    assert np.array_equal(traj.states[0], kept)
+
+
+def assert_reported_divergence(traj, res, t):
+    assert res.diverged and not res.converged
+    assert res.residual == float("inf")
+    assert res.elapsed_time == t
+    assert traj.times[-1] == t
+    assert res.final is traj.final
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("step,t_max,t_blowup", [
+    (3.0, 10000.0, 6633.0), (5.0, 3000.0, 1355.0),
+    (10.0, 3000.0, 1250.0), (50.0, 3000.0, 2850.0)])
+def test_integrate_reports_fsum_overflow_as_divergence(step, t_max, t_blowup):
+    # with oversized steps the state blows up until math.fsum inside the
+    # field raises (intermediate overflow, or -inf + inf in one column);
+    # the run ends diverged at that t with the last finite state
+    sc = get_scenario("consensus-4x6")
+    Z0 = random_near_origin(sc.shape, sc.radius, 0)
+    traj, res = integrate(Z0, sc.model_config(), IntegratorConfig(step=step, t_max=t_max))
+    assert_reported_divergence(traj, res, t_blowup)
+    assert np.isfinite(res.final).all()
+
+
+def opposite_infinities_in_one_column():
+    Z0 = np.zeros((4, 6))
+    Z0[0, 2], Z0[3, 2] = np.inf, -np.inf
+    return Z0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("Z0", [np.full((4, 6), 1e308), opposite_infinities_in_one_column()],
+                         ids=["overflowing", "opposite-infinities"])
+def test_integrate_reports_unsummable_start_as_divergence(Z0):
+    # math.fsum raises on the first column sum: the run ends at t = 0
+    sc = get_scenario("consensus-4x6")
+    traj, res = integrate(Z0, sc.model_config(), IntegratorConfig())
+    assert_reported_divergence(traj, res, 0.0)
+    assert traj.times == [0.0]
+    assert np.array_equal(res.final, Z0)
 
 
 def test_step_halving_consistency_on_scenario():

@@ -21,7 +21,8 @@ from indecision import (
     sigmoid_eval,
     vector_field,
 )
-from helpers import random_balanced_coloring
+from helpers import random_balanced_coloring, reference_field
+from indecision.model import _compiled_field
 
 
 def make_config(shape, gains, sig=(0.5, 0.3), lam=1.1):
@@ -102,6 +103,40 @@ def test_field_flow_invariance_of_balanced_colorings_exact():
             for cls in coloring.color_classes():
                 vals = {G[i, j] for (i, j) in cls}
                 assert len(vals) == 1
+
+
+def test_field_matches_two_pass_reference_bitwise():
+    # the stacked one-pass field against the per-saturation reference
+    rng = np.random.default_rng(12)
+    for m in range(2, 9):
+        for n in range(2, 9):
+            gains = tuple(rng.uniform(-1.0, 1.0, size=4))
+            sig = tuple(rng.choice([-1.0, 1.0], size=2) * rng.uniform(0.1, 1.0, size=2))
+            cfg = make_config(NetworkShape(m, n), gains, sig,
+                              lam=float(rng.uniform(0.5, 1.5)))
+            fast, ref = _compiled_field(cfg), reference_field(cfg)
+            for scale in (1e-9, 1e-4, 1e-1, 1.0, 10.0):
+                for _ in range(4):
+                    Z = rng.uniform(-scale, scale, size=(m, n))
+                    assert np.array_equal(fast(Z), ref(Z))
+
+
+def test_tanh_bits_independent_of_offset_and_length():
+    # the stacked field evaluates both saturations in one np.tanh call, the
+    # second one's inputs starting at offset m*n; its bitwise equality with
+    # the two-pass field rests on np.tanh giving a value the same bits at
+    # every position of a contiguous float64 array of any length
+    rng = np.random.default_rng(13)
+    special = [0.0, -0.0, 5e-324, -1e-300, 1e-8, -0.3, 19.0, -19.5, 710.0, np.inf]
+    for scale in (1e-6, 1.0, 25.0):
+        pool = np.concatenate([special, rng.uniform(-scale, scale, size=160)])
+        want = np.array([np.tanh(np.array([v]))[0] for v in pool])
+        for length in range(1, 2 * 8 * 8 + 1):
+            for offset in range(17):
+                got = np.tanh(pool[offset:offset + length].copy())
+                assert np.array_equal(got.view(np.int64),
+                                      want[offset:offset + length].view(np.int64)), \
+                    (scale, offset, length)
 
 
 def test_field_jacobian_matches_analytic_eigenvalues():
