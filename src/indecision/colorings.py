@@ -11,15 +11,20 @@ Contents:
   is conjugate to a grid of Latin rectangles with pairwise disjoint colors);
 * the dimension of a synchrony subspace inside the doubly-zero-sum
   (dissensus) subspace, by rational rank;
+* canonical forms under row and column permutations (the least relabeled
+  column-major word, found by a search that refines an ordered partition
+  of the rows column by column);
 * structural enumeration of all axial colorings (dimension exactly 1),
   which come in three families:
     A: optional one-color column block forced to value 0, next to a
        two-color Latin rectangle on the remaining columns;
     B: the transpose arrangement (one-color row block on top);
     C: a 2 x 2 grid of one-color blocks;
-* isotropy subgroups in S_m x S_n, their cell orbits, and the resulting
-  orbital/exotic verdict (orbital = the pattern is exactly the fixed cells
-  of its isotropy group);
+  the only guard is MAX_AXIAL_CELLS on the grid size, and every shape under
+  it finishes (demos/08_axial_census.py prints the census);
+* isotropy subgroups in S_m x S_n, found over the permutations of the
+  shorter side, their cell orbits, and the resulting orbital/exotic verdict
+  (orbital = the pattern is exactly the fixed cells of its isotropy group);
 * the 4-row sufficiency test for exotic two-color Latin rectangles via
   column-pair multiplicities;
 * exact value assignments spanning each axial pattern's line;
@@ -34,7 +39,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import factorial
 
 import numpy as np
@@ -87,10 +92,10 @@ class NotBalancedError(ValueError):
 
 
 class SearchBudgetError(RuntimeError):
-    """A permutation search would exceed its budget."""
+    """An axial enumeration was asked for a grid larger than
+    MAX_AXIAL_CELLS cells."""
 
 
-SEARCH_BUDGET = 1e9     # most permutations one canonical-form or isotropy search may visit
 MAX_AXIAL_CELLS = 42    # largest grid (m * n cells) enumerate_axial accepts
 
 
@@ -343,45 +348,36 @@ def is_axial_Vd(c: Coloring) -> bool:
 # canonical forms and conjugacy
 # ---------------------------------------------------------------------------
 
-def _column_word_min(cols: list[tuple[int, ...]], m: int, n: int):
-    """Lexicographically minimal relabeled column-major word over column
-    orders, colors renumbered by first occurrence.  Only columns achieving
-    the minimal next chunk are expanded; identical columns are expanded
-    once."""
-    best = None
-    stack = [(tuple(range(n)), {}, ())]
-    while stack:
-        remaining, mapping, word = stack.pop()
-        if not remaining:
-            if best is None or word < best:
-                best = word
-            continue
-        if best is not None and word > best[:len(word)]:
-            continue
-        by_chunk: dict[tuple, list] = {}
-        for idx in remaining:
-            mp = dict(mapping)
-            chunk = []
-            for v in cols[idx]:
-                if v not in mp:
-                    mp[v] = len(mp)
-                chunk.append(mp[v])
-            by_chunk.setdefault(tuple(chunk), []).append((idx, mp))
-        min_chunk = min(by_chunk)
-        seen = set()
-        for idx, mp in by_chunk[min_chunk]:
-            if cols[idx] in seen:
-                continue
-            seen.add(cols[idx])
-            rest = tuple(x for x in remaining if x != idx)
-            stack.append((rest, mp, word + min_chunk))
-    return best
+def _least_chunks(col, cells, labels):
+    """Every least way to read one column under an ordered row partition.
 
-
-def _check_canonical_budget(m: int, n: int):
-    if factorial(m) * factorial(n) > SEARCH_BUDGET:
-        raise SearchBudgetError(f"canonical form search for {m}x{n} exceeds "
-                                f"budget {SEARCH_BUDGET:g}")
+    `cells` are the row cells top to bottom; rows within a cell are still
+    unordered, and `labels` maps the colors met so far to their dense
+    labels.  Within a cell the rows with known colors come first, by label,
+    then the new colors, largest count first, each taking the next free
+    label.  New colors of equal count may take their labels in either order,
+    so one (chunk, refined cells, labels) triple is yielded per such order;
+    each cell is split into the runs of rows that share a label."""
+    if not cells:
+        yield (), (), labels
+        return
+    runs: dict[int, list[int]] = {}
+    for i in cells[0]:
+        runs.setdefault(col[i], []).append(i)
+    tiers: dict[int, list[int]] = {}
+    for v, rows in runs.items():
+        if v not in labels:
+            tiers.setdefault(len(rows), []).append(v)
+    tied = [permutations(vs) for _, vs in sorted(tiers.items(), reverse=True)]
+    for order in product(*tied):
+        known = dict(labels)
+        for v in (v for tier in order for v in tier):
+            known[v] = len(known)
+        head = sorted(runs, key=known.__getitem__)
+        chunk = tuple(known[v] for v in head for _ in runs[v])
+        split = tuple(tuple(runs[v]) for v in head)
+        for rest_chunk, rest_split, rest_labels in _least_chunks(col, cells[1:], known):
+            yield chunk + rest_chunk, split + rest_split, rest_labels
 
 
 @lru_cache(maxsize=4096)
@@ -393,17 +389,41 @@ def canonical_form(c: Coloring) -> Coloring:
     dense relabeling in first-occurrence order, over all row permutations
     and column orders; two colorings are conjugate iff their canonical
     forms are equal.
+
+    The search is depth first and places one column per step.  A node is
+    an ordered partition of the rows (rows in one cell have agreed on every
+    placed column, so their order is still open), the labels met so far and
+    the columns left.  A node keeps only the columns, and the orders of tied
+    new colors, that give its least next chunk (identical columns are tried
+    once per node), and splits each row cell by the labels it just got, so
+    rows are individualised only where color counts tie.  A node whose word
+    is above the least word of the same length met so far is dropped.
     """
     m, n = c.m, c.n
-    _check_canonical_budget(m, n)
-    cols0 = [tuple(c.cells[i][j] for i in range(m)) for j in range(n)]
-    best = None
-    for sigma in permutations(range(m)):
-        cols = [tuple(col[s] for s in sigma) for col in cols0]
-        word = _column_word_min(cols, m, n)
-        if best is None or word < best:
-            best = word
-    grid = [[best[j * m + i] for j in range(n)] for i in range(m)]
+    cols = [tuple(c.cells[i][j] for i in range(m)) for j in range(n)]
+    least_at = {0: ()}      # least word met so far, by length
+    stack = [((tuple(range(m)),), {}, tuple(range(n)), ())]
+    while stack:
+        cells, labels, remaining, word = stack.pop()
+        if not remaining or word > least_at[len(word)]:
+            continue
+        least, kept, tried = None, [], set()
+        for j in remaining:
+            if cols[j] in tried:
+                continue
+            tried.add(cols[j])
+            rest = tuple(k for k in remaining if k != j)
+            for chunk, split, known in _least_chunks(cols[j], cells, labels):
+                if least is None or chunk < least:
+                    least, kept = chunk, []
+                if chunk == least:
+                    kept.append((split, known, rest))
+        prefix = word + least
+        if prefix <= least_at.get(len(prefix), prefix):
+            least_at[len(prefix)] = prefix
+            stack += [(split, known, rest, prefix) for split, known, rest in kept]
+    word = least_at[m * n]
+    grid = [[word[j * m + i] for j in range(n)] for i in range(m)]
     return Coloring.from_rows(grid)
 
 
@@ -447,28 +467,33 @@ def _two_color_latin_reps(p: int, q: int):
     tuple of row tuples.
 
     The key of an array is its sorted column masks, minimized over the p!
-    row permutations and the complement.  The sorted q masks pack into one
-    int64 (p * q <= MAX_AXIAL_CELLS bits), first column highest.  0/1 tuples
-    of one length compare like their binary values, and sorted tuples of q
-    columns like their packed values, so the keys order the classes as the
-    sorted column tuples would."""
+    row permutations and the complement; when p > q the transposed array is
+    keyed instead, over q! permutations of its rows.  The sorted masks pack
+    into one int64 (p * q <= MAX_AXIAL_CELLS bits), first column highest.
+    0/1 tuples of one length compare like their binary values, and sorted
+    tuples of columns like their packed values, so the keys order the
+    classes as the sorted column tuples would."""
     masks = _two_color_latin_masks(p, q)
-    bits = (np.arange(1 << p, dtype=np.int64)[:, None] >> (p - 1 - np.arange(p))) & 1
-    row_weights = 1 << np.arange(p - 1, -1, -1, dtype=np.int64)
-    col_weights = 1 << (p * np.arange(q - 1, -1, -1, dtype=np.int64))
     # arrays with equal sorted columns are conjugate by a column permutation;
     # keeping the first of each in mask order keeps every class's first array
-    _, first = np.unique(np.sort(masks, axis=1) @ col_weights, return_index=True)
+    packed = np.sort(masks, axis=1) @ (1 << (p * np.arange(q - 1, -1, -1, dtype=np.int64)))
+    _, first = np.unique(packed, return_index=True)
     masks = masks[np.sort(first)]
-    keys = np.full(len(masks), np.iinfo(np.int64).max)
-    for sigma in permutations(range(p)):
+    grids = (masks[:, None, :] >> (p - 1 - np.arange(p))[:, None]) & 1
+    keyed, rows = masks, p
+    if p > q:
+        keyed, rows = grids @ (1 << np.arange(q - 1, -1, -1, dtype=np.int64)), q   # row masks
+    bits = (np.arange(1 << rows, dtype=np.int64)[:, None] >> (rows - 1 - np.arange(rows))) & 1
+    row_weights = 1 << np.arange(rows - 1, -1, -1, dtype=np.int64)
+    col_weights = 1 << (rows * np.arange(keyed.shape[1] - 1, -1, -1, dtype=np.int64))
+    keys = np.full(len(keyed), np.iinfo(np.int64).max)
+    for sigma in permutations(range(rows)):
         moved = bits[:, sigma] @ row_weights    # column mask with row sigma[k] at row k
-        # moved[::-1][c] = moved[2**p - 1 - c]: the same step on the complement
+        # moved[::-1][c] = moved[2**rows - 1 - c]: the same step on the complement
         for table in (moved, moved[::-1]):
-            np.minimum(keys, np.sort(table[masks], axis=1) @ col_weights, out=keys)
+            np.minimum(keys, np.sort(table[keyed], axis=1) @ col_weights, out=keys)
     _, first = np.unique(keys, return_index=True)
-    grids = (masks[first][:, None, :] >> (p - 1 - np.arange(p))[:, None]) & 1
-    return [tuple(map(tuple, g)) for g in grids.tolist()]
+    return [tuple(map(tuple, g)) for g in grids[first].tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -562,12 +587,11 @@ def _bordered_latin(case: str, L, z: int) -> AxialColoring:
 
 def check_axial_shape(shape):
     """Raise SearchBudgetError, as enumerate_axial does before any work, for
-    more than MAX_AXIAL_CELLS cells or a canonical form over SEARCH_BUDGET."""
+    more than MAX_AXIAL_CELLS cells, the only guard on the enumeration."""
     m, n = shape.m, shape.n
     if m * n > MAX_AXIAL_CELLS:
         raise SearchBudgetError(
             f"axial enumeration for {m}x{n} exceeds the {MAX_AXIAL_CELLS}-cell guard")
-    _check_canonical_budget(m, n)
 
 
 @lru_cache(maxsize=32)
@@ -637,15 +661,20 @@ def isotropy_subgroup(c: Coloring) -> IsotropyReport:
     * orbit of (i, j) = {(sigma(i), k) : sigma in S, column k equal to
       column tau_sigma(j)}.
 
-    The pruned search size is m! * (m n) rather than m! * n!.  The verdict
-    is Orbital when the cell orbits coincide with the color classes (the
-    pattern equals the fixed set of its own isotropy group) and Exotic
+    With more rows than columns the search runs on the transpose, with
+    sigma and tau swapped back, so it visits min(m, n)! permutations.  The
+    verdict is Orbital when the cell orbits coincide with the color classes
+    (the pattern equals the fixed set of its own isotropy group) and Exotic
     otherwise.
     """
     m, n = c.m, c.n
-    if factorial(m) * (2 * m * n) > SEARCH_BUDGET:
-        raise SearchBudgetError(f"isotropy search for {m}x{n} exceeds "
-                                f"budget {SEARCH_BUDGET:g}")
+    if m > n:
+        rep = isotropy_subgroup(Coloring(tuple(zip(*c.cells))))
+        orbits = (frozenset((i, j) for j, i in orbit) for orbit in rep.orbit_partition)
+        return IsotropyReport(group_order=rep.group_order,
+                              generators=[(sigma, tau) for tau, sigma in rep.generators],
+                              orbit_partition=tuple(sorted(orbits, key=sorted)),
+                              verdict=rep.verdict)
 
     cols = [tuple(c.cells[i][j] for i in range(m)) for j in range(n)]
     groups: dict[tuple, list[int]] = {}

@@ -140,11 +140,14 @@ def quantize_to_coloring(Z, tol: float) -> Coloring:
     join when they are within tol, colors ordered by ascending cluster mean.
 
     A chain of nearby values can produce a cluster much wider than tol; a
-    cluster whose diameter exceeds 10*tol is rejected as ambiguous.
+    cluster whose diameter exceeds 10*tol is rejected as ambiguous.  A state
+    with a NaN or infinite entry has no levels and raises ValueError.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     Z = np.asarray(Z, dtype=float)
+    if not np.isfinite(Z).all():
+        raise ValueError("state has non-finite entries")
     m, n = Z.shape
     order = sorted(((Z[i, j], i, j) for i in range(m) for j in range(n)))
     clusters: list[list[tuple[float, int, int]]] = [[order[0]]]

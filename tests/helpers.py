@@ -141,6 +141,45 @@ def two_color_latin_indicators(p: int, q: int):
             for mat in out]
 
 
+def reference_canonical_form(c: Coloring) -> Coloring:
+    """Reference canonical form: the least column-major word, colors
+    renumbered by first occurrence, over all m! row permutations; for each,
+    a search over column orders that expands only the columns giving the
+    least next chunk (identical columns once)."""
+    m, n = c.m, c.n
+    cols0 = [tuple(c.cells[i][j] for i in range(m)) for j in range(n)]
+    best = None
+    for sigma in permutations(range(m)):
+        cols = [tuple(col[s] for s in sigma) for col in cols0]
+        stack = [(tuple(range(n)), {}, ())]
+        while stack:
+            remaining, mapping, word = stack.pop()
+            if not remaining:
+                if best is None or word < best:
+                    best = word
+                continue
+            if best is not None and word > best[:len(word)]:
+                continue
+            by_chunk = {}
+            for idx in remaining:
+                mp = dict(mapping)
+                chunk = []
+                for v in cols[idx]:
+                    if v not in mp:
+                        mp[v] = len(mp)
+                    chunk.append(mp[v])
+                by_chunk.setdefault(tuple(chunk), []).append((idx, mp))
+            min_chunk = min(by_chunk)
+            seen = set()
+            for idx, mp in by_chunk[min_chunk]:
+                if cols[idx] in seen:
+                    continue
+                seen.add(cols[idx])
+                rest = tuple(x for x in remaining if x != idx)
+                stack.append((rest, mp, word + min_chunk))
+    return Coloring.from_rows([[best[j * m + i] for j in range(n)] for i in range(m)])
+
+
 def indicator_key(g) -> tuple:
     """Reference conjugacy key of a 0/1 grid up to row perms, column perms
     and symbol swap: the sorted column tuples, minimized over row

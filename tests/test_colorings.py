@@ -41,6 +41,7 @@ from helpers import (
     preserves_coloring,
     random_balanced_coloring,
     random_generic_levels,
+    reference_canonical_form,
     sample_balanced_coloring,
     two_color_latin_indicators,
 )
@@ -236,10 +237,31 @@ def test_canonical_classes_of_2x2_match_hand_count():
     assert len(classes) == 9
 
 
-def test_canonical_form_budget_guard():
-    big = Coloring.from_rows([[0] * 8] * 8)  # 8! * 8! > SEARCH_BUDGET
-    with pytest.raises(SearchBudgetError):
-        canonical_form(big)
+def test_canonical_form_of_8x8_constant_coloring():
+    # 8! * 8! conjugates, all equal: the search never splits the one row cell
+    big = Coloring.from_rows([[0] * 8] * 8)
+    assert canonical_form(big) == big
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3)])
+def test_canonical_form_matches_reference_exhaustively(m, n):
+    for c in all_colorings(m, n):
+        assert canonical_form(c) == reference_canonical_form(c), c
+
+
+def test_canonical_form_matches_reference_on_catalogs():
+    shapes = [(m, n) for m in range(2, 8) for n in range(2, 24 // m + 1)]
+    for m, n in shapes + [(4, 8), (5, 5), (5, 6), (6, 6)]:
+        for e in enumerate_axial(NetworkShape(m, n)):
+            assert canonical_form(e.coloring) == reference_canonical_form(e.coloring), (m, n)
+
+
+def test_canonical_form_matches_reference_on_random_balanced_colorings():
+    rng = np.random.default_rng(61)
+    for _ in range(300):
+        m, n = (int(k) for k in rng.integers(2, 7, size=2))
+        c = random_balanced_coloring(m, n, rng)
+        assert canonical_form(c) == reference_canonical_form(c), c
 
 
 # ---------------------------------------------------------------------------
@@ -307,15 +329,38 @@ def test_enumerate_axial_guard():
         enumerate_axial(NetworkShape(7, 7))
 
 
-@pytest.mark.parametrize("m, n", [(2, 13), (3, 12)])
-def test_enumerate_axial_checks_search_budget_first(monkeypatch, m, n):
-    # within the cell guard, but m! * n! exceeds SEARCH_BUDGET: refuse the
-    # shape before any Latin rectangle is enumerated
-    def no_enumeration(*args):
-        raise AssertionError("enumerated a shape the guard refuses")
-    monkeypatch.setattr(colorings, "_two_color_latin_masks", no_enumeration)
-    with pytest.raises(SearchBudgetError):
-        enumerate_axial(NetworkShape(m, n))
+@pytest.mark.parametrize("m, n, size", [(2, 13, 12), (3, 12, 11)])
+def test_enumerate_axial_completes_with_many_columns(m, n, size):
+    # m! * n! > 1e9: no search may visit every row and column permutation
+    cat = enumerate_axial(NetworkShape(m, n))
+    assert len(cat) == size
+    forms = {canonical_form(e.coloring) for e in cat}
+    assert len(forms) == size
+    assert all(is_axial_Vd(e.coloring) for e in cat)
+
+
+# (catalog size, Exotic count) of every shape with m <= n and m * n <= 24
+AXIAL_CENSUS = {
+    (2, 2): (1, 0), (2, 3): (2, 0), (2, 4): (3, 0), (2, 5): (4, 0),
+    (2, 6): (5, 0), (2, 7): (6, 0), (2, 8): (7, 0), (2, 9): (8, 0),
+    (2, 10): (9, 0), (2, 11): (10, 0), (2, 12): (11, 0),
+    (3, 3): (2, 0), (3, 4): (4, 0), (3, 5): (3, 0), (3, 6): (6, 0),
+    (3, 7): (5, 0), (3, 8): (7, 0),
+    (4, 4): (8, 0), (4, 5): (8, 0), (4, 6): (14, 1),
+}
+
+
+def _census(m, n):
+    cat = enumerate_axial(NetworkShape(m, n))
+    return len(cat), sum(classify_orbital_exotic(e.coloring) == "Exotic" for e in cat)
+
+
+@pytest.mark.parametrize("m, n", sorted(AXIAL_CENSUS))
+def test_axial_census_is_pinned_and_transpose_symmetric(m, n):
+    # the transposed shape runs the other branch of the Latin keying and of
+    # the isotropy search, so agreement checks both
+    assert _census(m, n) == AXIAL_CENSUS[(m, n)]
+    assert _census(n, m) == AXIAL_CENSUS[(m, n)]
 
 
 @pytest.mark.parametrize("m, n", [(3, 4), (5, 4), (3, 6)])
@@ -359,10 +404,8 @@ def test_two_color_latin_masks_match_reference_dfs():
 
 def test_catalog_entries_are_pairwise_nonconjugate():
     # one entry per conjugacy class: case C runs only over r <= m/2,
-    # s <= n/2, and no two generated entries share a canonical form.  Shapes
-    # with more than 7 rows are left out: canonical_form visits m! row
-    # permutations per coloring.
-    for m in range(2, 8):
+    # s <= n/2, and no two generated entries share a canonical form
+    for m in range(2, 13):
         for n in range(2, 24 // m + 1):
             cat = enumerate_axial(NetworkShape(m, n))
             forms = [canonical_form(e.coloring) for e in cat]
@@ -417,7 +460,7 @@ def _brute_force_isotropy(c):
     return group, orbits
 
 
-@pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 3), (2, 4)])
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 3), (2, 4), (3, 2), (4, 2)])
 def test_isotropy_matches_brute_force(m, n):
     for c in all_colorings(m, n):
         group, orbits = _brute_force_isotropy(c)
@@ -461,10 +504,14 @@ def test_classify_requires_axial():
         classify_orbital_exotic(Coloring.from_rows([[0, 0], [0, 0]]))
 
 
-def test_isotropy_budget_guard():
-    tall = Coloring.from_rows([[0, 1]] * 12)  # 12! * (2 * 12 * 2) > SEARCH_BUDGET
-    with pytest.raises(SearchBudgetError):
-        isotropy_subgroup(tall)
+def test_isotropy_of_tall_two_column_coloring():
+    # 12 rows: the search runs over the 2! column permutations of the transpose
+    tall = Coloring.from_rows([[0, 1]] * 12)
+    rep = isotropy_subgroup(tall)
+    assert rep.group_order == math.factorial(12)
+    assert set(rep.orbit_partition) == {frozenset((i, j) for i in range(12))
+                                        for j in range(2)}
+    assert rep.verdict == "Orbital"
 
 
 # ---------------------------------------------------------------------------

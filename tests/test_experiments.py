@@ -350,6 +350,8 @@ def test_cli_rejects_empty_seed_range(monkeypatch):
     ["classify", "matrix.csv", "--tol", "0"],
     ["classify", "missing.csv"],
     ["synthesize", "unbalanced.txt"],
+    ["classify", "nan.csv"],
+    ["classify", "inf_trajectory.csv"],
 ])
 def test_cli_invalid_input_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     def no_integration(*args):
@@ -365,6 +367,9 @@ def test_cli_invalid_input_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     (tmp_path / "list.json").write_text("[1]")
     (tmp_path / "matrix.csv").write_text("1.0,2.0\n2.0,1.0\n")
     (tmp_path / "unbalanced.txt").write_text("0 1\n0 0\n")
+    (tmp_path / "nan.csv").write_text("1.0,nan\n2.0,1.0\n")
+    (tmp_path / "inf_trajectory.csv").write_text(
+        "t,z_1_1,z_1_2,z_2_1,z_2_2\n0,1,2,2,1\n0.05,inf,-inf,2,1\n")
     with pytest.raises(SystemExit) as exc:
         cli_main(argv)
     assert exc.value.code == 2
@@ -398,6 +403,13 @@ def test_cli_catalog_4x6_has_exotic(capsys):
     out = capsys.readouterr().out
     assert "Exotic" in out
     assert "total 14" in out
+
+
+def test_cli_catalog_10x2_completes(capsys):
+    # 10 rows: no search may visit all 10! row permutations
+    rv = cli_main(["catalog", "10", "2"])
+    assert rv == 0
+    assert "total 9" in capsys.readouterr().out
 
 
 def test_cli_classify(tmp_path, capsys):

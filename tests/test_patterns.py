@@ -53,6 +53,13 @@ def test_quantize_ambiguous_chain_rejected():
         quantize_to_coloring(Z, 0.1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_quantize_rejects_non_finite(bad):
+    Z = np.array([[1.0, -1.0], [-1.0, bad]])
+    with pytest.raises(ValueError, match="non-finite"):
+        quantize_to_coloring(Z, 1e-6)
+
+
 def test_quantize_rejects_bad_tol():
     with pytest.raises(ValueError):
         quantize_to_coloring(np.zeros((2, 2)), 0.0)
