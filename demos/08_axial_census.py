@@ -3,9 +3,10 @@
 For every m x n grid with m, n >= 2 and at most MAX_CELLS cells (default 42,
 the enumeration's cell guard), build the complete axial catalog from cold
 caches and count its Exotic entries.  Each shape runs in its own worker
-process, so the time and the peak resident set printed for it are that
-shape's alone (the peak includes the interpreter and numpy).  The output is
-a Markdown table.
+process, forked from a server process that has imported the package, so
+the time and the peak resident set printed for it are that shape's alone
+(the peak includes the pages of the interpreter and numpy that the worker
+maps, not their import).  The output is a Markdown table.
 
 Usage: python demos/08_axial_census.py [MAX_CELLS]
 """
@@ -34,7 +35,11 @@ def main(max_cells: int):
     print("| m x n | cells | axial classes | Exotic | time (s) | peak RSS (MB) |")
     print("|---|---:|---:|---:|---:|---:|")
     total = 0.0
-    with multiprocessing.get_context("spawn").Pool(1, maxtasksperchild=1) as pool:
+    # a fresh worker per shape, forked from a server that has already
+    # imported indecision (and numpy), so no worker pays for the import
+    ctx = multiprocessing.get_context("forkserver")
+    ctx.set_forkserver_preload(["indecision"])
+    with ctx.Pool(1, maxtasksperchild=1) as pool:
         for m, n, size, exotic, seconds, peak_mb in pool.imap(census_row, shapes):
             total += seconds
             print(f"| {m}x{n} | {m * n} | {size} | {exotic} | {seconds:.2f} | {peak_mb:.0f} |",

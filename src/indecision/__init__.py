@@ -9,7 +9,7 @@ organize its bifurcations.
 from .model import (
     NetworkShape, GainParams, CriticalCoefficients, SigmoidParams, ModelConfig,
     IrrepDecomposition, ThresholdInfo,
-    sigmoid_eval, vector_field, interaction_matrix, interaction_matrix_det,
+    sigmoid_eval, vector_field, jacobian, interaction_matrix, interaction_matrix_det,
     coefficients_from_gains, gains_from_coefficients, analytic_eigenvalues,
     bifurcation_threshold, irrep_project, as_state,
 )

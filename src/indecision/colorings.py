@@ -39,8 +39,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product
-from math import factorial
+from itertools import chain, combinations, permutations, product
+from math import comb, factorial
 
 import numpy as np
 
@@ -446,8 +446,10 @@ def _two_color_latin_masks(p: int, q: int) -> np.ndarray:
         b, rem = divmod(a * p, q)
         if rem:
             continue
-        choices = np.array([[j in comb for j in range(q)]
-                            for comb in combinations(range(q), a)], dtype=np.int8)
+        picked = np.fromiter(chain.from_iterable(combinations(range(q), a)),
+                             np.intp, comb(q, a) * a).reshape(-1, a)
+        choices = np.zeros((len(picked), q), dtype=np.int8)   # one 0/1 row per combination
+        np.put_along_axis(choices, picked, 1, axis=1)
         masks = np.zeros((1, q), dtype=np.int64)
         counts = np.zeros((1, q), dtype=np.int8)
         for rows_left in range(p - 1, 0, -1):

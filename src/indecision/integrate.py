@@ -1,15 +1,34 @@
 """Deterministic, seeded integration of the value dynamics.
 
-Fixed-step classical Runge-Kutta (4th order).  Equilibrium is detected from
-the vector-field residual at sampled states rather than from state
+Fixed-step classical Runge-Kutta (4th order) carries a run through the
+escape from its start, which decides the basin; a gated Newton finish
+replaces the slow last approach.  Equilibrium is detected from the
+vector-field residual at sampled states rather than from state
 differences; near a bifurcation the transients are slow (growth rates of
-order epsilon) and state-difference tests give false positives there.
+order epsilon) and state-difference tests give false positives there.  A
+residual within tolerance counts as convergence only where the closed-form
+Jacobian of the field is stable (spectral abscissa < 0), so a run that
+passes close to an unstable equilibrium keeps going.
+
+Newton finish.  Once a sampled residual is at most sqrt(equilibrium_tol)
+and the Jacobian there is stable, up to NEWTON_STEPS Newton steps start
+from the RK4 state.  An iterate with residual <= equilibrium_tol and a
+stable Jacobian ends the run and replaces that sample; otherwise RK4 goes
+on from its own state, untouched.  The gate sits at sqrt(tol), not at the
+first stable Jacobian: from further out most Newton attempts fail or leave
+the state's neighbourhood, while at sqrt(tol) the correction is of order
+sqrt(tol) / |abscissa|.  Each correction is solved matrix-free by GMRES on
+the field's Jacobian-vector product, with every inner product and norm a
+math.fsum: LAPACK (used only for the eigenvalues of the gate) pivots
+differently on a permuted system, while these scalars do not depend on the
+order of the cells.
 
 A trajectory is a pure function of (Z0, model config, integrator config):
-identical inputs give bitwise-identical output on one platform.  Because the
-vector field is exactly equivariant and the RK4 update is elementwise,
-integrating a permuted initial state yields the permuted trajectory bitwise,
-and a start inside a synchrony subspace stays in it bitwise.
+identical inputs give bitwise-identical output on one platform.  Because
+the vector field and its Jacobian-vector product are exactly equivariant
+and every other update is elementwise, integrating a permuted initial state
+yields the permuted trajectory and final bitwise, and a start inside a
+synchrony subspace stays in it bitwise, through the Newton finish too.
 
 Divergence (a non-finite state, or one too large for the field's sums) is
 reported in the result, not raised, so parameter sweeps survive unstable
@@ -18,11 +37,13 @@ regions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelConfig, NetworkShape, _compiled_field, as_state
+from .model import (ModelConfig, NetworkShape, _compiled_field, _compiled_linearization,
+                    as_state, jacobian)
 
 __all__ = [
     "IntegratorConfig",
@@ -76,11 +97,26 @@ class Trajectory:
 
 @dataclass
 class EquilibriumResult:
+    """Where a run ended and why.
+
+    stop_reason is "tolerance" (RK4 reached a stable state within
+    equilibrium_tol), "newton" (the Newton finish did), "t_max" or
+    "diverged"; converged is true for the first two only.
+    spectral_abscissa is the largest real part of the Jacobian spectrum at
+    final (None when the run diverged).  residual is max |F(final)|, and
+    elapsed_time the RK4 time at which the run stopped."""
+
     final: np.ndarray
     converged: bool
     residual: float
     elapsed_time: float
-    diverged: bool = False
+    diverged: bool
+    stop_reason: str
+    spectral_abscissa: float | None
+
+
+NEWTON_STEPS = 3       # Newton steps per attempt of the finish
+KRYLOV_RTOL = 1e-10    # GMRES stops below this residual relative to |b|
 
 
 def random_near_origin(shape: NetworkShape, radius: float, seed: int) -> np.ndarray:
@@ -97,9 +133,15 @@ def random_near_origin(shape: NetworkShape, radius: float, seed: int) -> np.ndar
 
 def integrate(Z0, cfg: ModelConfig,
               icfg: IntegratorConfig) -> tuple[Trajectory, EquilibriumResult]:
-    """Run RK4 from Z0 until the sampled residual drops below tolerance or
-    t_max is reached.  The trajectory contains the initial state, every
-    record_stride-th step, and the final state.
+    """Run RK4 from Z0 until a sampled state, or the Newton finish from it,
+    is a stable equilibrium within tolerance, or t_max is reached.  The
+    trajectory contains the initial state, every record_stride-th step, and
+    the final state (a Newton final replaces the sample it started from).
+
+    The stability gate and the Newton finish are tried at a sampled state
+    with residual <= sqrt(equilibrium_tol) and at most half the residual of
+    the previous try; tries re-arm once the residual climbs above
+    sqrt(equilibrium_tol) again, and the last step is always tried.
 
     Only the shape of Z0 is validated here; a non-finite state (initial or
     encountered mid-run) is reported as divergence with the blow-up time,
@@ -114,6 +156,7 @@ def integrate(Z0, cfg: ModelConfig,
     f = _compiled_field(cfg)
     h = icfg.step
     tol = icfg.equilibrium_tol
+    newton_tol = math.sqrt(tol)
     stride = icfg.record_stride
     nstep = int(round(icfg.t_max / h))
     # 0-d arrays multiply an array faster than Python floats, with the same
@@ -125,9 +168,10 @@ def integrate(Z0, cfg: ModelConfig,
     # keeps them without copies
     traj = Trajectory()
     t = 0.0
-    converged = False
-    diverged = False
+    stop = "t_max"
     residual = float("inf")
+    abscissa = None
+    last_try = float("inf")
 
     k = 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -136,21 +180,28 @@ def integrate(Z0, cfg: ModelConfig,
                 k1 = f(Z)
                 # a non-finite Z gives a non-finite k1 through the -Z term
                 if not np.isfinite(k1).all():
-                    diverged = True
+                    stop = "diverged"
                     break
-                sampled = (k % stride == 0)
-                if sampled:
+                last = k >= nstep
+                if last or k % stride == 0:
                     traj.append(t, Z)
                     residual = float(np.abs(k1).max())
-                    if residual <= tol:
-                        converged = True
+                    if residual > newton_tol:
+                        last_try = float("inf")
+                    elif last or residual <= 0.5 * last_try:
+                        last_try = residual
+                        abscissa = _spectral_abscissa(jacobian(Z, cfg))
+                        if abscissa < 0.0:
+                            if residual <= tol:
+                                stop = "tolerance"
+                                break
+                            finish = _newton_finish(Z, k1, cfg, tol)
+                            if finish is not None:
+                                traj.states[-1], residual, abscissa = finish
+                                stop = "newton"
+                                break
+                    if last:
                         break
-                if k >= nstep:
-                    if not sampled:
-                        traj.append(t, Z)
-                        residual = float(np.abs(k1).max())
-                    converged = residual <= tol
-                    break
                 k2 = f(Z + half_h * k1)
                 k3 = f(Z + half_h * k2)
                 k4 = f(Z + full_h * k3)
@@ -159,15 +210,110 @@ def integrate(Z0, cfg: ModelConfig,
                 k += 1
         except (OverflowError, ValueError):
             # raised by math.fsum inside a field evaluation
-            diverged = True
-    if diverged:
+            stop = "diverged"
+    if stop == "diverged":
         residual = float("inf")
+        abscissa = None
         if not traj.times or traj.times[-1] != t:
             traj.append(t, Z)
+    elif stop == "t_max":
+        abscissa = _spectral_abscissa(jacobian(traj.final, cfg))
 
-    return traj, EquilibriumResult(final=traj.final, converged=converged,
+    return traj, EquilibriumResult(final=traj.final,
+                                   converged=stop in ("tolerance", "newton"),
                                    residual=residual, elapsed_time=t,
-                                   diverged=diverged)
+                                   diverged=stop == "diverged", stop_reason=stop,
+                                   spectral_abscissa=abscissa)
+
+
+def _spectral_abscissa(J: np.ndarray) -> float:
+    """Largest real part of the eigenvalues of a square matrix."""
+    return float(np.linalg.eigvals(J).real.max())
+
+
+def _newton_finish(Z, FZ, cfg: ModelConfig, tol: float):
+    """Up to NEWTON_STEPS Newton steps from Z, whose field value is FZ.
+
+    Returns (W, residual, abscissa) for the first iterate W whose residual
+    is <= tol, provided the Jacobian at W is stable; None when no iterate
+    gets there, one is not finite or cannot be summed, or the one that does
+    is unstable.  Each correction is solved by _gmres on the field's
+    Jacobian-vector product, so W is bitwise equivariant and stays bitwise
+    in every synchrony subspace that contains Z."""
+    f = _compiled_field(cfg)
+    slopes, jvp = _compiled_linearization(cfg)
+    W, FW = Z, FZ
+    try:
+        for _ in range(NEWTON_STEPS):
+            D = slopes(W)
+            step = _gmres(lambda V: jvp(D, V), FW)
+            if step is None:
+                return None
+            W = W - step
+            FW = f(W)
+            if not np.isfinite(FW).all():
+                return None
+            residual = float(np.abs(FW).max())
+            if residual <= tol:
+                abscissa = _spectral_abscissa(jacobian(W, cfg))
+                return (W, residual, abscissa) if abscissa < 0.0 else None
+    except (OverflowError, ValueError):
+        # math.fsum met an unsummable iterate
+        return None
+    return None
+
+
+def _gmres(A, b: np.ndarray):
+    """Solve A x = b for a linear map A on arrays shaped like b by GMRES
+    (Saad & Schultz 1986): at most b.size Arnoldi steps with modified
+    Gram-Schmidt, stopping once the least-squares residual is below
+    KRYLOV_RTOL |b|; the small least-squares problem on the Hessenberg
+    matrix is solved by Givens rotations.  None when that matrix is
+    singular.
+
+    Every inner product and norm is a math.fsum of elementwise products,
+    so each scalar is independent of the order of the elements, and each
+    Krylov vector is an elementwise combination of A's outputs: permuting b
+    (with A equivariant) permutes x bitwise, and x stays bitwise in any
+    synchrony subspace that holds b and is invariant under A."""
+    def dot(u, v):
+        return math.fsum((u * v).ravel().tolist())
+
+    beta = math.sqrt(dot(b, b))
+    basis = [b / beta]
+    rhs = [beta]          # Q^T beta e1, rotated along with the columns
+    columns = []          # upper-triangular R, column by column
+    rotations = []
+    for j in range(b.size):
+        w = A(basis[j])
+        col = []
+        for v in basis:
+            coef = dot(w, v)
+            w = w - coef * v
+            col.append(coef)
+        below = math.sqrt(dot(w, w))
+        for i, (c, s) in enumerate(rotations):
+            col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+        rho = math.hypot(col[j], below)
+        if rho == 0.0:
+            return None
+        c, s = col[j] / rho, below / rho
+        col[j] = rho
+        rotations.append((c, s))
+        rhs.append(-s * rhs[j])
+        rhs[j] *= c
+        columns.append(col)
+        if abs(rhs[j + 1]) <= KRYLOV_RTOL * beta:
+            break
+        basis.append(w / below)
+    y = [0.0] * len(columns)
+    for i in reversed(range(len(columns))):
+        y[i] = (rhs[i] - sum(columns[l][i] * y[l] for l in range(i + 1, len(columns)))) \
+            / columns[i][i]
+    x = y[0] * basis[0]
+    for coef, v in zip(y[1:], basis[1:]):
+        x = x + coef * v
+    return x
 
 
 def fd_jacobian(f, Z: np.ndarray, h_fd: float) -> np.ndarray:

@@ -9,11 +9,11 @@ equivariant under S_m x S_n).
 
 The linearization at the origin block-diagonalizes over four invariant
 subspaces (synchronous / consensus / deadlock / dissensus), giving four
-closed-form eigenvalues.  This module provides the field itself plus all of
-that linear algebra: the 4x4 conversion between interaction gains and the
-per-subspace growth coefficients, analytic eigenvalues with multiplicities,
-bifurcation thresholds, and the orthogonal projections onto the four
-subspaces.
+closed-form eigenvalues.  This module provides the field itself, its
+closed-form Jacobian at any state, plus all of that linear algebra: the 4x4
+conversion between interaction gains and the per-subspace growth
+coefficients, analytic eigenvalues with multiplicities, bifurcation
+thresholds, and the orthogonal projections onto the four subspaces.
 
 Exactness conventions: the multiset reductions inside ``vector_field`` use
 ``math.fsum``, which is correctly rounded and therefore independent of
@@ -22,7 +22,9 @@ evaluated in one stacked numpy pass whose elements see exactly the IEEE
 operations of a per-saturation evaluation, which relies on ``np.tanh``
 returning the same bits for a value wherever it sits in an array (a test
 pins this).  As a consequence equivariance and the invariance of synchrony
-subspaces hold *bitwise*, not merely to rounding tolerance.
+subspaces hold *bitwise*, not merely to rounding tolerance.  The
+Jacobian-vector product that the integrator's Newton finish uses follows the
+same conventions, so it is exact in the same sense.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ __all__ = [
     "ThresholdInfo",
     "sigmoid_eval",
     "vector_field",
+    "jacobian",
     "interaction_matrix",
     "interaction_matrix_det",
     "coefficients_from_gains",
@@ -171,6 +174,22 @@ def sigmoid_eval(s: float, x: float) -> float:
     return (math.tanh(x - s) + t) / (1.0 - t * t)
 
 
+def _stacked_constants(cfg: ModelConfig):
+    """Per-saturation constants as (2, 1, 1) arrays, S1 first: the gains
+    (alpha, beta) and (gamma, delta), the offsets (s1, s2), their tanh
+    values and the denominators 1 - tanh(s)^2; and lambda as a 0-d array."""
+    s1, s2 = cfg.sigmoids.s1, cfg.sigmoids.s2
+    t1, t2 = math.tanh(s1), math.tanh(s2)
+
+    def stacked(x, y):
+        return np.array([x, y]).reshape(2, 1, 1)
+
+    return (stacked(cfg.gains.alpha, cfg.gains.beta),
+            stacked(cfg.gains.gamma, cfg.gains.delta),
+            stacked(s1, s2), stacked(t1, t2),
+            stacked(1.0 - t1 * t1, 1.0 - t2 * t2), np.array(cfg.lam))
+
+
 @lru_cache(maxsize=64)
 def _compiled_field(cfg: ModelConfig):
     """Closure evaluating the vector field for a fixed config.
@@ -188,18 +207,7 @@ def _compiled_field(cfg: ModelConfig):
     exact.  The closure holds no scratch buffers and is re-entrant.
     """
     m, n = cfg.shape.m, cfg.shape.n
-    s1, s2 = cfg.sigmoids.s1, cfg.sigmoids.s2
-    t1, t2 = math.tanh(s1), math.tanh(s2)
-
-    def stacked(x, y):
-        return np.array([x, y]).reshape(2, 1, 1)
-
-    A = stacked(cfg.gains.alpha, cfg.gains.beta)
-    G = stacked(cfg.gains.gamma, cfg.gains.delta)
-    S = stacked(s1, s2)
-    T0 = stacked(t1, t2)
-    DEN = stacked(1.0 - t1 * t1, 1.0 - t2 * t2)
-    lam = np.array(cfg.lam)
+    A, G, S, T0, DEN, lam = _stacked_constants(cfg)
     fsum = math.fsum
 
     def field(Z: np.ndarray) -> np.ndarray:
@@ -212,6 +220,39 @@ def _compiled_field(cfg: ModelConfig):
     return field
 
 
+@lru_cache(maxsize=64)
+def _compiled_linearization(cfg: ModelConfig):
+    """Closures (slopes, jvp) for the linearization of the field.
+
+    slopes(Z) is the (2, m, n) array of saturation slopes at the state Z,
+    (1 - tanh(u)^2) / (1 - tanh(s)^2) at each stacked argument u of the
+    field.  jvp(D, V) is J(Z) V for the slopes D of Z: the field's stacked
+    pass with each tanh replaced by multiplication with its slope, column
+    sums of V and row sums of the S2 part again by math.fsum.  So the
+    product is bitwise equivariant under a joint permutation of Z and V,
+    and lies bitwise in a synchrony subspace that contains both.
+    """
+    m, n = cfg.shape.m, cfg.shape.n
+    A, G, S, _, DEN, lam = _stacked_constants(cfg)
+    fsum = math.fsum
+
+    def mix(Z):
+        C = np.fromiter(map(fsum, Z.T.tolist()), float, n)
+        return A * Z + G * (C - Z)
+
+    def slopes(Z: np.ndarray) -> np.ndarray:
+        th = np.tanh(mix(Z) - S)
+        return (1.0 - th * th) / DEN
+
+    def jvp(D: np.ndarray, V: np.ndarray) -> np.ndarray:
+        Y = D * mix(V)
+        Y2 = Y[1]
+        T = np.fromiter(map(fsum, Y2.tolist()), float, m)[:, None]
+        return lam * (Y[0] + T - Y2) - V
+
+    return slopes, jvp
+
+
 def vector_field(Z, cfg: ModelConfig) -> np.ndarray:
     """Time derivative of the value state.
 
@@ -220,6 +261,28 @@ def vector_field(Z, cfg: ModelConfig) -> np.ndarray:
     """
     Z = as_state(Z, cfg.shape)
     return _compiled_field(cfg)(Z)
+
+
+def jacobian(Z, cfg: ModelConfig) -> np.ndarray:
+    """Closed-form Jacobian of the field at Z (mn x mn, row-major cell
+    order), from the slopes D1, D2 of the two saturations:
+
+    dF_ij/dz_kl = lam * ( D1_ij [j=l] (gamma + (alpha - gamma) [i=k])
+                          + (D2_il - D2_ij [j=l]) (delta + (beta - delta) [i=k]) )
+                  - [i=k][j=l]
+    """
+    Z = as_state(Z, cfg.shape)
+    m, n = cfg.shape.m, cfg.shape.n
+    a, b, g, d = cfg.gains.as_tuple()
+    D1, D2 = _compiled_linearization(cfg)[0](Z)
+    same_row = np.eye(m)[:, None, :, None]   # [i=k], axes (i, j, k, l)
+    same_col = np.eye(n)[None, :, None, :]   # [j=l]
+    w1 = g + (a - g) * same_row
+    w2 = d + (b - d) * same_row
+    J = cfg.lam * (D1[:, :, None, None] * same_col * w1
+                   + (D2[:, None, None, :] - D2[:, :, None, None] * same_col) * w2) \
+        - same_row * same_col
+    return J.reshape(m * n, m * n)
 
 
 def interaction_matrix(shape: NetworkShape) -> list[list[int]]:

@@ -335,6 +335,8 @@ def reference_integrate(Z0, cfg, icfg):
         Z = Z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t += h
         k += 1
+    stop = "diverged" if diverged else "tolerance" if converged else "t_max"
     return traj, EquilibriumResult(final=traj.final, converged=converged,
                                    residual=residual, elapsed_time=t,
-                                   diverged=diverged)
+                                   diverged=diverged, stop_reason=stop,
+                                   spectral_abscissa=None)

@@ -143,6 +143,8 @@ def test_run_report_json_shape(tmp_path):
     payload = json.loads((tmp_path / "mini-consensus-2x2_seed0.json").read_text())
     assert payload["scenario"] == "mini-consensus-2x2"
     assert payload["converged"] is True
+    assert payload["stop_reason"] in ("tolerance", "newton")
+    assert payload["spectral_abscissa"] < 0
     assert payload["pattern"]["class"] == "Consensus"
     assert len(payload["final"]) == 2 and len(payload["final"][0]) == 2
     summary = json.loads((tmp_path / "mini-consensus-2x2_summary.json").read_text())
@@ -157,6 +159,7 @@ def test_unconverged_runs_are_not_classified(tmp_path):
     assert all(r.pattern is None for r in reports)
     payload = json.loads((tmp_path / "mini-consensus-2x2_seed0.json").read_text())
     assert payload["pattern"] is None
+    assert payload["stop_reason"] == "t_max"
     summary = json.loads((tmp_path / "mini-consensus-2x2_summary.json").read_text())
     assert summary["n_converged"] == 0
     assert summary["class_counts"] == {"Unconverged": 2}

@@ -10,10 +10,12 @@ from indecision import (
     NetworkShape,
     SigmoidParams,
     analytic_eigenvalues,
+    axial_value_matrix,
     coefficients_from_gains,
     enumerate_axial,
     get_scenario,
     integrate,
+    jacobian,
     numerical_jacobian,
     random_near_origin,
     trajectory_to_csv,
@@ -102,20 +104,34 @@ def test_trajectory_contains_initial_and_final():
     assert all(b > a for a, b in zip(traj.times, traj.times[1:]))
 
 
-def test_integrate_symmetry_transport_exact():
-    # conjugating the initial state conjugates every sampled state bitwise
+def run_permuted_pair(t_max):
+    # one start of the lambda = 1.1 config and a conjugate of it; every
+    # sampled state of the second run must be the conjugate, bitwise
     rng = np.random.default_rng(8)
     shape = NetworkShape(4, 6)
     cfg = ModelConfig(shape=shape, gains=GainParams(0.2, -0.3, 0.4, -0.05),
                       sigmoids=SigmoidParams(0.5, 0.3), lam=1.1)
     Z0 = rng.uniform(-0.5, 0.5, size=(4, 6))
     sigma, tau = rng.permutation(4), rng.permutation(6)
-    icfg = IntegratorConfig(t_max=20.0)
-    t1, _ = integrate(Z0, cfg, icfg)
-    t2, _ = integrate(Z0[np.ix_(sigma, tau)], cfg, icfg)
+    icfg = IntegratorConfig(t_max=t_max)
+    t1, r1 = integrate(Z0, cfg, icfg)
+    t2, r2 = integrate(Z0[np.ix_(sigma, tau)], cfg, icfg)
     assert t1.times == t2.times
     for A, B in zip(t1.states, t2.states):
         assert np.array_equal(B, A[np.ix_(sigma, tau)])
+    return r1, r2, np.ix_(sigma, tau)
+
+
+def test_integrate_symmetry_transport_exact():
+    # conjugating the initial state conjugates every sampled state bitwise
+    run_permuted_pair(20.0)
+
+
+def test_newton_finish_symmetry_transport_exact():
+    # the same through the Newton finish: the final is conjugate too
+    r1, r2, perm = run_permuted_pair(200.0)
+    assert (r1.stop_reason, r2.stop_reason) == ("newton", "newton")
+    assert np.array_equal(r2.final, r1.final[perm])
 
 
 def test_integrate_flow_invariance_exact():
@@ -132,12 +148,45 @@ def test_integrate_flow_invariance_exact():
             assert len({Z[i, j] for (i, j) in cls}) == 1
 
 
+def test_newton_finish_keeps_exotic_synchrony_exact():
+    # a start on the exact line of 4x6 catalog entry #8 (Exotic) ends at
+    # the exotic equilibrium through the Newton finish, constant on every
+    # color class bitwise
+    sc = get_scenario("dissensus-exotic-4x6")
+    entry = enumerate_axial(sc.shape)[8]
+    traj, res = integrate(axial_value_matrix(entry, 0.3), sc.model_config(),
+                          sc.integrator_config())
+    assert res.converged and res.stop_reason == "newton"
+    assert res.spectral_abscissa < 0
+    for Z in traj.states:
+        for cls in entry.coloring.color_classes():
+            assert len({Z[i, j] for (i, j) in cls}) == 1
+
+
+def test_unstable_equilibrium_is_not_convergence():
+    # a start of radius 1e-8 has residual below tolerance at t = 1.5, next
+    # to the unstable origin; the run escapes and settles on a stable state
+    sc = get_scenario("dissensus-exotic-4x6")
+    cfg = sc.model_config()
+    Z0 = random_near_origin(sc.shape, 1e-8, 0)
+    _, early = integrate(Z0, cfg, IntegratorConfig(step=sc.step, t_max=10.0))
+    assert not early.converged and early.stop_reason == "t_max"
+    assert early.residual <= sc.equilibrium_tol and early.spectral_abscissa > 0
+    _, res = integrate(Z0, cfg, sc.integrator_config())
+    assert res.elapsed_time > 1.5
+    if res.converged:
+        assert res.spectral_abscissa < 0
+        assert np.abs(res.final).max() > 0.1
+        assert res.spectral_abscissa == np.linalg.eigvals(jacobian(res.final, cfg)).real.max()
+
+
 def test_integrate_reports_divergence():
     cfg = stable_config()
     Z0 = np.zeros((3, 4))
     Z0[0, 0] = np.nan
     traj, res = integrate(Z0, cfg, IntegratorConfig(t_max=10.0))
     assert res.diverged and not res.converged
+    assert (res.stop_reason, res.spectral_abscissa) == ("diverged", None)
     assert res.residual == float("inf")
     assert res.elapsed_time == 0.0
 
@@ -173,7 +222,22 @@ def test_integrate_matches_reference_bitwise_on_stable_config(nan_start):
     icfg = IntegratorConfig(t_max=50.0)
     got = integrate(Z0, cfg, icfg)
     assert (got[1].converged, got[1].diverged) == (not nan_start, nan_start)
-    assert_same_run(got, reference_integrate(Z0, cfg, icfg))
+    want = reference_integrate(Z0, cfg, icfg)
+    if nan_start:
+        assert_same_run(got, want)
+        return
+    # the Newton finish stops the run at an earlier sample: every sample
+    # before it is the reference's at the same t, and the final lies
+    # within 1e-8 of the reference final
+    (traj, res), (ref_traj, ref_res) = got, want
+    assert res.stop_reason == "newton"
+    n = len(traj.times)
+    assert traj.times == ref_traj.times[:n]
+    assert res.elapsed_time == traj.times[-1]
+    for A, B in zip(traj.states[:-1], ref_traj.states):
+        assert np.array_equal(A, B)
+    assert res.residual <= icfg.equilibrium_tol
+    assert np.abs(res.final - ref_res.final).max() <= 1e-8
 
 
 def test_trajectory_does_not_alias_the_start():
@@ -187,6 +251,7 @@ def test_trajectory_does_not_alias_the_start():
 
 def assert_reported_divergence(traj, res, t):
     assert res.diverged and not res.converged
+    assert (res.stop_reason, res.spectral_abscissa) == ("diverged", None)
     assert res.residual == float("inf")
     assert res.elapsed_time == t
     assert traj.times[-1] == t

@@ -4,25 +4,30 @@ import numpy as np
 import pytest
 
 from indecision import (
+    BUILTIN_SCENARIOS,
     CriticalCoefficients,
     GainParams,
     ModelConfig,
     NetworkShape,
     SigmoidParams,
     analytic_eigenvalues,
+    axial_value_matrix,
     bifurcation_threshold,
     coefficients_from_gains,
     enumerate_axial,
     gains_from_coefficients,
+    get_scenario,
+    integrate,
     interaction_matrix,
     interaction_matrix_det,
     irrep_project,
+    jacobian,
     numerical_jacobian,
     sigmoid_eval,
     vector_field,
 )
 from helpers import random_balanced_coloring, reference_field
-from indecision.model import _compiled_field
+from indecision.model import _compiled_field, _compiled_linearization
 
 
 def make_config(shape, gains, sig=(0.5, 0.3), lam=1.1):
@@ -151,6 +156,35 @@ def test_field_jacobian_matches_analytic_eigenvalues():
         got = sorted(np.linalg.eigvals(J).real)
         want = sorted(v for v, mult in expected for _ in range(mult))
         assert np.allclose(got, want, atol=1e-6)
+
+
+def exotic_final():
+    # the stable equilibrium on the line of 4x6 catalog entry #8 (Exotic)
+    sc = get_scenario("dissensus-exotic-4x6")
+    Z0 = axial_value_matrix(enumerate_axial(sc.shape)[8], 0.3)
+    _, res = integrate(Z0, sc.model_config(), sc.integrator_config())
+    assert res.converged
+    return res.final
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_jacobian_matches_finite_differences(name):
+    cfg = get_scenario(name).model_config()
+    rng = np.random.default_rng(14)
+    states = [rng.uniform(-scale, scale, size=(4, 6)) for scale in (1e-3, 0.3, 1.0)]
+    if name == "dissensus-exotic-4x6":
+        states.append(exotic_final())
+    slopes, jvp = _compiled_linearization(cfg)
+    sigma, tau = rng.permutation(4), rng.permutation(6)
+    for Z in states:
+        J = jacobian(Z, cfg)
+        assert np.abs(J - numerical_jacobian(Z, cfg, 1e-6)).max() <= 1e-8
+        V = rng.standard_normal((4, 6))
+        JV = jvp(slopes(Z), V)
+        assert np.allclose(JV.ravel(), J @ V.ravel(), rtol=0.0, atol=1e-13)
+        # the product is bitwise equivariant, like the field
+        perm = np.ix_(sigma, tau)
+        assert np.array_equal(jvp(slopes(Z[perm]), V[perm]), JV[perm])
 
 
 # ---------------------------------------------------------------------------
