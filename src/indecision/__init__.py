@@ -9,7 +9,7 @@ organize its bifurcations.
 from .model import (
     NetworkShape, GainParams, CriticalCoefficients, SigmoidParams, ModelConfig,
     IrrepDecomposition, ThresholdInfo,
-    sigmoid_eval, vector_field, jacobian, interaction_matrix, interaction_matrix_det,
+    vector_field, jacobian, interaction_matrix, interaction_matrix_det,
     coefficients_from_gains, gains_from_coefficients, analytic_eigenvalues,
     bifurcation_threshold, irrep_project, as_state,
 )
@@ -20,8 +20,7 @@ from .integrate import (
 )
 from .patterns import (
     Coloring, PatternClass, PatternReport, AmbiguousQuantizationError,
-    quantize_to_coloring, classify_state, color_isomorphic,
-    color_complementary, zero_sum_report, match_axial,
+    quantize_to_coloring, classify_state, zero_sum_report, match_axial,
 )
 from .colorings import (
     NotBalancedError, SearchBudgetError, LatinRectangleBlock, RectangleTiling,

@@ -1,7 +1,8 @@
 """Command line front end.
 
 Subcommands:
-  simulate    run a named or configured scenario over its seeds
+  simulate    run a named or configured scenario over its seeds; finals are
+              matched against the axial catalog when m*n <= MAX_AXIAL_CELLS
   sweep       census over an explicit lambda list
   catalog     enumerate and classify the axial patterns of a shape
   classify    read a value matrix from CSV and print its pattern report
@@ -21,8 +22,8 @@ from contextlib import contextmanager
 import numpy as np
 
 from .colorings import SearchBudgetError, check_axial_shape, synthesize_stable_admissible
-from .experiments import (BUILTIN_SCENARIOS, Scenario, catalog_rows, get_scenario,
-                          run_scenario, sweep_lambda)
+from .experiments import (BUILTIN_SCENARIOS, DEFAULT_QUANTIZE_TOL, Scenario, catalog_rows,
+                          get_scenario, run_scenario, sweep_lambda)
 from .model import NetworkShape
 from .patterns import Coloring, classify_state, quantize_to_coloring
 
@@ -62,8 +63,7 @@ def _scenario_from_args(args) -> Scenario:
 def _cmd_simulate(args) -> int:
     with _usage_errors(args):
         sc = _scenario_from_args(args)
-    reports = run_scenario(sc, out_dir=args.out_dir,
-                           match_catalog=args.catalog != "off")
+    reports = run_scenario(sc, out_dir=args.out_dir)
     n_conv = sum(r.converged for r in reports)
     print(f"{sc.name}: lambda={sc.lambda_value():.6g}, "
           f"{n_conv}/{len(reports)} converged")
@@ -188,8 +188,6 @@ def main(argv=None) -> int:
 
     p_sim = sub.add_parser("simulate", help="run a scenario over its seeds")
     add_scenario_flags(p_sim)
-    p_sim.add_argument("--catalog", choices=("auto", "off"), default="auto",
-                       help="match finals against the axial catalog")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", help="census over a lambda list")
@@ -207,8 +205,9 @@ def main(argv=None) -> int:
     p_cls = sub.add_parser("classify", help="pattern report for a CSV matrix")
     p_cls.add_argument("matrix", help="CSV file: one matrix row per line, or "
                                       "a trajectory file (the last sample is used)")
-    p_cls.add_argument("--tol", type=float, default=1e-5,
-                       help="quantization tolerance")
+    p_cls.add_argument("--tol", type=float, default=DEFAULT_QUANTIZE_TOL,
+                       help="quantization tolerance (default: %(default)g, as for "
+                            "scenarios)")
     p_cls.set_defaults(func=_cmd_classify, parser=p_cls)
 
     p_syn = sub.add_parser("synthesize",

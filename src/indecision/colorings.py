@@ -885,8 +885,10 @@ def _hermite_double_nodes(levels: list[Fraction]) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
-def synthesize_stable_admissible(c: Coloring, y,
-                                 h_fd: float = 1e-3) -> tuple[StablePolynomialMap, SynthesisReport]:
+SYNTHESIS_FD_STEP = 1e-3  # central-difference step of the synthesis eigenvalue check
+
+
+def synthesize_stable_admissible(c: Coloring, y) -> tuple[StablePolynomialMap, SynthesisReport]:
     """Build an admissible map with a linearly stable equilibrium exactly at
     the state y, whose synchrony pattern is the coloring c.
 
@@ -895,8 +897,9 @@ def synthesize_stable_admissible(c: Coloring, y,
     the distinct levels; the induced map acts cellwise, so the Jacobian at
     y is exactly minus the identity.  The report carries float-level
     residuals and a finite-difference eigenvalue check (Richardson-refined
-    central differences at h_fd and h_fd/2, which keeps the verifier's own
-    truncation error well below the interpolant's exactness).
+    central differences at SYNTHESIS_FD_STEP and half of it, which keeps
+    the verifier's own truncation error well below the interpolant's
+    exactness).
     """
     if not is_balanced(c):
         raise ValueError("coloring must be balanced")
@@ -924,8 +927,8 @@ def synthesize_stable_admissible(c: Coloring, y,
     exact_slopes = all(fmap.derivative_exact(v) == -1 for v in levels)
     Zf = np.array([[float(v) for v in row] for row in y_arr])
     residual = float(np.abs(fmap.field(Zf)).max())
-    J_h = fd_jacobian(fmap.field, Zf, h_fd)
-    J_h2 = fd_jacobian(fmap.field, Zf, h_fd / 2.0)
+    J_h = fd_jacobian(fmap.field, Zf, SYNTHESIS_FD_STEP)
+    J_h2 = fd_jacobian(fmap.field, Zf, SYNTHESIS_FD_STEP / 2.0)
     J = (4.0 * J_h2 - J_h) / 3.0
     eigs = np.linalg.eigvals(J)
     dev = float(np.abs(eigs + 1.0).max())

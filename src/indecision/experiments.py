@@ -5,7 +5,8 @@ A scenario fixes the network shape, the four subspace growth coefficients
 saturation offsets, and an offset epsilon above the first bifurcation
 threshold.  Each seeded run integrates from a random state near the origin,
 classifies the converged pattern, and looks it up in the axial catalog of
-the shape.
+the shape when the shape is small enough to enumerate (m*n <=
+MAX_AXIAL_CELLS).
 
 Built-in scenarios (all on the 4 x 6 network, epsilon = 1e-2):
 
@@ -30,7 +31,8 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .colorings import AxialCatalog, classify_orbital_exotic, enumerate_axial, is_axial_Vd
+from .colorings import (MAX_AXIAL_CELLS, AxialCatalog, classify_orbital_exotic, enumerate_axial,
+                        is_axial_Vd)
 from .integrate import (EquilibriumResult, IntegratorConfig, integrate, random_near_origin,
                         trajectory_to_csv)
 from .model import (CriticalCoefficients, GainParams, ModelConfig, NetworkShape,
@@ -50,12 +52,12 @@ __all__ = [
 ]
 
 DEFAULT_SEEDS = tuple(range(20))
+DEFAULT_QUANTIZE_TOL = 1e-4  # also the default of `indecision classify --tol`
 ZERO_AMPLITUDE = 1e-6  # below this a final state counts as "converged to 0"
 _CONFIG_KEYS = ("name", "shape", "coefficients", "sigmoids", "epsilon", "seeds",
                 "radius", "quantize_tol", "integrator")
-_INTEGRATOR_KEYS = ("step", "t_max", "equilibrium_tol", "record_stride")
-_NUMERIC_FIELDS = ("epsilon", "radius", "quantize_tol", "step", "equilibrium_tol",
-                   "record_stride")
+_INTEGRATOR_KEYS = ("step", "t_max")
+_NUMERIC_FIELDS = ("epsilon", "radius", "quantize_tol", "step")
 
 
 @dataclass(frozen=True)
@@ -69,11 +71,9 @@ class Scenario:
     epsilon: float = 1e-2
     seeds: tuple[int, ...] = DEFAULT_SEEDS
     radius: float = 1e-3
-    quantize_tol: float = 1e-4
+    quantize_tol: float = DEFAULT_QUANTIZE_TOL
     step: float = 0.05
     t_max: float | None = None  # None: sized from epsilon
-    equilibrium_tol: float = 1e-9
-    record_stride: int = 10
 
     def __post_init__(self):
         if not all(isinstance(s, Integral) for s in self.seeds):
@@ -91,7 +91,7 @@ class Scenario:
             raise ValueError("quantize_tol must be > 0")
         if self.radius <= 0:
             raise ValueError("radius must be > 0")
-        self.integrator_config()  # raises on an invalid step, t_max, tol or stride
+        self.integrator_config()  # raises on an invalid step or t_max
 
     @classmethod
     def from_dict(cls, raw: dict, base: "Scenario | None" = None) -> "Scenario":
@@ -110,9 +110,11 @@ class Scenario:
           "seeds": [0, 1, 2],
           "radius": 0.001,
           "quantize_tol": 0.0001,
-          "integrator": {"step": 0.05, "t_max": 3000.0,
-                         "equilibrium_tol": 1e-9, "record_stride": 10}
+          "integrator": {"step": 0.05, "t_max": 3000.0}
         }
+
+        Every run stops at the residual IntegratorConfig.equilibrium_tol and
+        records every RECORD_STRIDE-th step; neither is a config key.
         """
         if not isinstance(raw, dict):
             raise ValueError("config must be a JSON object")
@@ -170,9 +172,7 @@ class Scenario:
             # allow ~15 e-foldings plus settling time
             rate = self.epsilon if growth_rate is None else growth_rate
             t_max = 15.0 / max(rate, 1e-3) + 1500.0
-        return IntegratorConfig(step=self.step, t_max=t_max,
-                                equilibrium_tol=self.equilibrium_tol,
-                                record_stride=self.record_stride)
+        return IntegratorConfig(step=self.step, t_max=t_max)
 
     def replace(self, **kw) -> "Scenario":
         return dataclasses.replace(self, **kw)
@@ -272,16 +272,18 @@ def _run_seeds(scenario: Scenario, cfg: ModelConfig, icfg: IntegratorConfig):
         yield traj, report, coloring
 
 
-def run_scenario(scenario: Scenario, out_dir: str | None = None,
-                 match_catalog: bool = True) -> list[RunReport]:
+def run_scenario(scenario: Scenario, out_dir: str | None = None) -> list[RunReport]:
     """Integrate every seed of the scenario, classify the converged finals,
-    and match them against the axial catalog of the shape.
+    and match them against the axial catalog of the shape.  A shape over
+    MAX_AXIAL_CELLS cells has no catalog: its runs are integrated and
+    classified, and none gets an axial match.
 
     Divergent and unconverged runs are flagged in their report, never fatal.
     When out_dir is given, per-seed JSON reports, CSV trajectories and SVG
     heatmaps plus a scenario summary are written there.
     """
-    catalog = enumerate_axial(scenario.shape) if match_catalog else None
+    catalog = enumerate_axial(scenario.shape) \
+        if scenario.shape.cells <= MAX_AXIAL_CELLS else None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
 

@@ -45,7 +45,6 @@ __all__ = [
     "ModelConfig",
     "IrrepDecomposition",
     "ThresholdInfo",
-    "sigmoid_eval",
     "vector_field",
     "jacobian",
     "interaction_matrix",
@@ -117,8 +116,10 @@ class CriticalCoefficients:
 
 @dataclass(frozen=True)
 class SigmoidParams:
-    """Offsets of the two saturations; zero offsets are rejected because they
-    kill the quadratic terms the bifurcation analysis relies on."""
+    """Offsets of the two saturations S(x) = (tanh(x - s) + tanh(s)) /
+    (1 - tanh(s)^2), normalized so S(0) = 0 and S'(0) = 1; zero offsets are
+    rejected because they kill the quadratic terms the bifurcation analysis
+    relies on."""
 
     s1: float
     s2: float
@@ -160,18 +161,6 @@ def as_state(values, shape: NetworkShape) -> np.ndarray:
     if not np.isfinite(Z).all():
         raise ValueError("state contains non-finite entries")
     return Z
-
-
-def sigmoid_eval(s: float, x: float) -> float:
-    """Saturation S(x) = (tanh(x - s) + tanh(s)) / (1 - tanh(s)^2).
-
-    Normalized so S(0) = 0 and S'(0) = 1; the offset s controls the sign and
-    size of the curvature at the origin and must be nonzero.
-    """
-    if s == 0.0:
-        raise ValueError("sigmoid offset must be nonzero")
-    t = math.tanh(s)
-    return (math.tanh(x - s) + t) / (1.0 - t * t)
 
 
 def _stacked_constants(cfg: ModelConfig):
@@ -367,9 +356,6 @@ class IrrepDecomposition:
     consensus: np.ndarray
     deadlock: np.ndarray
     dissensus: np.ndarray
-
-    def recombined(self) -> np.ndarray:
-        return self.sync + self.consensus + self.deadlock + self.dissensus
 
 
 def irrep_project(Z) -> IrrepDecomposition:

@@ -26,8 +26,6 @@ __all__ = [
     "AmbiguousQuantizationError",
     "quantize_to_coloring",
     "classify_state",
-    "color_isomorphic",
-    "color_complementary",
     "zero_sum_report",
     "match_axial",
 ]
@@ -212,33 +210,6 @@ def classify_state(c: Coloring, Z) -> PatternReport:
         row_sums=[float(x) for x in Z.sum(axis=1)],
         col_sums=[float(x) for x in Z.sum(axis=0)],
     )
-
-
-def _lines(c: Coloring, axis: str):
-    if axis == "rows":
-        return c.cells
-    if axis == "columns":
-        return tuple(zip(*c.cells))
-    raise ValueError("axis must be 'rows' or 'columns'")
-
-
-def color_isomorphic(c: Coloring, axis: str, i: int, k: int) -> bool:
-    """True when the two rows (columns) contain the same color multiset,
-    i.e. one is a position permutation of the other."""
-    lines = _lines(c, axis)
-    return sorted(lines[i]) == sorted(lines[k])
-
-
-def color_complementary(c: Coloring, axis: str, i: int, k: int) -> bool:
-    """True when some bijection of color ids maps line i pointwise onto
-    line k (a color permutation rather than a position permutation)."""
-    lines = _lines(c, axis)
-    fwd: dict[int, int] = {}
-    rev: dict[int, int] = {}
-    for a, b in zip(lines[i], lines[k]):
-        if fwd.setdefault(a, b) != b or rev.setdefault(b, a) != a:
-            return False
-    return True
 
 
 def zero_sum_report(Z) -> tuple[float, float, float]:

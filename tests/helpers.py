@@ -16,6 +16,7 @@ from indecision import (
     dissensus_intersection_basis,
     is_balanced,
 )
+from indecision.integrate import RECORD_STRIDE
 
 # the known exotic 4x6 two-color pattern (columns: one complementary pair
 # once, another pair twice) and the generators of its symmetry group
@@ -300,7 +301,7 @@ def reference_integrate(Z0, cfg, icfg):
     f = reference_field(cfg)
     h = icfg.step
     tol = icfg.equilibrium_tol
-    stride = icfg.record_stride
+    stride = RECORD_STRIDE
     nstep = int(round(icfg.t_max / h))
     traj = Trajectory()
     t = 0.0

@@ -1,5 +1,6 @@
-import importlib.util
+import importlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +60,7 @@ def test_unknown_scenario():
 
 @pytest.mark.parametrize("bad", [
     {"seeds": ()}, {"quantize_tol": 0.0}, {"radius": 0.0}, {"step": 0.0},
-    {"equilibrium_tol": 0.0}, {"record_stride": 0}, {"t_max": 0.01},
+    {"epsilon": -0.01}, {"radius": None}, {"t_max": 0.01},
 ])
 def test_scenario_rejects_invalid_fields(bad):
     with pytest.raises(ValueError):
@@ -75,6 +76,8 @@ def test_scenario_from_dict_overrides_base():
 @pytest.mark.parametrize("raw, key", [
     ({"epsilo": 0.5}, "epsilo"),
     ({"integrator": {"tmax": 5}}, "integrator.tmax"),
+    ({"integrator": {"equilibrium_tol": 1e-9}}, "integrator.equilibrium_tol"),
+    ({"integrator": {"record_stride": 10}}, "integrator.record_stride"),
 ])
 def test_scenario_from_dict_rejects_unknown_keys(raw, key):
     with pytest.raises(ValueError, match=key):
@@ -305,6 +308,17 @@ def test_cli_simulate_flag_overrides(tmp_path, capsys):
     assert "seed   1" in out and "seed   2" in out
 
 
+def test_cli_simulate_over_the_cell_guard_skips_the_catalog(tmp_path, capsys):
+    # 7x7 has no axial catalog (49 > MAX_AXIAL_CELLS cells): its seeds are
+    # integrated and printed without a match instead of failing the command
+    cfg = json.loads(write_mini_config(tmp_path / "cfg.json").read_text())
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({**cfg, "shape": [7, 7], "integrator": {"t_max": 5}}))
+    assert cli_main(["simulate", "--config", str(big)]) == 0
+    out = capsys.readouterr().out
+    assert "seed   0" in out and "no axial match" in out
+
+
 def test_cli_simulate_prints_unconverged_outcome(tmp_path, capsys):
     cfg = write_mini_config(tmp_path / "cfg.json", seeds=(0, 1))
     short = tmp_path / "short.json"
@@ -316,16 +330,19 @@ def test_cli_simulate_prints_unconverged_outcome(tmp_path, capsys):
     assert out.count("class=Unconverged") == 2
 
 
-def test_benchmark_patch_targets_resolve():
-    # the benchmark wraps these attributes by name at run time
-    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+def test_benchmark_patch_targets_resolve(monkeypatch):
+    # the benchmark reads these names at run time; a missing one fails
+    # every benchmark call, so pin them here
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
     targets = workloads.patch_targets()
     assert targets
     for owner, attr, span, _ in targets:
         assert callable(getattr(owner, attr)), span
+    workloads.clear_catalog_caches()
+    icfg = workloads.SweepConsensus.scenario.integrator_config()
+    assert icfg.equilibrium_tol > 0 and icfg.step > 0
 
 
 def test_cli_rejects_empty_seed_range(monkeypatch):
@@ -423,6 +440,15 @@ def test_cli_classify(tmp_path, capsys):
     assert rv == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["class"] == "Consensus"
+
+
+def test_cli_classify_default_tol_is_the_scenario_default(tmp_path, capsys):
+    sc = fast_consensus_2x2(seeds=(0,))
+    [report] = run_scenario(sc, out_dir=str(tmp_path))
+    assert cli_main(["classify", str(tmp_path / "mini-consensus-2x2_seed0.csv")]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["quantization_tol"] == sc.quantize_tol == 1e-4
+    assert payload["class"] == report.outcome
 
 
 def test_cli_classify_trajectory_file(tmp_path, capsys):

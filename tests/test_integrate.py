@@ -171,7 +171,7 @@ def test_unstable_equilibrium_is_not_convergence():
     Z0 = random_near_origin(sc.shape, 1e-8, 0)
     _, early = integrate(Z0, cfg, IntegratorConfig(step=sc.step, t_max=10.0))
     assert not early.converged and early.stop_reason == "t_max"
-    assert early.residual <= sc.equilibrium_tol and early.spectral_abscissa > 0
+    assert early.residual <= IntegratorConfig.equilibrium_tol and early.spectral_abscissa > 0
     _, res = integrate(Z0, cfg, sc.integrator_config())
     assert res.elapsed_time > 1.5
     if res.converged:
@@ -206,9 +206,7 @@ def assert_same_run(got, want):
 def test_integrate_matches_reference_bitwise_on_scenarios(name):
     sc = get_scenario(name)
     cfg = sc.model_config()
-    icfg = IntegratorConfig(step=sc.step, t_max=60.0,
-                            equilibrium_tol=sc.equilibrium_tol,
-                            record_stride=sc.record_stride)
+    icfg = IntegratorConfig(step=sc.step, t_max=60.0)
     Z0 = random_near_origin(sc.shape, sc.radius, 0)
     assert_same_run(integrate(Z0, cfg, icfg), reference_integrate(Z0, cfg, icfg))
 
@@ -298,9 +296,7 @@ def test_step_halving_consistency_on_scenario():
     Z0 = random_near_origin(sc.shape, sc.radius, 0)
     icfg = sc.integrator_config()
     _, res_h = integrate(Z0, cfg, icfg)
-    _, res_h2 = integrate(Z0, cfg, IntegratorConfig(
-        step=icfg.step / 2, t_max=icfg.t_max,
-        equilibrium_tol=icfg.equilibrium_tol, record_stride=icfg.record_stride))
+    _, res_h2 = integrate(Z0, cfg, IntegratorConfig(step=icfg.step / 2, t_max=icfg.t_max))
     assert res_h.converged and res_h2.converged
     assert np.abs(res_h.final - res_h2.final).max() <= 1e-6
 

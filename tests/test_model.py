@@ -23,7 +23,6 @@ from indecision import (
     irrep_project,
     jacobian,
     numerical_jacobian,
-    sigmoid_eval,
     vector_field,
 )
 from helpers import random_balanced_coloring, reference_field
@@ -39,25 +38,30 @@ def make_config(shape, gains, sig=(0.5, 0.3), lam=1.1):
 # sigmoid
 # ---------------------------------------------------------------------------
 
+def saturation(s, x):
+    """S1(x) with offset s, read off the field: with gains (1, 0, 0, 0) and
+    lambda = 1 the S2 term vanishes and F(Z) = S1(Z) - Z cellwise."""
+    cfg = make_config(NetworkShape(2, 2), (1.0, 0.0, 0.0, 0.0), sig=(s, 0.3), lam=1.0)
+    return float(vector_field(np.full((2, 2), x), cfg)[0, 0]) + x
+
+
 def test_sigmoid_zero_at_origin():
-    assert sigmoid_eval(0.5, 0.0) == 0.0
-    assert sigmoid_eval(-0.3, 0.0) == 0.0
+    assert saturation(0.5, 0.0) == 0.0
+    assert saturation(-0.3, 0.0) == 0.0
 
 
 def test_sigmoid_unit_slope_at_origin():
     h = 1e-6
-    slope = (sigmoid_eval(0.5, h) - sigmoid_eval(0.5, -h)) / (2 * h)
+    slope = (saturation(0.5, h) - saturation(0.5, -h)) / (2 * h)
     assert abs(slope - 1.0) < 1e-6
 
 
 def test_sigmoid_closed_form_value():
     # frozen from a 50-digit evaluation of (tanh(9.5)+tanh(.5))/(1-tanh(.5)^2)
-    assert sigmoid_eval(0.5, 10.0) == pytest.approx(1.8591408999811596, abs=1e-14)
+    assert saturation(0.5, 10.0) == pytest.approx(1.8591408999811596, abs=1e-14)
 
 
 def test_sigmoid_rejects_zero_offset():
-    with pytest.raises(ValueError):
-        sigmoid_eval(0.0, 1.0)
     with pytest.raises(ValueError):
         SigmoidParams(0.0, 0.3)
 
@@ -299,7 +303,8 @@ def test_project_recombines_and_is_idempotent():
     rng = np.random.default_rng(2)
     Z = rng.standard_normal((3, 4))
     dec = irrep_project(Z)
-    assert np.allclose(dec.recombined(), Z, atol=1e-12)
+    assert np.allclose(dec.sync + dec.consensus + dec.deadlock + dec.dissensus, Z,
+                       atol=1e-12)
     for comp in (dec.sync, dec.consensus, dec.deadlock, dec.dissensus):
         sub = irrep_project(comp)
         total = sub.sync + sub.consensus + sub.deadlock + sub.dissensus

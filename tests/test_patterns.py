@@ -10,8 +10,6 @@ from indecision import (
     PatternClass,
     axial_value_matrix,
     classify_state,
-    color_complementary,
-    color_isomorphic,
     enumerate_axial,
     match_axial,
     quantize_to_coloring,
@@ -129,34 +127,6 @@ def test_pattern_report_json_fields():
                             "quantization_tol"}
     assert payload["class"] == "Dissensus"
     assert payload["row_sums"] == [0.0, 0.0]
-
-
-# ---------------------------------------------------------------------------
-# color relations between rows / columns
-# ---------------------------------------------------------------------------
-
-def test_color_isomorphic_rows():
-    c = Coloring.from_rows([[0, 1, 1], [1, 0, 1], [0, 0, 1]])
-    assert color_isomorphic(c, "rows", 0, 1)       # RBB vs BRB: same multiset
-    assert not color_isomorphic(c, "rows", 0, 2)   # RBB vs RRB
-
-
-def test_color_isomorphic_identical_rows():
-    c = Coloring.from_rows([[0, 1], [0, 1]])
-    assert color_isomorphic(c, "rows", 0, 1)
-    assert color_complementary(c, "rows", 0, 1)    # identity permutation
-
-
-def test_color_complementary_swap():
-    c = Coloring.from_rows([[0, 1], [1, 0]])
-    assert color_complementary(c, "rows", 0, 1)
-    assert color_complementary(c, "columns", 0, 1)
-
-
-def test_color_complementary_needs_consistent_bijection():
-    c = Coloring.from_rows([[0, 0, 1], [0, 1, 1]])
-    # RRB vs RBB: position 0 forces 0->0, position 1 forces 0->1
-    assert not color_complementary(c, "rows", 0, 1)
 
 
 # ---------------------------------------------------------------------------
