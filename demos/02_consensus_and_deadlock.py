@@ -6,11 +6,9 @@ cluster, options split into favored/disfavored) and deadlock (one option
 cluster, agents split).  Heatmaps and time series land in demos_out/.
 """
 
-import os
-
 from indecision import get_scenario, run_scenario, zero_sum_report
 
-OUT = os.path.join(os.path.dirname(__file__), "demos_out")
+OUT = "demos_out"  # under the working directory
 
 for name in ("consensus-4x6", "deadlock-4x6"):
     scenario = get_scenario(name).replace(seeds=(0, 1, 2))

@@ -9,11 +9,9 @@ rectangles, some orbital and some exotic, depending only on the initial
 condition.
 """
 
-import os
-
 from indecision import get_scenario, run_scenario
 
-OUT = os.path.join(os.path.dirname(__file__), "demos_out")
+OUT = "demos_out"  # under the working directory
 
 for name in ("dissensus-orbital-4x6", "dissensus-exotic-4x6"):
     scenario = get_scenario(name).replace(seeds=(0, 1, 2, 3))

@@ -9,7 +9,7 @@ import os
 
 from indecision import bifurcation_threshold, get_scenario, sweep_lambda
 
-OUT = os.path.join(os.path.dirname(__file__), "demos_out")
+OUT = "demos_out"  # under the working directory
 os.makedirs(OUT, exist_ok=True)
 
 scenario = get_scenario("consensus-4x6").replace(seeds=(0, 1, 2))

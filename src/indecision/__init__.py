@@ -14,8 +14,8 @@ from .model import (
     bifurcation_threshold, irrep_project, as_state,
 )
 from .integrate import (
-    IntegratorConfig, Trajectory, EquilibriumResult,
-    random_near_origin, integrate, fd_jacobian, numerical_jacobian,
+    IntegratorConfig, RK4_RADIUS, Trajectory, EquilibriumResult,
+    stable_step, random_near_origin, integrate, fd_jacobian, numerical_jacobian,
     trajectory_to_csv,
 )
 from .patterns import (

@@ -63,6 +63,7 @@ def _scenario_from_args(args) -> Scenario:
 def _cmd_simulate(args) -> int:
     with _usage_errors(args):
         sc = _scenario_from_args(args)
+        sc.integrator_config()  # raises on an infinite t_max or one under a step
     reports = run_scenario(sc, out_dir=args.out_dir)
     n_conv = sum(r.converged for r in reports)
     print(f"{sc.name}: lambda={sc.lambda_value():.6g}, "
@@ -83,6 +84,8 @@ def _cmd_sweep(args) -> int:
         lambdas = [float(x) for x in args.lambda_list.split(",") if x.strip()]
         if not lambdas:
             raise ValueError("--lambda-list names no lambda value")
+        for lam in lambdas:
+            sc.integrator_config(lam)  # raises on an infinite t_max or one under a step
     out_csv = None
     if args.out_dir:
         import os

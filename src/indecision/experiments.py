@@ -34,7 +34,7 @@ import numpy as np
 from .colorings import (MAX_AXIAL_CELLS, AxialCatalog, classify_orbital_exotic, enumerate_axial,
                         is_axial_Vd)
 from .integrate import (EquilibriumResult, IntegratorConfig, integrate, random_near_origin,
-                        trajectory_to_csv)
+                        stable_step, trajectory_to_csv)
 from .model import (CriticalCoefficients, GainParams, ModelConfig, NetworkShape,
                     SigmoidParams, bifurcation_threshold, gains_from_coefficients)
 from .patterns import (AmbiguousQuantizationError, PatternClass, PatternReport,
@@ -56,8 +56,8 @@ DEFAULT_QUANTIZE_TOL = 1e-4  # also the default of `indecision classify --tol`
 ZERO_AMPLITUDE = 1e-6  # below this a final state counts as "converged to 0"
 _CONFIG_KEYS = ("name", "shape", "coefficients", "sigmoids", "epsilon", "seeds",
                 "radius", "quantize_tol", "integrator")
-_INTEGRATOR_KEYS = ("step", "t_max")
-_NUMERIC_FIELDS = ("epsilon", "radius", "quantize_tol", "step")
+_INTEGRATOR_KEYS = ("t_max",)
+_NUMERIC_FIELDS = ("epsilon", "radius", "quantize_tol")
 
 
 @dataclass(frozen=True)
@@ -72,15 +72,18 @@ class Scenario:
     seeds: tuple[int, ...] = DEFAULT_SEEDS
     radius: float = 1e-3
     quantize_tol: float = DEFAULT_QUANTIZE_TOL
-    step: float = 0.05
-    t_max: float | None = None  # None: sized from epsilon
+    t_max: float | None = None  # None: sized from the growth rate at lambda
 
     def __post_init__(self):
-        if not all(isinstance(s, Integral) for s in self.seeds):
+        # bool is an Integral and a Real to Python, but never a seed or a number here
+        if not all(isinstance(s, Integral) and not isinstance(s, bool) for s in self.seeds):
             raise ValueError("seeds must be integers")
-        bad = [k for k in _NUMERIC_FIELDS if not isinstance(getattr(self, k), Real)]
-        if self.t_max is not None and not isinstance(self.t_max, Real):
-            bad.append("t_max")
+        numbers = {k: getattr(self, k) for k in _NUMERIC_FIELDS}
+        numbers.update((f"coefficients.{k}", v) for k, v in vars(self.coefficients).items())
+        numbers.update((f"sigmoids.{k}", v) for k, v in vars(self.sigmoids).items())
+        if self.t_max is not None:
+            numbers["t_max"] = self.t_max
+        bad = [k for k, v in numbers.items() if not isinstance(v, Real) or isinstance(v, bool)]
         if bad:
             raise ValueError(f"not a number: {', '.join(bad)}")
         if self.epsilon < 0:
@@ -91,7 +94,8 @@ class Scenario:
             raise ValueError("quantize_tol must be > 0")
         if self.radius <= 0:
             raise ValueError("radius must be > 0")
-        self.integrator_config()  # raises on an invalid step or t_max
+        if self.t_max is not None and not self.t_max > 0:
+            raise ValueError("t_max must be > 0")
 
     @classmethod
     def from_dict(cls, raw: dict, base: "Scenario | None" = None) -> "Scenario":
@@ -110,11 +114,13 @@ class Scenario:
           "seeds": [0, 1, 2],
           "radius": 0.001,
           "quantize_tol": 0.0001,
-          "integrator": {"step": 0.05, "t_max": 3000.0}
+          "integrator": {"t_max": 3000.0}
         }
 
-        Every run stops at the residual IntegratorConfig.equilibrium_tol and
-        records every RECORD_STRIDE-th step; neither is a config key.
+        Every run stops at the residual IntegratorConfig.equilibrium_tol,
+        records every RECORD_STRIDE-th step and takes the step
+        stable_step(model config); none of them is a config key.  A JSON
+        boolean is not a number: true as a number or seed raises ValueError.
         """
         if not isinstance(raw, dict):
             raise ValueError("config must be a JSON object")
@@ -165,14 +171,21 @@ class Scenario:
                            sigmoids=self.sigmoids,
                            lam=self.lambda_value() if lam is None else lam)
 
-    def integrator_config(self, growth_rate: float | None = None) -> IntegratorConfig:
+    def integrator_config(self, lam: float | None = None) -> IntegratorConfig:
+        """Integrator config of a run at lam (default: the scenario's
+        lambda): the step is stable_step of its model config, and t_max the
+        scenario's or, when that is None, sized from the linear growth rate
+        |lam c - 1| of the first bifurcating subspace (coefficient c).
+        Raises ValueError when t_max is infinite or not longer than one step."""
+        cfg = self.model_config(lam)
         t_max = self.t_max
         if t_max is None:
             # escape from a radius-r neighborhood grows like exp(rate * t);
             # allow ~15 e-foldings plus settling time
-            rate = self.epsilon if growth_rate is None else growth_rate
+            c_first = self.coefficients.get(self.first_threshold().which)
+            rate = abs(cfg.lam * c_first - 1.0)
             t_max = 15.0 / max(rate, 1e-3) + 1500.0
-        return IntegratorConfig(step=self.step, t_max=t_max)
+        return IntegratorConfig(step=stable_step(cfg), t_max=t_max)
 
     def replace(self, **kw) -> "Scenario":
         return dataclasses.replace(self, **kw)
@@ -248,14 +261,15 @@ class RunReport(EquilibriumResult):
         return d
 
 
-def _run_seeds(scenario: Scenario, cfg: ModelConfig, icfg: IntegratorConfig):
-    """Integrate every seed of the scenario under one model and integrator
-    config, yielding (trajectory, report, coloring) per seed in seed order.
+def _run_seeds(scenario: Scenario, lam: float | None = None):
+    """Integrate every seed of the scenario at lam (default: the scenario's
+    lambda), yielding (trajectory, report, coloring) per seed in seed order.
 
     Only a run that converged without diverging is quantized and classified;
     any other run, and a converged one whose quantization is ambiguous,
     keeps pattern = None and coloring = None.
     """
+    cfg, icfg = scenario.model_config(lam), scenario.integrator_config(lam)
     for seed in scenario.seeds:
         Z0 = random_near_origin(scenario.shape, scenario.radius, seed)
         traj, res = integrate(Z0, cfg, icfg)
@@ -288,8 +302,7 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> list[RunRepo
         os.makedirs(out_dir, exist_ok=True)
 
     reports = []
-    runs = _run_seeds(scenario, scenario.model_config(), scenario.integrator_config())
-    for traj, report, coloring in runs:
+    for traj, report, coloring in _run_seeds(scenario):
         if catalog is not None and coloring is not None:
             entry = catalog.match(coloring)
             if entry is not None:
@@ -339,13 +352,9 @@ def sweep_lambda(scenario: Scenario, lambdas, out_csv: str | None = None) -> lis
     lambdas = list(lambdas)
     if not lambdas:
         raise ValueError("lambda list must be nonempty")
-    c_first = scenario.coefficients.get(scenario.first_threshold().which)
     rows = []
     for lam in lambdas:
-        cfg = scenario.model_config(lam=lam)
-        rate = abs(lam * c_first - 1.0)
-        icfg = scenario.integrator_config(growth_rate=max(rate, 1e-3))
-        reports = [report for _, report, _ in _run_seeds(scenario, cfg, icfg)]
+        reports = [report for _, report, _ in _run_seeds(scenario, lam)]
         outcomes = Counter(r.outcome for r in reports)
         amps = [float(np.abs(r.final).max()) for r in reports if r.pattern is not None]
         n = len(reports)

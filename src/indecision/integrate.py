@@ -2,13 +2,18 @@
 
 Fixed-step classical Runge-Kutta (4th order) carries a run through the
 escape from its start, which decides the basin; a gated Newton finish
-replaces the slow last approach.  Equilibrium is detected from the
-vector-field residual at sampled states rather than from state
-differences; near a bifurcation the transients are slow (growth rates of
-order epsilon) and state-difference tests give false positives there.  A
-residual within tolerance counts as convergence only where the closed-form
-Jacobian of the field is stable (spectral abscissa < 0), so a run that
-passes close to an unstable equilibrium keeps going.
+replaces the slow last approach.  Scenario runs do not choose the step:
+stable_step derives it from the model, so that no RK4 update amplifies a
+decaying linear mode at any state (a Gershgorin bound on the Jacobian's
+spectrum against the RK4 stability region).  The Newton finish, not the
+step, sets the accuracy of a final.
+
+Equilibrium is detected from the vector-field residual at sampled states
+rather than from state differences; near a bifurcation the transients are
+slow (growth rates of order epsilon) and state-difference tests give false
+positives there.  A residual within tolerance counts as convergence only
+where the closed-form Jacobian of the field is stable (spectral abscissa
+< 0), so a run that passes close to an unstable equilibrium keeps going.
 
 Newton finish.  Once a sampled residual is at most sqrt(equilibrium_tol)
 and the Jacobian there is stable, up to NEWTON_STEPS Newton steps start
@@ -48,6 +53,8 @@ from .model import (ModelConfig, NetworkShape, _compiled_field, _compiled_linear
 
 __all__ = [
     "IntegratorConfig",
+    "RK4_RADIUS",
+    "stable_step",
     "Trajectory",
     "EquilibriumResult",
     "random_near_origin",
@@ -61,12 +68,9 @@ __all__ = [
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Step size and horizon; the residual threshold equilibrium_tol is a
-    class constant, the same for every run.
-
-    Defaults: the right-hand side is smooth and bounded with O(1) negative
-    eigenvalues, so h = 0.01 sits far inside the RK4 stability region;
-    t_max = 200 suffices away from bifurcation (near-critical runs need a
-    horizon of order 1/epsilon and should override it).
+    class constant, the same for every run.  Scenario runs take
+    step = stable_step(cfg) and a horizon sized from their growth rate
+    (Scenario.integrator_config); the defaults serve direct calls.
     """
 
     step: float = 0.01
@@ -74,8 +78,8 @@ class IntegratorConfig:
     equilibrium_tol: ClassVar[float] = 1e-9
 
     def __post_init__(self):
-        if not (self.step > 0 and self.t_max > 0 and self.step < self.t_max):
-            raise ValueError("need 0 < step < t_max")
+        if not 0 < self.step < self.t_max < math.inf:
+            raise ValueError("need 0 < step < t_max < inf")
 
 
 @dataclass
@@ -113,8 +117,31 @@ class EquilibriumResult:
 
 
 RECORD_STRIDE = 10     # a trajectory keeps every RECORD_STRIDE-th RK4 step
+RK4_RADIUS = 2.6       # the closed left half-disk of this radius lies in the
+                       # RK4 stability region (the largest such radius is 2.6156)
 NEWTON_STEPS = 3       # Newton steps per attempt of the finish
 KRYLOV_RTOL = 1e-10    # GMRES stops below this residual relative to |b|
+
+
+def stable_step(cfg: ModelConfig) -> float:
+    """RK4 step RK4_RADIUS / rho for the model, where
+
+        rho = 1 + |lam| (D1 (|alpha| + (m-1)|gamma|)
+                         + D2 (n-1) (|beta| + (m-1)|delta|)),
+        Dk = 1 / (1 - tanh(sk)^2),
+
+    bounds the spectral radius of jacobian(Z, cfg) at every state Z: Dk is
+    the largest slope of saturation k, so rho bounds every absolute row sum
+    of the Jacobian (Gershgorin).  Each eigenvalue mu with Re mu <= 0 then
+    has h mu in the closed left half-disk of radius RK4_RADIUS, inside the
+    RK4 stability region |1 + z + z^2/2 + z^3/6 + z^4/24| <= 1 (Hairer &
+    Wanner, Solving ODEs II, IV.2): no decaying mode is amplified, whatever
+    state a run passes through."""
+    m, n = cfg.shape.m, cfg.shape.n
+    a, b, g, d = (abs(x) for x in cfg.gains.as_tuple())
+    D1, D2 = (1.0 / (1.0 - math.tanh(s) ** 2) for s in (cfg.sigmoids.s1, cfg.sigmoids.s2))
+    rho = 1.0 + abs(cfg.lam) * (D1 * (a + (m - 1) * g) + D2 * (n - 1) * (b + (m - 1) * d))
+    return float(RK4_RADIUS / rho)
 
 
 def random_near_origin(shape: NetworkShape, radius: float, seed: int) -> np.ndarray:

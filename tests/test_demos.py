@@ -19,15 +19,23 @@ def run_demo(name, cwd, *args):
 
 @pytest.mark.parametrize("name", [
     "01_linearization_and_thresholds.py",
+    "02_consensus_and_deadlock.py",
+    "03_dissensus_patterns.py",
     "04_axial_catalog.py",
     "05_exotic_4x6.py",
     "06_stable_synthesis.py",
+    "07_lambda_sweep.py",
 ])
 def test_demo_runs(tmp_path, name):
+    # demos that write files put them under the working directory
     proc = run_demo(name, tmp_path)
     assert proc.returncode == 0, proc.stderr
     if name.startswith("05"):
         assert "verdict: Exotic" in proc.stdout
+    if name.startswith("07"):
+        assert "lies inside" in proc.stdout
+    if name.startswith(("02", "03", "07")):
+        assert any((tmp_path / "demos_out").iterdir())
 
 
 def test_axial_census_demo(tmp_path):

@@ -1,5 +1,7 @@
 import importlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -59,12 +61,39 @@ def test_unknown_scenario():
 
 
 @pytest.mark.parametrize("bad", [
-    {"seeds": ()}, {"quantize_tol": 0.0}, {"radius": 0.0}, {"step": 0.0},
-    {"epsilon": -0.01}, {"radius": None}, {"t_max": 0.01},
+    {"seeds": ()}, {"quantize_tol": 0.0}, {"radius": 0.0}, {"epsilon": True},
+    {"epsilon": -0.01}, {"radius": None}, {"seeds": (True, False)}, {"t_max": 0.0},
+    {"t_max": True}, {"coefficients": CriticalCoefficients(True, 1.0, -1.0, -1.0)},
+    {"sigmoids": SigmoidParams(0.5, True)},
 ])
 def test_scenario_rejects_invalid_fields(bad):
     with pytest.raises(ValueError):
         fast_consensus_2x2().replace(**bad)
+
+
+@pytest.mark.parametrize("t_max", [0.01, float("inf")])
+def test_scenario_rejects_t_max_under_one_step_or_infinite_when_run(t_max):
+    # the step is derived per lambda, so the check runs with the config
+    sc = fast_consensus_2x2().replace(t_max=t_max)
+    with pytest.raises(ValueError, match="step < t_max < inf"):
+        sc.integrator_config()
+
+
+def test_scenario_from_dict_rejects_booleans_by_name():
+    raw = {"epsilon": True, "seeds": [True, False], "radius": True,
+           "coefficients": {"c_d": -1.0, "c_c": True, "c_dl": -1.0, "c_s": -1.0}}
+    with pytest.raises(ValueError) as exc:
+        Scenario.from_dict(raw, base=get_scenario("consensus-4x6"))
+    assert "seeds" in str(exc.value)
+    with pytest.raises(ValueError, match="epsilon, radius, coefficients.c_c"):
+        Scenario.from_dict({**raw, "seeds": [0]}, base=get_scenario("consensus-4x6"))
+
+
+def test_integrator_config_sizes_horizon_from_lambda():
+    # growth rate |lam c - 1| with c = 1 is 0.5 at both lambdas: 15 / 0.5 + 1500
+    sc = get_scenario("consensus-4x6")
+    assert sc.integrator_config(0.5).t_max == sc.integrator_config(1.5).t_max == 1530.0
+    assert sc.replace(t_max=50.0).integrator_config(1.5).t_max == 50.0
 
 
 def test_scenario_from_dict_overrides_base():
@@ -78,6 +107,7 @@ def test_scenario_from_dict_overrides_base():
     ({"integrator": {"tmax": 5}}, "integrator.tmax"),
     ({"integrator": {"equilibrium_tol": 1e-9}}, "integrator.equilibrium_tol"),
     ({"integrator": {"record_stride": 10}}, "integrator.record_stride"),
+    ({"integrator": {"step": 0.05}}, "integrator.step"),
 ])
 def test_scenario_from_dict_rejects_unknown_keys(raw, key):
     with pytest.raises(ValueError, match=key):
@@ -220,10 +250,11 @@ def test_sweep_below_threshold_goes_to_zero():
 
 
 @pytest.mark.filterwarnings("error")
-def test_sweep_survives_diverging_runs():
+def test_sweep_survives_diverging_runs(monkeypatch):
     # step 5.0 is far outside the RK4 stability region: every run blows up
     # and is reported diverged instead of raising out of the sweep
-    sc = get_scenario("consensus-4x6").replace(step=5.0, seeds=(0, 1))
+    monkeypatch.setattr(experiments, "stable_step", lambda cfg: 5.0)
+    sc = get_scenario("consensus-4x6").replace(seeds=(0, 1))
     rows = sweep_lambda(sc, [0.5, 1.5])
     assert [row["lambda"] for row in rows] == [0.5, 1.5]
     assert all(row["frac_converged"] == 0 for row in rows)
@@ -345,6 +376,22 @@ def test_benchmark_patch_targets_resolve(monkeypatch):
     assert icfg.equilibrium_tol > 0 and icfg.step > 0
 
 
+def test_import_makes_no_linear_algebra_call():
+    # the built-in scenarios are made at import; their gains and steps are
+    # derived when a run asks for them, never while they are constructed
+    code = ("import numpy as np\n"
+            "def banned(*args, **kw):\n"
+            "    raise AssertionError('linear algebra at import')\n"
+            "np.linalg.solve = np.linalg.eigvals = np.linalg.inv = banned\n"
+            "import indecision\n")
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_cli_rejects_empty_seed_range(monkeypatch):
     def no_integration(*args):
         raise AssertionError("integrated an invalid scenario")
@@ -372,6 +419,10 @@ def test_cli_rejects_empty_seed_range(monkeypatch):
     ["synthesize", "unbalanced.txt"],
     ["classify", "nan.csv"],
     ["classify", "inf_trajectory.csv"],
+    ["simulate", "--config", "t_max_true.json"],
+    ["simulate", "--config", "t_max_short.json"],
+    ["sweep", "--config", "t_max_short.json", "--lambda-list", "0.5,1.5"],
+    ["simulate", "--config", "t_max_inf.json"],
 ])
 def test_cli_invalid_input_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     def no_integration(*args):
@@ -382,7 +433,10 @@ def test_cli_invalid_input_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     mini = json.loads(write_mini_config(tmp_path / "mini.json").read_text())
     (tmp_path / "unknown_key.json").write_text(json.dumps({**mini, "epsilo": 0.5}))
     for name, key, value in [("seeds_5", "seeds", 5), ("integrator_3", "integrator", 3),
-                             ("shape_4", "shape", [4]), ("seeds_half", "seeds", [0.5])]:
+                             ("shape_4", "shape", [4]), ("seeds_half", "seeds", [0.5]),
+                             ("t_max_true", "integrator", {"t_max": True}),
+                             ("t_max_short", "integrator", {"t_max": 0.01}),
+                             ("t_max_inf", "integrator", {"t_max": float("inf")})]:
         (tmp_path / f"{name}.json").write_text(json.dumps({**mini, key: value}))
     (tmp_path / "list.json").write_text("[1]")
     (tmp_path / "matrix.csv").write_text("1.0,2.0\n2.0,1.0\n")

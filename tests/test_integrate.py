@@ -4,6 +4,7 @@ import pytest
 from helpers import reference_integrate
 from indecision import (
     BUILTIN_SCENARIOS,
+    RK4_RADIUS,
     GainParams,
     IntegratorConfig,
     ModelConfig,
@@ -18,6 +19,7 @@ from indecision import (
     jacobian,
     numerical_jacobian,
     random_near_origin,
+    stable_step,
     trajectory_to_csv,
 )
 
@@ -169,7 +171,7 @@ def test_unstable_equilibrium_is_not_convergence():
     sc = get_scenario("dissensus-exotic-4x6")
     cfg = sc.model_config()
     Z0 = random_near_origin(sc.shape, 1e-8, 0)
-    _, early = integrate(Z0, cfg, IntegratorConfig(step=sc.step, t_max=10.0))
+    _, early = integrate(Z0, cfg, IntegratorConfig(step=sc.integrator_config().step, t_max=10.0))
     assert not early.converged and early.stop_reason == "t_max"
     assert early.residual <= IntegratorConfig.equilibrium_tol and early.spectral_abscissa > 0
     _, res = integrate(Z0, cfg, sc.integrator_config())
@@ -206,7 +208,7 @@ def assert_same_run(got, want):
 def test_integrate_matches_reference_bitwise_on_scenarios(name):
     sc = get_scenario(name)
     cfg = sc.model_config()
-    icfg = IntegratorConfig(step=sc.step, t_max=60.0)
+    icfg = IntegratorConfig(step=sc.integrator_config().step, t_max=60.0)
     Z0 = random_near_origin(sc.shape, sc.radius, 0)
     assert_same_run(integrate(Z0, cfg, icfg), reference_integrate(Z0, cfg, icfg))
 
@@ -299,6 +301,62 @@ def test_step_halving_consistency_on_scenario():
     _, res_h2 = integrate(Z0, cfg, IntegratorConfig(step=icfg.step / 2, t_max=icfg.t_max))
     assert res_h.converged and res_h2.converged
     assert np.abs(res_h.final - res_h2.final).max() <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the derived step
+# ---------------------------------------------------------------------------
+
+SWEEP_LAMBDAS = (0.0, 0.5, 0.9, 0.97, 1.03, 1.1, 1.5)
+
+
+def test_rk4_stability_region_holds_the_left_half_disk():
+    # |R(z)| <= 1 on the boundary of the closed left half-disk of radius
+    # RK4_RADIUS, so on all of it (R is a polynomial: maximum modulus)
+    theta = np.linspace(np.pi / 2, 3 * np.pi / 2, 20001)
+    z = np.concatenate([RK4_RADIUS * np.exp(1j * theta),
+                        1j * np.linspace(-RK4_RADIUS, RK4_RADIUS, 20001)])
+    R = 1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24
+    assert np.abs(R).max() <= 1 + 1e-12
+    # and the radius is not loose: just past 2.6156 the arc leaves the region
+    z = 2.62 * np.exp(1j * theta)
+    assert np.abs(1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24).max() > 1
+
+
+def assert_bounded_spectrum(Z, cfg, rho):
+    # spectral radius <= largest absolute row sum (Gershgorin) <= rho
+    J = jacobian(Z, cfg)
+    assert np.abs(np.linalg.eigvals(J)).max() <= np.abs(J).sum(axis=1).max() <= rho
+
+
+def test_step_bound_covers_the_spectrum_at_random_states():
+    rng = np.random.default_rng(3)
+    sc = get_scenario("consensus-4x6")
+    configs = [get_scenario(name).model_config() for name in sorted(BUILTIN_SCENARIOS)]
+    configs += [sc.model_config(lam) for lam in SWEEP_LAMBDAS] + [stable_config()]
+    for cfg in configs:
+        rho = RK4_RADIUS / stable_step(cfg)
+        for scale in (1e-3, 0.3, 1.0, 3.0):
+            Z = rng.uniform(-scale, scale, size=(cfg.shape.m, cfg.shape.n))
+            assert_bounded_spectrum(Z, cfg, rho)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_step_bound_covers_the_spectrum_along_a_scenario_run(name):
+    sc = get_scenario(name)
+    cfg = sc.model_config()
+    rho = RK4_RADIUS / stable_step(cfg)
+    traj, res = integrate(random_near_origin(sc.shape, sc.radius, 0), cfg,
+                          sc.integrator_config())
+    assert res.converged
+    for Z in traj.states:
+        assert_bounded_spectrum(Z, cfg, rho)
+
+
+def test_integrator_config_takes_the_derived_step():
+    sc = get_scenario("consensus-4x6")
+    for lam in (None,) + SWEEP_LAMBDAS:
+        assert sc.integrator_config(lam).step == stable_step(sc.model_config(lam))
 
 
 # ---------------------------------------------------------------------------
