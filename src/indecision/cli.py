@@ -25,7 +25,7 @@ from .colorings import SearchBudgetError, check_axial_shape, synthesize_stable_a
 from .experiments import (BUILTIN_SCENARIOS, DEFAULT_QUANTIZE_TOL, Scenario, catalog_rows,
                           get_scenario, run_scenario, sweep_lambda)
 from .model import NetworkShape
-from .patterns import Coloring, classify_state, quantize_to_coloring
+from .patterns import Coloring, PatternClass, classify_state, quantize_to_coloring
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
@@ -93,9 +93,10 @@ def _cmd_sweep(args) -> int:
         out_csv = os.path.join(args.out_dir, f"{sc.name}_sweep.csv")
     rows = sweep_lambda(sc, lambdas, out_csv=out_csv)
     for row in rows:
+        fracs = [(cls.value, row[f"frac_{cls.value}"]) for cls in PatternClass]
+        classes = "".join(f"{name}={frac:.2f} " for name, frac in fracs if frac)
         print(f"lambda={row['lambda']:.6g}: converged={row['frac_converged']:.2f} "
-              f"zero={row['frac_zero']:.2f} "
-              f"dissensus={row['frac_Dissensus']:.2f} "
+              f"zero={row['frac_zero']:.2f} {classes}"
               f"mean_amp={row['mean_amplitude']:.4g}")
     if out_csv:
         print(f"sweep written to {out_csv}")
@@ -137,12 +138,15 @@ def _read_matrix(path) -> np.ndarray:
         _, m, n = last_label.split("_")
         vals = [float(x) for x in lines[-1].split(",")][1:]
         return np.array(vals).reshape(int(m), int(n))
+    if not lines:
+        return np.zeros((0, 0))
     return np.array([[float(x) for x in ln.split(",")] for ln in lines])
 
 
 def _cmd_classify(args) -> int:
     with _usage_errors(args):
         Z = _read_matrix(args.matrix)
+        NetworkShape(*Z.shape)  # a matrix under 2x2 is rejected, naming its shape
         coloring = quantize_to_coloring(Z, args.tol)
     report = classify_state(coloring, Z)
     report.quantization_tol = args.tol

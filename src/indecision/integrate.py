@@ -4,9 +4,11 @@ Fixed-step classical Runge-Kutta (4th order) carries a run through the
 escape from its start, which decides the basin; a gated Newton finish
 replaces the slow last approach.  Scenario runs do not choose the step:
 stable_step derives it from the model, so that no RK4 update amplifies a
-decaying linear mode at any state (a Gershgorin bound on the Jacobian's
-spectrum against the RK4 stability region).  The Newton finish, not the
-step, sets the accuracy of a final.
+decaying linear mode at any state: the Jacobian at any state is within a
+closed-form distance of the symmetric Jacobian at the centre of the slope
+ranges, whose four isotypic eigenvalues are closed-form too, so Bauer-Fike
+bounds its spectrum, and the step fits that bound into the RK4 stability
+region.  The Newton finish, not the step, sets the accuracy of a final.
 
 Equilibrium is detected from the vector-field residual at sampled states
 rather than from state differences; near a bifurcation the transients are
@@ -104,13 +106,15 @@ class EquilibriumResult:
     equilibrium_tol), "newton" (the Newton finish did), "t_max" or
     "diverged"; converged is true for the first two only.
     spectral_abscissa is the largest real part of the Jacobian spectrum at
-    final (None when the run diverged).  residual is max |F(final)|, and
-    elapsed_time the RK4 time at which the run stopped."""
+    final (None when the run diverged).  residual is max |F(final)|,
+    elapsed_time the RK4 time at which the run stopped and n_steps the
+    number of RK4 steps taken to get there."""
 
     final: np.ndarray
     converged: bool
     residual: float
     elapsed_time: float
+    n_steps: int
     diverged: bool
     stop_reason: str
     spectral_abscissa: float | None
@@ -124,24 +128,48 @@ KRYLOV_RTOL = 1e-10    # GMRES stops below this residual relative to |b|
 
 
 def stable_step(cfg: ModelConfig) -> float:
-    """RK4 step RK4_RADIUS / rho for the model, where
+    """RK4 step RK4_RADIUS / rho for the model, where rho bounds the
+    spectral radius of jacobian(Z, cfg) at every state Z.
 
-        rho = 1 + |lam| (D1 (|alpha| + (m-1)|gamma|)
-                         + D2 (n-1) (|beta| + (m-1)|delta|)),
-        Dk = 1 / (1 - tanh(sk)^2),
+    The slopes Dk of saturation k lie in (0, 2 dk], dk = 1 / (2 (1 -
+    tanh(sk)^2)).  With every slope at that centre the Jacobian J(d) is
+    symmetric, with the four closed-form eigenvalues of _centre_spectrum,
+    and J(Z) is within eps of J(d) in the 2-norm.  By Bauer-Fike for normal
+    matrices (Bauer & Fike, Numer. Math. 1960) every eigenvalue of J(Z) lies
+    within eps of a centre eigenvalue, so rho = max |centre| + eps.  Each
+    eigenvalue mu with Re mu <= 0 then has h mu in the closed left half-disk
+    of radius RK4_RADIUS, inside the RK4 stability region |1 + z + z^2/2 +
+    z^3/6 + z^4/24| <= 1 (Hairer & Wanner, Solving ODEs II, IV.2): no
+    decaying mode is amplified, whatever state a run passes through.
 
-    bounds the spectral radius of jacobian(Z, cfg) at every state Z: Dk is
-    the largest slope of saturation k, so rho bounds every absolute row sum
-    of the Jacobian (Gershgorin).  Each eigenvalue mu with Re mu <= 0 then
-    has h mu in the closed left half-disk of radius RK4_RADIUS, inside the
-    RK4 stability region |1 + z + z^2/2 + z^3/6 + z^4/24| <= 1 (Hairer &
-    Wanner, Solving ODEs II, IV.2): no decaying mode is amplified, whatever
-    state a run passes through."""
+    Since rho <= 1 + 2 eps, which is at most the Gershgorin row-sum bound
+    1 + |lam| (2 d1 (|alpha| + (m-1)|gamma|) + 2 d2 (n-1) (|beta| + (m-1)|delta|)),
+    this step is never smaller than the row-sum one."""
+    centres, eps = _centre_spectrum(cfg)
+    return float(RK4_RADIUS / (max(abs(mu) for mu in centres) + eps))
+
+
+def _centre_spectrum(cfg: ModelConfig) -> tuple[tuple[float, ...], float]:
+    """The eigenvalues -1 + lam nu of J(d), ordered (dissensus, consensus,
+    deadlock, sync), and eps >= ||J(Z) - J(d)||_2 at every state Z.
+
+    J(Z) = lam [diag(D1) K1 + (R - I) diag(D2) K2] - I, where K1 acts down
+    each column with weights (alpha, gamma): a1 = alpha - gamma on zero-sum
+    columns, b1 = alpha + (m-1) gamma on constant ones; K2 likewise with
+    (beta, delta), giving a2 and b2; and R sums along each row, so R - I is
+    -1 on zero-sum rows and n - 1 on constant ones.  K1, K2 and R are
+    symmetric and commute, so J(d) is symmetric with those products as
+    eigenvalues (at d = (1, 1) the nu are c_d, c_c, c_dl and c_s), and
+    |Dk - dk| <= dk gives eps = |lam| (d1 ||K1|| + (n-1) d2 ||K2||)."""
     m, n = cfg.shape.m, cfg.shape.n
-    a, b, g, d = (abs(x) for x in cfg.gains.as_tuple())
-    D1, D2 = (1.0 / (1.0 - math.tanh(s) ** 2) for s in (cfg.sigmoids.s1, cfg.sigmoids.s2))
-    rho = 1.0 + abs(cfg.lam) * (D1 * (a + (m - 1) * g) + D2 * (n - 1) * (b + (m - 1) * d))
-    return float(RK4_RADIUS / rho)
+    alpha, beta, gamma, delta = cfg.gains.as_tuple()
+    a1, b1 = alpha - gamma, alpha + (m - 1) * gamma
+    a2, b2 = beta - delta, beta + (m - 1) * delta
+    d1, d2 = (0.5 / (1.0 - math.tanh(s) ** 2) for s in (cfg.sigmoids.s1, cfg.sigmoids.s2))
+    nus = (d1 * a1 - d2 * a2, d1 * b1 - d2 * b2,
+           d1 * a1 + (n - 1) * d2 * a2, d1 * b1 + (n - 1) * d2 * b2)
+    eps = abs(cfg.lam) * (d1 * max(abs(a1), abs(b1)) + (n - 1) * d2 * max(abs(a2), abs(b2)))
+    return tuple(-1.0 + cfg.lam * nu for nu in nus), eps
 
 
 def random_near_origin(shape: NetworkShape, radius: float, seed: int) -> np.ndarray:
@@ -246,7 +274,7 @@ def integrate(Z0, cfg: ModelConfig,
 
     return traj, EquilibriumResult(final=traj.final,
                                    converged=stop in ("tolerance", "newton"),
-                                   residual=residual, elapsed_time=t,
+                                   residual=residual, elapsed_time=t, n_steps=k,
                                    diverged=stop == "diverged", stop_reason=stop,
                                    spectral_abscissa=abscissa)
 

@@ -16,7 +16,7 @@ from indecision import (
     dissensus_intersection_basis,
     is_balanced,
 )
-from indecision.integrate import RECORD_STRIDE
+from indecision.integrate import RECORD_STRIDE, RK4_RADIUS
 
 # the known exotic 4x6 two-color pattern (columns: one complementary pair
 # once, another pair twice) and the generators of its symmetry group
@@ -294,6 +294,36 @@ def reference_field(cfg):
     return field
 
 
+def gershgorin_step(cfg):
+    """Row-sum step: RK4_RADIUS / rho with the Gershgorin bound
+    rho = 1 + |lam| (D1 (|alpha| + (m-1)|gamma|) + D2 (n-1) (|beta| + (m-1)|delta|))
+    on every absolute row sum of the Jacobian, Dk = 1 / (1 - tanh(sk)^2)
+    the largest slope of saturation k."""
+    m, n = cfg.shape.m, cfg.shape.n
+    a, b, g, d = (abs(x) for x in cfg.gains.as_tuple())
+    D1, D2 = (1.0 / (1.0 - math.tanh(s) ** 2) for s in (cfg.sigmoids.s1, cfg.sigmoids.s2))
+    rho = 1.0 + abs(cfg.lam) * (D1 * (a + (m - 1) * g) + D2 * (n - 1) * (b + (m - 1) * d))
+    return RK4_RADIUS / rho
+
+
+def uniform_slope_jacobian(cfg, d1, d2):
+    """The closed-form Jacobian of model.jacobian with every slope of
+    saturation 1 equal to d1 and every slope of saturation 2 equal to d2:
+
+    dF_ij/dz_kl = lam * ( d1 [j=l] (gamma + (alpha - gamma) [i=k])
+                          + d2 (1 - [j=l]) (delta + (beta - delta) [i=k]) )
+                  - [i=k][j=l]
+    """
+    m, n = cfg.shape.m, cfg.shape.n
+    a, b, g, d = cfg.gains.as_tuple()
+    same_row = np.eye(m)[:, None, :, None]
+    same_col = np.eye(n)[None, :, None, :]
+    J = cfg.lam * (d1 * same_col * (g + (a - g) * same_row)
+                   + d2 * (1.0 - same_col) * (d + (b - d) * same_row)) \
+        - same_row * same_col
+    return J.reshape(m * n, m * n)
+
+
 def reference_integrate(Z0, cfg, icfg):
     """Reference RK4 loop: Python-float step constants, a finiteness check
     on both k1 and Z, and a copy of every recorded state."""
@@ -338,6 +368,6 @@ def reference_integrate(Z0, cfg, icfg):
         k += 1
     stop = "diverged" if diverged else "tolerance" if converged else "t_max"
     return traj, EquilibriumResult(final=traj.final, converged=converged,
-                                   residual=residual, elapsed_time=t,
+                                   residual=residual, elapsed_time=t, n_steps=k,
                                    diverged=diverged, stop_reason=stop,
                                    spectral_abscissa=None)

@@ -423,6 +423,9 @@ def test_cli_rejects_empty_seed_range(monkeypatch):
     ["simulate", "--config", "t_max_short.json"],
     ["sweep", "--config", "t_max_short.json", "--lambda-list", "0.5,1.5"],
     ["simulate", "--config", "t_max_inf.json"],
+    ["classify", "one_row.csv"],
+    ["classify", "one_column.csv"],
+    ["classify", "empty.csv"],
 ])
 def test_cli_invalid_input_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     def no_integration(*args):
@@ -442,6 +445,9 @@ def test_cli_invalid_input_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     (tmp_path / "matrix.csv").write_text("1.0,2.0\n2.0,1.0\n")
     (tmp_path / "unbalanced.txt").write_text("0 1\n0 0\n")
     (tmp_path / "nan.csv").write_text("1.0,nan\n2.0,1.0\n")
+    (tmp_path / "one_row.csv").write_text("1,2,3\n")
+    (tmp_path / "one_column.csv").write_text("1\n2\n3\n")
+    (tmp_path / "empty.csv").write_text("")
     (tmp_path / "inf_trajectory.csv").write_text(
         "t,z_1_1,z_1_2,z_2_1,z_2_2\n0,1,2,2,1\n0.05,inf,-inf,2,1\n")
     with pytest.raises(SystemExit) as exc:
@@ -459,6 +465,23 @@ def test_cli_sweep(tmp_path, capsys):
     csv_text = (out / "cli-mini_sweep.csv").read_text()
     assert csv_text.splitlines()[0].startswith("lambda,")
     assert len(csv_text.splitlines()) == 3
+
+
+def test_cli_sweep_prints_every_nonzero_class(capsys):
+    rv = cli_main(["sweep", "--scenario", "consensus-4x6", "--seeds", "0,1",
+                   "--lambda-list", "0.9,1.1"])
+    assert rv == 0
+    below, above = capsys.readouterr().out.splitlines()
+    assert "FullySynchronous=1.00" in below and "Consensus" not in below
+    assert "Consensus=1.00" in above and "Dissensus" not in above
+
+
+def test_run_report_counts_rk4_steps(tmp_path):
+    sc = fast_consensus_2x2(seeds=(0,))
+    run_scenario(sc, out_dir=str(tmp_path))
+    payload = json.loads((tmp_path / "mini-consensus-2x2_seed0.json").read_text())
+    assert payload["n_steps"] > 0
+    assert payload["n_steps"] == round(payload["elapsed_time"] / sc.integrator_config().step)
 
 
 def test_cli_catalog(tmp_path, capsys):

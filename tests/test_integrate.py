@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from helpers import reference_integrate
+from helpers import gershgorin_step, reference_integrate, uniform_slope_jacobian
 from indecision import (
     BUILTIN_SCENARIOS,
     RK4_RADIUS,
@@ -22,6 +24,7 @@ from indecision import (
     stable_step,
     trajectory_to_csv,
 )
+from indecision.integrate import _centre_spectrum
 
 
 def stable_config(shape=NetworkShape(3, 4)):
@@ -182,6 +185,20 @@ def test_unstable_equilibrium_is_not_convergence():
         assert res.spectral_abscissa == np.linalg.eigvals(jacobian(res.final, cfg)).real.max()
 
 
+@pytest.mark.parametrize("stop,lam,step,radius,t_max", [
+    # at lam = 0 the field is -Z: a start with residual over sqrt(tol)
+    # falls below tol in the ten steps to the next sample
+    ("tolerance", 0.0, 1.3, 4e-5, 100.0),
+    ("t_max", 0.5, 0.01, 1e-2, 5.0)])
+def test_n_steps_counts_the_rk4_steps(stop, lam, step, radius, t_max):
+    cfg = dataclasses.replace(stable_config(), lam=lam)
+    _, res = integrate(random_near_origin(cfg.shape, radius, 0), cfg,
+                       IntegratorConfig(step=step, t_max=t_max))
+    assert res.stop_reason == stop
+    assert res.n_steps > 0
+    assert res.n_steps == round(res.elapsed_time / step)
+
+
 def test_integrate_reports_divergence():
     cfg = stable_config()
     Z0 = np.zeros((3, 4))
@@ -200,8 +217,9 @@ def assert_same_run(got, want):
     for A, B in zip(traj.states, ref_traj.states):
         assert np.array_equal(A, B, equal_nan=True)
     assert np.array_equal(res.final, ref_res.final, equal_nan=True)
-    assert (res.residual, res.elapsed_time, res.converged, res.diverged) == \
-        (ref_res.residual, ref_res.elapsed_time, ref_res.converged, ref_res.diverged)
+    assert (res.residual, res.elapsed_time, res.n_steps, res.converged, res.diverged) == \
+        (ref_res.residual, ref_res.elapsed_time, ref_res.n_steps, ref_res.converged,
+         ref_res.diverged)
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
@@ -323,18 +341,42 @@ def test_rk4_stability_region_holds_the_left_half_disk():
     assert np.abs(1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24).max() > 1
 
 
+def centre_slopes(cfg):
+    # the centres of the slope ranges (0, 1 / (1 - tanh(sk)^2)]
+    return [0.5 / (1.0 - np.tanh(s) ** 2) for s in (cfg.sigmoids.s1, cfg.sigmoids.s2)]
+
+
 def assert_bounded_spectrum(Z, cfg, rho):
-    # spectral radius <= largest absolute row sum (Gershgorin) <= rho
+    # Bauer-Fike: J(Z) is within eps of the symmetric centre Jacobian in the
+    # 2-norm, so every eigenvalue lies within eps of a centre eigenvalue, and
+    # the spectral radius is <= max |centre| + eps = rho
+    centres, eps = _centre_spectrum(cfg)
     J = jacobian(Z, cfg)
-    assert np.abs(np.linalg.eigvals(J)).max() <= np.abs(J).sum(axis=1).max() <= rho
+    assert np.linalg.norm(J - uniform_slope_jacobian(cfg, *centre_slopes(cfg)), 2) <= eps
+    eigs = np.linalg.eigvals(J)
+    assert np.abs(eigs[:, None] - np.array(centres)).min(axis=1).max() <= eps
+    assert np.abs(eigs).max() <= rho
+
+
+def random_configs(rng, count):
+    # random gains, offsets, shapes and lambda of either sign
+    for _ in range(count):
+        shape = NetworkShape(int(rng.integers(2, 8)), int(rng.integers(2, 8)))
+        s1, s2 = (float(x) for x in rng.uniform(0.05, 1.5, 2) * rng.choice([-1, 1], 2))
+        yield ModelConfig(shape=shape, gains=GainParams(*rng.normal(0.0, 1.0, 4)),
+                          sigmoids=SigmoidParams(s1, s2), lam=float(rng.uniform(-2.0, 2.0)))
+
+
+def step_test_configs(rng):
+    sc = get_scenario("consensus-4x6")
+    configs = [get_scenario(name).model_config() for name in sorted(BUILTIN_SCENARIOS)]
+    configs += [sc.model_config(lam) for lam in SWEEP_LAMBDAS] + [stable_config()]
+    return configs + list(random_configs(rng, 40))
 
 
 def test_step_bound_covers_the_spectrum_at_random_states():
     rng = np.random.default_rng(3)
-    sc = get_scenario("consensus-4x6")
-    configs = [get_scenario(name).model_config() for name in sorted(BUILTIN_SCENARIOS)]
-    configs += [sc.model_config(lam) for lam in SWEEP_LAMBDAS] + [stable_config()]
-    for cfg in configs:
+    for cfg in step_test_configs(np.random.default_rng(13)):
         rho = RK4_RADIUS / stable_step(cfg)
         for scale in (1e-3, 0.3, 1.0, 3.0):
             Z = rng.uniform(-scale, scale, size=(cfg.shape.m, cfg.shape.n))
@@ -351,6 +393,26 @@ def test_step_bound_covers_the_spectrum_along_a_scenario_run(name):
     assert res.converged
     for Z in traj.states:
         assert_bounded_spectrum(Z, cfg, rho)
+
+
+def test_centre_eigenvalues_are_the_uniform_slope_spectrum():
+    # the helper's formula is model.jacobian's: at the origin every slope is 1
+    cfg = stable_config()
+    assert np.allclose(uniform_slope_jacobian(cfg, 1.0, 1.0),
+                       jacobian(np.zeros((3, 4)), cfg), rtol=0, atol=1e-15)
+    for cfg in step_test_configs(np.random.default_rng(11)):
+        m, n = cfg.shape.m, cfg.shape.n
+        Jc = uniform_slope_jacobian(cfg, *centre_slopes(cfg))
+        assert np.allclose(Jc, Jc.T, rtol=0, atol=1e-14)
+        centres, _ = _centre_spectrum(cfg)
+        mults = ((m - 1) * (n - 1), n - 1, m - 1, 1)
+        want = sorted(mu for mu, k in zip(centres, mults) for _ in range(k))
+        assert np.allclose(np.linalg.eigvalsh(Jc), want, rtol=0, atol=1e-12)
+
+
+def test_stable_step_is_never_below_the_gershgorin_step():
+    for cfg in step_test_configs(np.random.default_rng(12)):
+        assert stable_step(cfg) >= gershgorin_step(cfg)
 
 
 def test_integrator_config_takes_the_derived_step():
