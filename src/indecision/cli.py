@@ -131,16 +131,23 @@ def _cmd_catalog(args) -> int:
 
 def _read_matrix(path) -> np.ndarray:
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if lines and lines[0].startswith("t,"):
+        lines = [(k, ln.strip()) for k, ln in enumerate(fh, 1) if ln.strip()]
+    if lines and lines[0][1].startswith("t,"):
         # trajectory file: infer the shape from the header, use the last sample
-        last_label = lines[0].split(",")[-1]          # "z_m_n"
+        if len(lines) == 1:
+            raise ValueError(f"trajectory file {path} has a header but no samples")
+        last_label = lines[0][1].split(",")[-1]       # "z_m_n"
         _, m, n = last_label.split("_")
-        vals = [float(x) for x in lines[-1].split(",")][1:]
+        vals = [float(x) for x in lines[-1][1].split(",")][1:]
         return np.array(vals).reshape(int(m), int(n))
     if not lines:
         return np.zeros((0, 0))
-    return np.array([[float(x) for x in ln.split(",")] for ln in lines])
+    rows = [[float(x) for x in ln.split(",")] for _, ln in lines]
+    for (k, _), row in zip(lines, rows):
+        if len(row) != len(rows[0]):
+            raise ValueError(f"{path}: line {k} has {len(row)} values, "
+                             f"line {lines[0][0]} has {len(rows[0])}")
+    return np.array(rows)
 
 
 def _cmd_classify(args) -> int:

@@ -44,7 +44,6 @@ from math import comb, factorial
 
 import numpy as np
 
-from .integrate import fd_jacobian
 from .patterns import Coloring
 
 __all__ = [
@@ -108,15 +107,9 @@ def _input_signatures(c: Coloring):
     diagonal inputs (own cell excluded from row/column, included back in the
     complement count)."""
     m, n, K = c.m, c.n, c.num_colors
-    rowcnt = [[0] * K for _ in range(m)]
-    colcnt = [[0] * K for _ in range(n)]
-    total = [0] * K
-    for i in range(m):
-        for j in range(n):
-            col = c.cells[i][j]
-            rowcnt[i][col] += 1
-            colcnt[j][col] += 1
-            total[col] += 1
+    counts = _sum_constraints(c)
+    rowcnt, colcnt = counts[:m], counts[m:]
+    total = [sum(col) for col in zip(*rowcnt)]
     sigs = {}
     for i in range(m):
         for j in range(n):
@@ -230,14 +223,8 @@ def tiling_decomposition(c: Coloring) -> RectangleTiling:
 
     row_sets = set(rows_of.values())
     col_sets = set(cols_of.values())
-    for a, b in combinations(row_sets, 2):
-        if a & b:
-            fail()
-    for a, b in combinations(col_sets, 2):
-        if a & b:
-            fail()
-
-    # every cell's color must live exactly on (row group of i) x (col group of j)
+    # every cell's color must live exactly on (row group of i) x (col group of j),
+    # which also fails when two row (or column) groups overlap
     row_group_of = {}
     for rs in row_sets:
         for i in rs:
@@ -432,15 +419,18 @@ def canonical_form(c: Coloring) -> Coloring:
 # ---------------------------------------------------------------------------
 
 def _two_color_latin_masks(p: int, q: int) -> np.ndarray:
-    """All p x q 0/1 arrays with constant row sums and constant column sums,
-    both symbols present, as an (N, q) int64 array of column masks (a column
-    read top-down is a p-bit integer, row 0 the most significant bit).
+    """The p x q 0/1 arrays with constant row sums and constant column sums,
+    both symbols present, and columns non-increasing from left to right, as
+    an (N, q) int64 array of column masks (a column read top-down is a
+    p-bit integer, row 0 the most significant bit).  Every such array is a
+    column permutation of exactly one of these.
 
     Rows are added one at a time, each row ranging over
     combinations(range(q), a) with row 0 varying slowest.  A partial array
-    is kept while every column count c satisfies b - rows_left <= c <= b;
-    with equal row sums every such partial array completes (Gale-Ryser), and
-    its last row is forced: b - counts."""
+    is kept while every column count c satisfies b - rows_left <= c <= b
+    and its partial column masks are non-increasing; at the last row the
+    bound forces c == b, so a partial array that cannot complete dies
+    there."""
     out = [np.zeros((0, q), dtype=np.int64)]
     for a in range(1, q):
         b, rem = divmod(a * p, q)
@@ -452,13 +442,13 @@ def _two_color_latin_masks(p: int, q: int) -> np.ndarray:
         np.put_along_axis(choices, picked, 1, axis=1)
         masks = np.zeros((1, q), dtype=np.int64)
         counts = np.zeros((1, q), dtype=np.int8)
-        for rows_left in range(p - 1, 0, -1):
+        for rows_left in range(p - 1, -1, -1):
             grown = counts[:, None] + choices     # (kept, choices, q) column counts
-            keep = ((grown >= b - rows_left) & (grown <= b)).all(axis=2)
-            kept, choice = np.nonzero(keep)       # row-major: earlier rows vary slowest
-            masks = (masks[kept] << 1) | choices[choice]
-            counts = grown[keep]
-        out.append((masks << 1) | (b - counts))
+            moved = (masks[:, None] << 1) | choices   # (kept, choices, q) column masks
+            keep = (((grown >= b - rows_left) & (grown <= b)).all(axis=2)
+                    & (moved[..., :-1] >= moved[..., 1:]).all(axis=2))
+            masks, counts = moved[keep], grown[keep]   # row-major: earlier rows vary slowest
+        out.append(masks)
     return np.concatenate(out)
 
 
@@ -466,7 +456,9 @@ def _two_color_latin_reps(p: int, q: int):
     """One two-color Latin indicator per class under row permutations,
     column permutations and symbol swap: the first array of
     _two_color_latin_masks in each class, in ascending key order, as a
-    tuple of row tuples.
+    tuple of row tuples.  The masks hold one array per class under column
+    permutations, the one with columns in descending order, which is also
+    the first of that class in the order rows are chosen.
 
     The key of an array is its sorted column masks, minimized over the p!
     row permutations and the complement; when p > q the transposed array is
@@ -476,11 +468,6 @@ def _two_color_latin_reps(p: int, q: int):
     tuples of columns like their packed values, so the keys order the
     classes as the sorted column tuples would."""
     masks = _two_color_latin_masks(p, q)
-    # arrays with equal sorted columns are conjugate by a column permutation;
-    # keeping the first of each in mask order keeps every class's first array
-    packed = np.sort(masks, axis=1) @ (1 << (p * np.arange(q - 1, -1, -1, dtype=np.int64)))
-    _, first = np.unique(packed, return_index=True)
-    masks = masks[np.sort(first)]
     grids = (masks[:, None, :] >> (p - 1 - np.arange(p))[:, None]) & 1
     keyed, rows = masks, p
     if p > q:
@@ -827,6 +814,14 @@ class StablePolynomialMap:
             acc = acc * Z + float(coef)
         return acc
 
+    def slope(self, Z: np.ndarray) -> np.ndarray:
+        """f'(Z) cellwise in floating point: the Jacobian of `field` at Z is
+        diagonal, with these entries in row-major order."""
+        acc = np.zeros_like(Z, dtype=float)
+        for k in range(len(self.coeffs) - 1, 0, -1):
+            acc = acc * Z + float(k * self.coeffs[k])
+        return acc
+
     def eval_exact(self, x: Fraction) -> Fraction:
         acc = Fraction(0)
         for coef in reversed(self.coeffs):
@@ -885,9 +880,6 @@ def _hermite_double_nodes(levels: list[Fraction]) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
-SYNTHESIS_FD_STEP = 1e-3  # central-difference step of the synthesis eigenvalue check
-
-
 def synthesize_stable_admissible(c: Coloring, y) -> tuple[StablePolynomialMap, SynthesisReport]:
     """Build an admissible map with a linearly stable equilibrium exactly at
     the state y, whose synchrony pattern is the coloring c.
@@ -896,10 +888,9 @@ def synthesize_stable_admissible(c: Coloring, y) -> tuple[StablePolynomialMap, S
     color.  One polynomial f interpolates f(v) = 0, f'(v) = -1 at each of
     the distinct levels; the induced map acts cellwise, so the Jacobian at
     y is exactly minus the identity.  The report carries float-level
-    residuals and a finite-difference eigenvalue check (Richardson-refined
-    central differences at SYNTHESIS_FD_STEP and half of it, which keeps
-    the verifier's own truncation error well below the interpolant's
-    exactness).
+    residuals and the Jacobian's eigenvalues: each node's map reads only
+    its own value, so the Jacobian at y is diag(f'(y_ij)), and its
+    eigenvalues are f' evaluated in floating point at every cell.
     """
     if not is_balanced(c):
         raise ValueError("coloring must be balanced")
@@ -927,10 +918,7 @@ def synthesize_stable_admissible(c: Coloring, y) -> tuple[StablePolynomialMap, S
     exact_slopes = all(fmap.derivative_exact(v) == -1 for v in levels)
     Zf = np.array([[float(v) for v in row] for row in y_arr])
     residual = float(np.abs(fmap.field(Zf)).max())
-    J_h = fd_jacobian(fmap.field, Zf, SYNTHESIS_FD_STEP)
-    J_h2 = fd_jacobian(fmap.field, Zf, SYNTHESIS_FD_STEP / 2.0)
-    J = (4.0 * J_h2 - J_h) / 3.0
-    eigs = np.linalg.eigvals(J)
+    eigs = fmap.slope(Zf).ravel()
     dev = float(np.abs(eigs + 1.0).max())
     report = SynthesisReport(residual_max=residual,
                              jacobian_eigenvalues=[complex(v) for v in eigs],

@@ -90,6 +90,8 @@ class Scenario:
             raise ValueError("epsilon must be >= 0")
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be >= 0, got {min(self.seeds)}")
         if self.quantize_tol <= 0:
             raise ValueError("quantize_tol must be > 0")
         if self.radius <= 0:

@@ -61,7 +61,6 @@ __all__ = [
     "EquilibriumResult",
     "random_near_origin",
     "integrate",
-    "fd_jacobian",
     "numerical_jacobian",
     "trajectory_to_csv",
 ]
@@ -369,14 +368,16 @@ def _gmres(A, b: np.ndarray):
     return x
 
 
-def fd_jacobian(f, Z: np.ndarray, h_fd: float) -> np.ndarray:
-    """Central-difference Jacobian of a state-to-state map, cells row-major."""
+def numerical_jacobian(Z, cfg: ModelConfig, h_fd: float) -> np.ndarray:
+    """Central-difference Jacobian of the model field at Z (mn x mn,
+    row-major cell order)."""
     if h_fd <= 0:
         raise ValueError("h_fd must be positive")
+    Z = as_state(Z, cfg.shape)
+    f = _compiled_field(cfg)
     m, n = Z.shape
-    N = m * n
-    J = np.empty((N, N))
-    for k in range(N):
+    J = np.empty((m * n, m * n))
+    for k in range(m * n):
         E = np.zeros((m, n))
         E[divmod(k, n)] = h_fd
         col = (f(Z + E) - f(Z - E)) / (2.0 * h_fd)
@@ -384,13 +385,6 @@ def fd_jacobian(f, Z: np.ndarray, h_fd: float) -> np.ndarray:
             raise ValueError("non-finite entries in finite-difference column")
         J[:, k] = col.ravel()
     return J
-
-
-def numerical_jacobian(Z, cfg: ModelConfig, h_fd: float) -> np.ndarray:
-    """Finite-difference Jacobian of the model field at Z (mn x mn,
-    row-major cell order)."""
-    Z = as_state(Z, cfg.shape)
-    return fd_jacobian(_compiled_field(cfg), Z, h_fd)
 
 
 def trajectory_to_csv(traj: Trajectory, path):

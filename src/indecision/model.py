@@ -34,6 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -65,6 +66,10 @@ class NetworkShape:
     n: int
 
     def __post_init__(self):
+        for name in ("m", "n"):
+            size = getattr(self, name)
+            if not isinstance(size, Integral) or isinstance(size, bool):
+                raise ValueError(f"shape {name} must be an integer, got {size!r}")
         if self.m < 2 or self.n < 2:
             raise ValueError(f"need m, n >= 2, got {self.m}x{self.n}")
 

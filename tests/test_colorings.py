@@ -392,14 +392,26 @@ def test_two_color_latin_reps_match_reference_key():
 
 
 def test_two_color_latin_masks_match_reference_dfs():
-    # the row-by-row mask builder yields exactly the reference DFS grids, in
-    # the same order (representatives are the first grid of each class)
+    # the row-by-row mask builder yields exactly the reference DFS grids
+    # whose columns are non-increasing from left to right, in the same order
+    # (representatives are the first grid of each class)
     for p in range(2, 13):
         for q in range(2, 24 // p + 1):
             masks = colorings._two_color_latin_masks(p, q)
             grids = [tuple(tuple((int(col) >> (p - 1 - i)) & 1 for col in row)
                            for i in range(p)) for row in masks]
-            assert grids == two_color_latin_indicators(p, q), (p, q)
+            column_sorted = [g for g in two_color_latin_indicators(p, q)
+                             if list(zip(*g)) == sorted(zip(*g), reverse=True)]
+            assert grids == column_sorted, (p, q)
+
+
+def test_two_color_latin_masks_differ_by_more_than_column_order():
+    # no two masks of one shape under the cell guard are column permutations
+    # of each other
+    for p in range(2, colorings.MAX_AXIAL_CELLS // 2 + 1):
+        for q in range(2, colorings.MAX_AXIAL_CELLS // p + 1):
+            masks = colorings._two_color_latin_masks(p, q)
+            assert len(np.unique(np.sort(masks, axis=1), axis=0)) == len(masks), (p, q)
 
 
 def test_catalog_entries_are_pairwise_nonconjugate():
@@ -418,6 +430,7 @@ def test_catalog_entries_are_pairwise_nonconjugate():
     (5, 6, "3fc2b56647990bc53ac6246a357db15a80ea6d11b835ceea6bfe6f0644092469"),
     (4, 8, "f73b79658a223376170a8cfb488a2422e77c30e9bd4dd2e3a1ef51779b18e76c"),
     (6, 6, "6fcd48ccb49ed5bbb691002813397825875b2c296b083858132ba81006e8049f"),
+    (4, 10, "2965ca71052a9877c1a8a0ab86d93ce2b5ffba8cb1be00d893a51b3cf8eff6c5"),
 ])
 def test_catalog_export_is_pinned(m, n, digest):
     # SHA-256 of the exported catalog: entry order, colorings, rho, splits

@@ -64,7 +64,7 @@ def test_unknown_scenario():
     {"seeds": ()}, {"quantize_tol": 0.0}, {"radius": 0.0}, {"epsilon": True},
     {"epsilon": -0.01}, {"radius": None}, {"seeds": (True, False)}, {"t_max": 0.0},
     {"t_max": True}, {"coefficients": CriticalCoefficients(True, 1.0, -1.0, -1.0)},
-    {"sigmoids": SigmoidParams(0.5, True)},
+    {"sigmoids": SigmoidParams(0.5, True)}, {"seeds": (0, -1)},
 ])
 def test_scenario_rejects_invalid_fields(bad):
     with pytest.raises(ValueError):
@@ -426,6 +426,10 @@ def test_cli_rejects_empty_seed_range(monkeypatch):
     ["classify", "one_row.csv"],
     ["classify", "one_column.csv"],
     ["classify", "empty.csv"],
+    ["simulate", "--config", "shape_float.json"],
+    ["simulate", "--config", "shape_whole_floats.json"],
+    ["simulate", "--config", "seeds_negative.json"],
+    ["simulate", "--scenario", "consensus-4x6", "--seeds=-1"],
 ])
 def test_cli_invalid_input_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     def no_integration(*args):
@@ -439,7 +443,10 @@ def test_cli_invalid_input_is_usage_error(tmp_path, monkeypatch, capsys, argv):
                              ("shape_4", "shape", [4]), ("seeds_half", "seeds", [0.5]),
                              ("t_max_true", "integrator", {"t_max": True}),
                              ("t_max_short", "integrator", {"t_max": 0.01}),
-                             ("t_max_inf", "integrator", {"t_max": float("inf")})]:
+                             ("t_max_inf", "integrator", {"t_max": float("inf")}),
+                             ("shape_float", "shape", [4, 6.5]),
+                             ("shape_whole_floats", "shape", [4.0, 6.0]),
+                             ("seeds_negative", "seeds", [-1])]:
         (tmp_path / f"{name}.json").write_text(json.dumps({**mini, key: value}))
     (tmp_path / "list.json").write_text("[1]")
     (tmp_path / "matrix.csv").write_text("1.0,2.0\n2.0,1.0\n")
@@ -454,6 +461,20 @@ def test_cli_invalid_input_is_usage_error(tmp_path, monkeypatch, capsys, argv):
         cli_main(argv)
     assert exc.value.code == 2
     assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1,2\n\n3\n", "line 3 has 1 values, line 1 has 2"),
+    ("t,z_1_1,z_1_2,z_2_1,z_2_2\n", "has a header but no samples"),
+])
+def test_cli_classify_names_what_is_wrong_with_the_file(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["classify", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and message in err
 
 
 def test_cli_sweep(tmp_path, capsys):

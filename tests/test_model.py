@@ -45,6 +45,13 @@ def saturation(s, x):
     return float(vector_field(np.full((2, 2), x), cfg)[0, 0]) + x
 
 
+def test_network_shape_rejects_non_integer_sizes_by_name():
+    for m, n, name in [(4, 6.0, "n"), (4.0, 6, "m"), (4, 6.5, "n"), (True, 3, "m"), (3, "4", "n")]:
+        with pytest.raises(ValueError, match=f"shape {name} must be an integer"):
+            NetworkShape(m, n)
+    assert NetworkShape(np.int64(4), 6).cells == 24
+
+
 def test_sigmoid_zero_at_origin():
     assert saturation(0.5, 0.0) == 0.0
     assert saturation(-0.3, 0.0) == 0.0
