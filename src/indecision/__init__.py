@@ -15,7 +15,7 @@ from .model import (
 )
 from .integrate import (
     IntegratorConfig, RK4_RADIUS, Trajectory, EquilibriumResult,
-    stable_step, random_near_origin, integrate, numerical_jacobian,
+    stable_step, random_near_origin, integrate, integrate_batch, numerical_jacobian,
     trajectory_to_csv,
 )
 from .patterns import (

@@ -425,30 +425,36 @@ def _two_color_latin_masks(p: int, q: int) -> np.ndarray:
     p-bit integer, row 0 the most significant bit).  Every such array is a
     column permutation of exactly one of these.
 
-    Rows are added one at a time, each row ranging over
-    combinations(range(q), a) with row 0 varying slowest.  A partial array
-    is kept while every column count c satisfies b - rows_left <= c <= b
-    and its partial column masks are non-increasing; at the last row the
-    bound forces c == b, so a partial array that cannot complete dies
-    there."""
+    With a ones per row and b per column, row 0 is a ones then zeros: the
+    only row whose columns are non-increasing.  The middle rows are added
+    one at a time, each ranging over combinations(range(q), a) with earlier
+    rows varying slowest.  A partial array is kept while every column count
+    c satisfies b - rows_left <= c <= b and its partial column masks are
+    non-increasing.  The last row is then forced to b - c, and the array is
+    kept when that row is 0/1 and its columns are non-increasing."""
     out = [np.zeros((0, q), dtype=np.int64)]
     for a in range(1, q):
         b, rem = divmod(a * p, q)
         if rem:
             continue
-        picked = np.fromiter(chain.from_iterable(combinations(range(q), a)),
-                             np.intp, comb(q, a) * a).reshape(-1, a)
-        choices = np.zeros((len(picked), q), dtype=np.int8)   # one 0/1 row per combination
-        np.put_along_axis(choices, picked, 1, axis=1)
-        masks = np.zeros((1, q), dtype=np.int64)
-        counts = np.zeros((1, q), dtype=np.int8)
-        for rows_left in range(p - 1, -1, -1):
-            grown = counts[:, None] + choices     # (kept, choices, q) column counts
-            moved = (masks[:, None] << 1) | choices   # (kept, choices, q) column masks
-            keep = (((grown >= b - rows_left) & (grown <= b)).all(axis=2)
-                    & (moved[..., :-1] >= moved[..., 1:]).all(axis=2))
-            masks, counts = moved[keep], grown[keep]   # row-major: earlier rows vary slowest
-        out.append(masks)
+        counts = np.array([[1] * a + [0] * (q - a)], dtype=np.int8)
+        masks = counts.astype(np.int64)
+        if p > 2:
+            picked = np.fromiter(chain.from_iterable(combinations(range(q), a)),
+                                 np.intp, comb(q, a) * a).reshape(-1, a)
+            choices = np.zeros((len(picked), q), dtype=np.int8)   # one 0/1 row per combination
+            np.put_along_axis(choices, picked, 1, axis=1)
+            for rows_left in range(p - 2, 0, -1):
+                grown = counts[:, None] + choices     # (kept, choices, q) column counts
+                moved = (masks[:, None] << 1) | choices   # (kept, choices, q) column masks
+                keep = (((grown >= b - rows_left) & (grown <= b)).all(axis=2)
+                        & (moved[..., :-1] >= moved[..., 1:]).all(axis=2))
+                masks, counts = moved[keep], grown[keep]   # row-major: earlier rows vary slowest
+        last = b - counts
+        masks = (masks << 1) | last
+        keep = (((last >= 0) & (last <= 1)).all(axis=1)
+                & (masks[:, :-1] >= masks[:, 1:]).all(axis=1))
+        out.append(masks[keep])
     return np.concatenate(out)
 
 

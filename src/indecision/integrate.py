@@ -37,9 +37,17 @@ and every other update is elementwise, integrating a permuted initial state
 yields the permuted trajectory and final bitwise, and a start inside a
 synchrony subspace stays in it bitwise, through the Newton finish too.
 
+Batches.  integrate_batch runs the starts of one config together: they
+share the step and t, each RK4 stage evaluates the field of the whole stack
+in one call, and a start leaves the stack when it stops.  The field of a
+stack is the field of each of its states (the sums are per state, the rest
+is elementwise), so a start's trajectory and result are the same, bitwise,
+whatever batch it runs in and in whatever order; integrate is the batch of
+one.
+
 Divergence (a non-finite state, or one too large for the field's sums) is
 reported in the result, not raised, so parameter sweeps survive unstable
-regions.
+regions; in a batch it ends only the starts it occurs in.
 """
 
 from __future__ import annotations
@@ -61,6 +69,7 @@ __all__ = [
     "EquilibriumResult",
     "random_near_origin",
     "integrate",
+    "integrate_batch",
     "numerical_jacobian",
     "trajectory_to_csv",
 ]
@@ -200,15 +209,31 @@ def integrate(Z0, cfg: ModelConfig,
     never raised, so sweeps survive unstable parameter regions.  When a
     field evaluation cannot be summed (math.fsum overflows, or meets +inf
     and -inf in one column), the run is reported diverged at the current t
-    with the state the step started from."""
-    Z = np.array(Z0, dtype=float)
-    if Z.shape != (cfg.shape.m, cfg.shape.n):
-        raise ValueError(f"state shape {Z.shape} does not match network "
-                         f"{cfg.shape.m}x{cfg.shape.n}")
+    with the state the step started from.
+
+    This is integrate_batch on a batch of one."""
+    return integrate_batch([Z0], cfg, icfg)[0]
+
+
+def integrate_batch(Z0s, cfg: ModelConfig,
+                    icfg: IntegratorConfig) -> list[tuple[Trajectory, EquilibriumResult]]:
+    """integrate for every start of Z0s (a sequence of m x n states), in
+    one RK4 loop: (trajectory, result) per start, in the order of Z0s.
+
+    The members share the step and t.  Each RK4 stage evaluates the field
+    of the whole (B, m, n) stack in one call, and the update is elementwise,
+    so every member's trajectory and result are bitwise those of integrate
+    on its start alone.  Sampling, the stability gate, the Newton finish and
+    the stop are per member, and a member that stops leaves the stack.  When
+    a stage cannot be summed, the step is evaluated for each member alone:
+    the members whose sums raise end diverged, the others go on."""
+    Z = np.array(Z0s, dtype=float)
+    m, n = cfg.shape.m, cfg.shape.n
+    if Z.ndim != 3 or Z.shape[1:] != (m, n):
+        raise ValueError(f"state shape {Z.shape[1:]} does not match network {m}x{n}")
     f = _compiled_field(cfg)
     h = icfg.step
     tol = icfg.equilibrium_tol
-    newton_tol = math.sqrt(tol)
     stride = RECORD_STRIDE
     nstep = int(round(icfg.t_max / h))
     # 0-d arrays multiply an array faster than Python floats, with the same
@@ -216,66 +241,137 @@ def integrate(Z0, cfg: ModelConfig,
     half_h, full_h, sixth_h = np.array(0.5 * h), np.array(h), np.array(h / 6.0)
     two = np.array(2.0)
 
-    # states are rebound every step and never mutated, so the trajectory
-    # keeps them without copies
-    traj = Trajectory()
-    t = 0.0
-    stop = "t_max"
-    residual = float("inf")
-    abscissa = None
-    last_try = float("inf")
+    def stages(Z, k1):
+        # Z + h/6 (k1 + 2 k2 + 2 k3 + k4) with the same IEEE operations,
+        # reordered only where they commute, in place on the stages
+        k2 = half_h * k1
+        k2 += Z
+        k2 = f(k2)
+        k3 = half_h * k2
+        k3 += Z
+        k3 = f(k3)
+        k4 = full_h * k3
+        k4 += Z
+        k4 = f(k4)
+        k2 *= two
+        k2 += k1
+        k3 *= two
+        k2 += k3
+        k2 += k4
+        k2 *= sixth_h
+        k2 += Z
+        return k2
 
+    members = [_Member() for _ in Z]
+    live = members          # live[i] is the member whose state is Z[i]
+    t = 0.0
     k = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            while True:
+        while live:
+            try:
                 k1 = f(Z)
-                # a non-finite Z gives a non-finite k1 through the -Z term
-                if not np.isfinite(k1).all():
-                    stop = "diverged"
-                    break
-                last = k >= nstep
-                if last or k % stride == 0:
-                    traj.append(t, Z)
-                    residual = float(np.abs(k1).max())
-                    if residual > newton_tol:
-                        last_try = float("inf")
-                    elif last or residual <= 0.5 * last_try:
-                        last_try = residual
-                        abscissa = _spectral_abscissa(jacobian(Z, cfg))
-                        if abscissa < 0.0:
-                            if residual <= tol:
-                                stop = "tolerance"
-                                break
-                            finish = _newton_finish(Z, k1, cfg, tol)
-                            if finish is not None:
-                                traj.states[-1], residual, abscissa = finish
-                                stop = "newton"
-                                break
-                    if last:
-                        break
-                k2 = f(Z + half_h * k1)
-                k3 = f(Z + half_h * k2)
-                k4 = f(Z + full_h * k3)
-                Z = Z + sixth_h * (k1 + two * k2 + two * k3 + k4)
-                t += h
-                k += 1
-        except (OverflowError, ValueError):
-            # raised by math.fsum inside a field evaluation
-            stop = "diverged"
-    if stop == "diverged":
-        residual = float("inf")
-        abscissa = None
-        if not traj.times or traj.times[-1] != t:
-            traj.append(t, Z)
-    elif stop == "t_max":
-        abscissa = _spectral_abscissa(jacobian(traj.final, cfg))
+            except (OverflowError, ValueError):
+                # raised by math.fsum for some member
+                keep, k1 = _each(f, Z)
+                live, Z = _diverge(live, keep, Z, t, k), Z[keep]
+            # a non-finite Z gives a non-finite k1 through the -Z term; a
+            # non-finite entry makes k1 . k1 non-finite
+            if not math.isfinite(np.vdot(k1, k1)) and not np.isfinite(k1).all():
+                keep = np.isfinite(k1).all(axis=(1, 2))
+                live, Z, k1 = _diverge(live, keep, Z, t, k), Z[keep], k1[keep]
+            last = k >= nstep
+            if last or k % stride == 0:
+                residuals = np.abs(k1).max(axis=(1, 2)).tolist()
+                keep = [not member.sample(t, k, Zi, Fi, residual, last, cfg, tol)
+                        for member, Zi, Fi, residual in zip(live, Z, k1, residuals)]
+                if not all(keep):
+                    live = [member for member, kept in zip(live, keep) if kept]
+                    Z, k1 = Z[keep], k1[keep]
+            if not live:
+                break
+            try:
+                Z = stages(Z, k1)
+            except (OverflowError, ValueError):
+                keep, stepped = _each(stages, Z, k1)
+                live, Z = _diverge(live, keep, Z, t, k), stepped
+            t += h
+            k += 1
+    return [member.run for member in members]
 
-    return traj, EquilibriumResult(final=traj.final,
-                                   converged=stop in ("tolerance", "newton"),
-                                   residual=residual, elapsed_time=t, n_steps=k,
-                                   diverged=stop == "diverged", stop_reason=stop,
-                                   spectral_abscissa=abscissa)
+
+@dataclass
+class _Member:
+    """One start of integrate_batch: its trajectory, the residual and
+    spectral abscissa of its last sample, the residual of its last
+    stability try, and its (trajectory, result) once it has stopped."""
+
+    traj: Trajectory = field(default_factory=Trajectory)
+    residual: float = math.inf
+    abscissa: float | None = None
+    last_try: float = math.inf
+    run: tuple[Trajectory, EquilibriumResult] | None = None
+
+    def sample(self, t, k, Z, FZ, residual, last, cfg, tol) -> bool:
+        """Record the sample (t, Z), whose field FZ has max-norm residual,
+        and try the stability gate and the Newton finish where integrate
+        says; True when the member stopped here."""
+        self.traj.append(t, Z.copy())
+        self.residual = residual
+        stop = "t_max" if last else None
+        if residual > math.sqrt(tol):
+            self.last_try = math.inf
+        elif last or residual <= 0.5 * self.last_try:
+            self.last_try = residual
+            self.abscissa = _spectral_abscissa(jacobian(Z, cfg))
+            if self.abscissa < 0.0:
+                if residual <= tol:
+                    stop = "tolerance"
+                else:
+                    finish = _newton_finish(Z, FZ, cfg, tol)
+                    if finish is not None:
+                        self.traj.states[-1], self.residual, self.abscissa = finish
+                        stop = "newton"
+        if stop == "t_max":
+            self.abscissa = _spectral_abscissa(jacobian(Z, cfg))
+        if stop is not None:
+            self._end(stop, t, k)
+        return stop is not None
+
+    def diverge(self, t, k, Z):
+        """End diverged at t with the state Z."""
+        if not self.traj.times or self.traj.times[-1] != t:
+            self.traj.append(t, Z.copy())
+        self.residual, self.abscissa = math.inf, None
+        self._end("diverged", t, k)
+
+    def _end(self, stop, t, k):
+        self.run = self.traj, EquilibriumResult(
+            final=self.traj.final, converged=stop in ("tolerance", "newton"),
+            residual=self.residual, elapsed_time=t, n_steps=k,
+            diverged=stop == "diverged", stop_reason=stop, spectral_abscissa=self.abscissa)
+
+
+def _each(fn, *stacks):
+    """fn on each member of the stacks alone: the mask of the members for
+    which no math.fsum inside raised, and their results stacked."""
+    keep, out = [], []
+    for args in zip(*stacks):
+        try:
+            out.append(fn(*(a[None] for a in args)))
+        except (OverflowError, ValueError):
+            keep.append(False)
+        else:
+            keep.append(True)
+    return keep, np.concatenate(out) if out else np.empty((0,) + stacks[0].shape[1:])
+
+
+def _diverge(live, keep, Z, t, k):
+    """End the members of live whose keep is false as diverged at t, each
+    with its state in Z; return the others."""
+    for member, kept, Zi in zip(live, keep, Z):
+        if not kept:
+            member.diverge(t, k, Zi)
+    return [member for member, kept in zip(live, keep) if kept]
 
 
 def _spectral_abscissa(J: np.ndarray) -> float:
@@ -302,7 +398,7 @@ def _newton_finish(Z, FZ, cfg: ModelConfig, tol: float):
             if step is None:
                 return None
             W = W - step
-            FW = f(W)
+            FW = f(W[None])[0]
             if not np.isfinite(FW).all():
                 return None
             residual = float(np.abs(FW).max())
@@ -380,7 +476,7 @@ def numerical_jacobian(Z, cfg: ModelConfig, h_fd: float) -> np.ndarray:
     for k in range(m * n):
         E = np.zeros((m, n))
         E[divmod(k, n)] = h_fd
-        col = (f(Z + E) - f(Z - E)) / (2.0 * h_fd)
+        col = (f((Z + E)[None]) - f((Z - E)[None]))[0] / (2.0 * h_fd)
         if not np.isfinite(col).all():
             raise ValueError("non-finite entries in finite-difference column")
         J[:, k] = col.ravel()

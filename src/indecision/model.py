@@ -17,12 +17,13 @@ thresholds, and the orthogonal projections onto the four subspaces.
 
 Exactness conventions: the multiset reductions inside ``vector_field`` use
 ``math.fsum``, which is correctly rounded and therefore independent of
-summand order.  Everything else is elementwise: both saturations are
-evaluated in one stacked numpy pass whose elements see exactly the IEEE
-operations of a per-saturation evaluation, which relies on ``np.tanh``
-returning the same bits for a value wherever it sits in an array (a test
-pins this).  As a consequence equivariance and the invariance of synchrony
-subspaces hold *bitwise*, not merely to rounding tolerance.  The
+summand order.  Everything else is elementwise: both saturations of a whole
+stack of states are evaluated in one numpy pass whose elements see exactly
+the IEEE operations of a per-saturation evaluation of one state, which
+relies on ``np.tanh`` returning the same bits for a value wherever it sits
+in an array (a test pins this).  As a consequence equivariance and the
+invariance of synchrony subspaces hold *bitwise*, not merely to rounding
+tolerance, and a state's field does not depend on the stack it is in.  The
 Jacobian-vector product that the integrator's Newton finish uses follows the
 same conventions, so it is exact in the same sense.
 """
@@ -168,15 +169,16 @@ def as_state(values, shape: NetworkShape) -> np.ndarray:
     return Z
 
 
-def _stacked_constants(cfg: ModelConfig):
-    """Per-saturation constants as (2, 1, 1) arrays, S1 first: the gains
-    (alpha, beta) and (gamma, delta), the offsets (s1, s2), their tanh
-    values and the denominators 1 - tanh(s)^2; and lambda as a 0-d array."""
+def _stacked_constants(cfg: ModelConfig, ndim: int):
+    """Per-saturation constants as (2, 1, ..., 1) arrays of ndim axes, S1
+    first: the gains (alpha, beta) and (gamma, delta), the offsets (s1, s2),
+    their tanh values and the denominators 1 - tanh(s)^2; and lambda as a
+    0-d array."""
     s1, s2 = cfg.sigmoids.s1, cfg.sigmoids.s2
     t1, t2 = math.tanh(s1), math.tanh(s2)
 
     def stacked(x, y):
-        return np.array([x, y]).reshape(2, 1, 1)
+        return np.array([x, y]).reshape((2,) + (1,) * (ndim - 1))
 
     return (stacked(cfg.gains.alpha, cfg.gains.beta),
             stacked(cfg.gains.gamma, cfg.gains.delta),
@@ -186,30 +188,47 @@ def _stacked_constants(cfg: ModelConfig):
 
 @lru_cache(maxsize=64)
 def _compiled_field(cfg: ModelConfig):
-    """Closure evaluating the vector field for a fixed config.
+    """Closure evaluating the vector field for a fixed config on a (B, m, n)
+    stack of B states, returning the (B, m, n) stack of their fields.
 
-    Both saturations run in one stacked pass: the gains (alpha, beta) and
-    (gamma, delta), the offsets (s1, s2), their tanh values and the two
-    denominators are (2, 1, 1) arrays, so X[0] is S1 and X[1] is S2 of the
-    same state, each element computed by the same IEEE operations as one
-    saturation at a time.  The S2 inputs sit at offset m*n of the stacked
-    tanh argument; the result equals the per-saturation one bitwise because
-    np.tanh gives each value the same bits at any offset and array length
-    (pinned by a test).  Column sums and the per-row sums of S2 are
-    accumulated with math.fsum, so the result is a function of the input
-    *multisets*: this is what makes equivariance and synchrony invariance
-    exact.  The closure holds no scratch buffers and is re-entrant.
+    Both saturations of every state run in one pass: the gains (alpha,
+    beta) and (gamma, delta), the offsets (s1, s2), their tanh values and
+    the two denominators are (2, 1, 1, 1) arrays, so X[0] is S1 and X[1] is
+    S2 of the whole stack, each element computed by the same IEEE
+    operations as one saturation of one state at a time.  The result equals
+    the per-state, per-saturation one bitwise because np.tanh gives each
+    value the same bits at any offset and array length (pinned by a test).
+    Column sums and the per-row sums of S2 are accumulated with math.fsum,
+    over the B*n columns and B*m rows of the stack, so each state's result
+    is a function of its own input *multisets*: this is what makes
+    equivariance and synchrony invariance exact, and what keeps a state's
+    field independent of the other states of the stack.  The closure holds
+    no scratch buffers and is re-entrant.
     """
     m, n = cfg.shape.m, cfg.shape.n
-    A, G, S, T0, DEN, lam = _stacked_constants(cfg)
+    A, G, S, T0, DEN, lam = _stacked_constants(cfg, 4)
     fsum = math.fsum
 
     def field(Z: np.ndarray) -> np.ndarray:
-        C = np.fromiter(map(fsum, Z.T.tolist()), float, n)
-        X = (np.tanh(A * Z + G * (C - Z) - S) + T0) / DEN
+        B = len(Z)
+        C = np.fromiter(map(fsum, Z.transpose(0, 2, 1).reshape(B * n, m).tolist()),
+                        float, B * n).reshape(B, 1, n)
+        # (tanh(A Z + G (C - Z) - S) + T0) / DEN, computed in place
+        X = A * Z
+        X += G * (C - Z)
+        X -= S
+        np.tanh(X, out=X)
+        X += T0
+        X /= DEN
         S2 = X[1]
-        T = np.fromiter(map(fsum, S2.tolist()), float, m)[:, None]
-        return lam * (X[0] + T - S2) - Z
+        T = np.fromiter(map(fsum, S2.reshape(B * m, n).tolist()),
+                        float, B * m).reshape(B, m, 1)
+        # lam (X[0] + T - S2) - Z
+        F = X[0] + T
+        F -= S2
+        F *= lam
+        F -= Z
+        return F
 
     return field
 
@@ -227,7 +246,7 @@ def _compiled_linearization(cfg: ModelConfig):
     and lies bitwise in a synchrony subspace that contains both.
     """
     m, n = cfg.shape.m, cfg.shape.n
-    A, G, S, _, DEN, lam = _stacked_constants(cfg)
+    A, G, S, _, DEN, lam = _stacked_constants(cfg, 3)
     fsum = math.fsum
 
     def mix(Z):
@@ -254,7 +273,7 @@ def vector_field(Z, cfg: ModelConfig) -> np.ndarray:
                                + sum_{l!=j} S2(beta z_il + delta * sum_{k!=i} z_kl) )
     """
     Z = as_state(Z, cfg.shape)
-    return _compiled_field(cfg)(Z)
+    return _compiled_field(cfg)(Z[None])[0]
 
 
 def jacobian(Z, cfg: ModelConfig) -> np.ndarray:

@@ -395,7 +395,8 @@ def test_import_makes_no_linear_algebra_call():
 def test_cli_rejects_empty_seed_range(monkeypatch):
     def no_integration(*args):
         raise AssertionError("integrated an invalid scenario")
-    monkeypatch.setattr(experiments, "integrate", no_integration)
+    for name in ("integrate", "integrate_batch"):
+        monkeypatch.setattr(experiments, name, no_integration)
     with pytest.raises(SystemExit) as exc:
         cli_main(["simulate", "--scenario", "consensus-4x6", "--seeds", "5..3"])
     assert exc.value.code == 2
@@ -434,7 +435,8 @@ def test_cli_rejects_empty_seed_range(monkeypatch):
 def test_cli_invalid_input_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     def no_integration(*args):
         raise AssertionError("integrated invalid input")
-    monkeypatch.setattr(experiments, "integrate", no_integration)
+    for name in ("integrate", "integrate_batch"):
+        monkeypatch.setattr(experiments, name, no_integration)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "no_coefficients.json").write_text('{"shape": [2, 2]}')
     mini = json.loads(write_mini_config(tmp_path / "mini.json").read_text())

@@ -18,6 +18,7 @@ from indecision import (
     enumerate_axial,
     get_scenario,
     integrate,
+    integrate_batch,
     jacobian,
     numerical_jacobian,
     random_near_origin,
@@ -307,6 +308,70 @@ def test_integrate_reports_unsummable_start_as_divergence(Z0):
     assert_reported_divergence(traj, res, 0.0)
     assert traj.times == [0.0]
     assert np.array_equal(res.final, Z0)
+
+
+def assert_same_member(got, want):
+    assert_same_run(got, want)
+    assert (got[1].stop_reason, got[1].spectral_abscissa) == \
+        (want[1].stop_reason, want[1].spectral_abscissa)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_integrate_batch_members_match_one_seed_runs_bitwise(name):
+    # stacks of 2 and 3 seeds, in both orders, run to their stops: every
+    # member's trajectory and result are those of its start run alone
+    sc = get_scenario(name)
+    cfg, icfg = sc.model_config(), sc.integrator_config()
+    starts = [random_near_origin(sc.shape, sc.radius, seed) for seed in range(3)]
+    alone = [integrate(Z0, cfg, icfg) for Z0 in starts]
+    for size in (2, 3):
+        for order in (list(range(size)), list(range(size))[::-1]):
+            runs = integrate_batch([starts[i] for i in order], cfg, icfg)
+            assert len(runs) == size
+            for i, run in zip(order, runs):
+                assert_same_member(run, alone[i])
+
+
+@pytest.mark.filterwarnings("error")
+def test_integrate_batch_isolates_diverging_members():
+    # at step 5 on consensus-4x6: a NaN start (non-finite field at t = 0),
+    # an unsummable start (math.fsum raises at t = 0), seed 0 (math.fsum
+    # raises inside the step from t = 1355), the zero state (an unstable
+    # equilibrium, run to t_max) and a converged final (a stable
+    # equilibrium, stopped at once); in either order each member ends as
+    # it does alone
+    sc = get_scenario("consensus-4x6")
+    cfg = sc.model_config()
+    nan_start = np.zeros((4, 6))
+    nan_start[1, 2] = np.nan
+    _, settled = integrate(random_near_origin(sc.shape, sc.radius, 1), cfg,
+                           sc.integrator_config())
+    starts = [nan_start, np.full((4, 6), 1e308), random_near_origin(sc.shape, sc.radius, 0),
+              np.zeros((4, 6)), settled.final]
+    icfg = IntegratorConfig(step=5.0, t_max=3000.0)
+    alone = [integrate(Z0, cfg, icfg) for Z0 in starts]
+    assert [(res.stop_reason, res.elapsed_time) for _, res in alone] == [
+        ("diverged", 0.0), ("diverged", 0.0), ("diverged", 1355.0), ("t_max", 3000.0),
+        ("tolerance", 0.0)]
+    for got, want in [(integrate_batch(starts, cfg, icfg), alone),
+                      (integrate_batch(starts[::-1], cfg, icfg), alone[::-1])]:
+        for run, ref in zip(got, want):
+            assert_same_member(run, ref)
+
+
+def test_integrate_batch_members_do_not_alias():
+    # writing into one member's final leaves the other trajectories as
+    # they were
+    sc = get_scenario("deadlock-4x6")
+    icfg = IntegratorConfig(step=sc.integrator_config().step, t_max=30.0)
+    runs = integrate_batch([random_near_origin(sc.shape, sc.radius, seed) for seed in range(3)],
+                           sc.model_config(), icfg)
+    kept = [[Z.copy() for Z in traj.states] for traj, _ in runs]
+    runs[1][1].final[...] = 7.0
+    for member in (0, 2):
+        states = runs[member][0].states
+        assert len(states) == len(kept[member])
+        assert all(np.array_equal(A, B) for A, B in zip(states, kept[member]))
 
 
 def test_step_halving_consistency_on_scenario():

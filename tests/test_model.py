@@ -122,7 +122,9 @@ def test_field_flow_invariance_of_balanced_colorings_exact():
 
 
 def test_field_matches_two_pass_reference_bitwise():
-    # the stacked one-pass field against the per-saturation reference
+    # the stacked one-pass field, on stacks of 1, 2 and 3 states (2 is also
+    # the length of the saturation axis), against the per-saturation
+    # reference on each state
     rng = np.random.default_rng(12)
     for m in range(2, 9):
         for n in range(2, 9):
@@ -132,22 +134,28 @@ def test_field_matches_two_pass_reference_bitwise():
                               lam=float(rng.uniform(0.5, 1.5)))
             fast, ref = _compiled_field(cfg), reference_field(cfg)
             for scale in (1e-9, 1e-4, 1e-1, 1.0, 10.0):
-                for _ in range(4):
-                    Z = rng.uniform(-scale, scale, size=(m, n))
-                    assert np.array_equal(fast(Z), ref(Z))
+                for size in (1, 2, 3):
+                    Z = rng.uniform(-scale, scale, size=(size, m, n))
+                    got = fast(Z)
+                    assert got.shape == Z.shape
+                    for Zi, Fi in zip(Z, got):
+                        assert np.array_equal(Fi, ref(Zi))
 
 
 def test_tanh_bits_independent_of_offset_and_length():
-    # the stacked field evaluates both saturations in one np.tanh call, the
-    # second one's inputs starting at offset m*n; its bitwise equality with
-    # the two-pass field rests on np.tanh giving a value the same bits at
-    # every position of a contiguous float64 array of any length
+    # the stacked field evaluates both saturations of a stack of B states in
+    # one np.tanh call, state b's saturation k starting at offset
+    # (k B + b) m n; its bitwise equality with the two-pass field rests on
+    # np.tanh giving a value the same bits at every position of a
+    # contiguous float64 array of any length (up to 2 * 20 * 4 * 6 = 960
+    # for the default 20 seeds of a 4 x 6 scenario)
     rng = np.random.default_rng(13)
     special = [0.0, -0.0, 5e-324, -1e-300, 1e-8, -0.3, 19.0, -19.5, 710.0, np.inf]
+    lengths = list(range(1, 2 * 8 * 8 + 1)) + [255, 256, 257, 960, 961]
     for scale in (1e-6, 1.0, 25.0):
-        pool = np.concatenate([special, rng.uniform(-scale, scale, size=160)])
+        pool = np.concatenate([special, rng.uniform(-scale, scale, size=970)])
         want = np.array([np.tanh(np.array([v]))[0] for v in pool])
-        for length in range(1, 2 * 8 * 8 + 1):
+        for length in lengths:
             for offset in range(17):
                 got = np.tanh(pool[offset:offset + length].copy())
                 assert np.array_equal(got.view(np.int64),
