@@ -13,7 +13,7 @@ Contents:
   (dissensus) subspace, by rational rank;
 * canonical forms under row and column permutations (the least relabeled
   column-major word, found by a search that refines an ordered partition
-  of the rows column by column);
+  of the rows column by column and prunes by the automorphisms it finds);
 * structural enumeration of all axial colorings (dimension exactly 1),
   which come in three families:
     A: optional one-color column block forced to value 0, next to a
@@ -310,7 +310,8 @@ def dim_Vd_intersection(c: Coloring) -> int:
 
 def dissensus_intersection_basis(c: Coloring) -> list[tuple[Fraction, ...]]:
     """Exact basis (per-color value vectors) of the same space."""
-    mat = [[Fraction(x) for x in row] for row in _sum_constraints(c)]
+    # equal count rows span nothing new, and the RREF of a row space is unique
+    mat = [[Fraction(x) for x in row] for row in dict.fromkeys(map(tuple, _sum_constraints(c)))]
     piv_cols = _exact_rref(mat)
     K = c.num_colors
     free = [k for k in range(K) if k not in piv_cols]
@@ -335,36 +336,125 @@ def is_axial_Vd(c: Coloring) -> bool:
 # canonical forms and conjugacy
 # ---------------------------------------------------------------------------
 
-def _least_chunks(col, cells, labels):
-    """Every least way to read one column under an ordered row partition.
+def _least_chunks(col, cells, labels, bound):
+    """The least way to read one column under an ordered row partition, and
+    every (refined cells, labels) pair that reads it so.
 
     `cells` are the row cells top to bottom; rows within a cell are still
     unordered, and `labels` maps the colors met so far to their dense
     labels.  Within a cell the rows with known colors come first, by label,
     then the new colors, largest count first, each taking the next free
-    label.  New colors of equal count may take their labels in either order,
-    so one (chunk, refined cells, labels) triple is yielded per such order;
-    each cell is split into the runs of rows that share a label."""
-    if not cells:
-        yield (), (), labels
-        return
-    runs: dict[int, list[int]] = {}
-    for i in cells[0]:
-        runs.setdefault(col[i], []).append(i)
-    tiers: dict[int, list[int]] = {}
-    for v, rows in runs.items():
-        if v not in labels:
-            tiers.setdefault(len(rows), []).append(v)
-    tied = [permutations(vs) for _, vs in sorted(tiers.items(), reverse=True)]
-    for order in product(*tied):
-        known = dict(labels)
-        for v in (v for tier in order for v in tier):
-            known[v] = len(known)
-        head = sorted(runs, key=known.__getitem__)
-        chunk = tuple(known[v] for v in head for _ in runs[v])
-        split = tuple(tuple(runs[v]) for v in head)
-        for rest_chunk, rest_split, rest_labels in _least_chunks(col, cells[1:], known):
-            yield chunk + rest_chunk, split + rest_split, rest_labels
+    label.  New colors of equal count may take their labels in either order.
+    The cells are read top to bottom, keeping every labelling whose chunk so
+    far is least, and each cell is split into the runs of rows that share a
+    label.  Returns (None, []) as soon as the chunk so far is above
+    `bound` (None bounds nothing)."""
+    chunk, options = (), [((), labels)]
+    for cell in cells:
+        runs: dict[int, list[int]] = {}
+        for i in cell:
+            runs.setdefault(col[i], []).append(i)
+        tiers: dict[int, list[int]] = {}
+        for v, rows in runs.items():
+            if v not in options[0][1]:
+                tiers.setdefault(len(rows), []).append(v)
+        tied = [list(permutations(vs)) for _, vs in sorted(tiers.items(), reverse=True)]
+        least, kept = None, []
+        for split, base in options:
+            for order in product(*tied):
+                known = base
+                if tied:
+                    known = dict(base)
+                    for v in chain.from_iterable(order):
+                        known[v] = len(known)
+                head = sorted(runs, key=known.__getitem__)
+                part = tuple(known[v] for v in head for _ in runs[v])
+                if least is None or part < least:
+                    least, kept = part, []
+                if part == least:
+                    kept.append((split + tuple(tuple(runs[v]) for v in head), known))
+        chunk, options = chunk + least, kept
+        if bound is not None and chunk > bound[:len(chunk)]:
+            return None, []
+    return chunk, options
+
+
+def _least_word(cols):
+    """The least column-major word of the grid with columns `cols`, by the
+    search canonical_form describes."""
+    m, n = len(cols[0]), len(cols)
+    least_at = {0: ()}      # least word met so far, by length
+    first = None            # word, path, rows, columns, labels: first leaf of that word
+    autos = []              # (sigma, tau, pi) read off leaves with equal words
+
+    def orbits(children, fixing):
+        # children and their images under `fixing`, keyed by column content
+        seen = {(cols[j], new) for j, new in children}
+        todo = list(children)
+        while todo:
+            j, new = todo.pop()
+            for tau, pi in fixing:
+                image = tuple(pi[v] for v in new)
+                if (cols[tau[j]], image) not in seen:
+                    seen.add((cols[tau[j]], image))
+                    todo.append((tau[j], image))
+        return seen
+
+    def search(cells, labels, remaining, word, placed, path):
+        # returns the depth to unwind to when a leaf repeats the least word
+        nonlocal first
+        if not remaining:
+            rows = [i for cell in cells for i in cell]
+            if first is None or word != first[0]:
+                first = (word, path, rows, placed, labels)
+                return None
+            _, path0, rows0, placed0, labels0 = first
+            sigma, tau = [0] * m, [0] * n
+            for a, b in zip(rows0, rows):
+                sigma[a] = b
+            for a, b in zip(placed0, placed):
+                tau[a] = b
+            color = {k: v for v, k in labels.items()}
+            autos.append((sigma, tau, {v: color[k] for v, k in labels0.items()}))
+            return next(d for d, (a, b) in enumerate(zip(path, path0)) if a != b)
+        least, kept, tried = None, [], set()
+        for j in remaining:
+            if cols[j] in tried:
+                continue
+            tried.add(cols[j])
+            chunk, options = _least_chunks(cols[j], cells, labels, least)
+            if chunk is None:
+                continue
+            if least is None or chunk < least:
+                least, kept = chunk, []
+            if chunk == least:
+                kept += [(j, split, known) for split, known in options]
+        prefix = word + least
+        if prefix > least_at.get(len(prefix), prefix):
+            return None
+        least_at[len(prefix)] = prefix
+        done, covered, fixing, used = [], set(), [], 0
+        for k, (j, split, known) in enumerate(kept):
+            new = tuple(known)[len(labels):]
+            if used < len(autos):
+                used = len(autos)
+                cell_of = {i: c for c, cell in enumerate(cells) for i in cell}
+                fixing = [(tau, pi) for sigma, tau, pi in autos
+                          if all(tau[x] == x for x in placed)
+                          and all(cell_of[sigma[i]] == c for i, c in cell_of.items())]
+                covered = orbits(done, fixing)
+            if (cols[j], new) in covered:
+                continue
+            back = search(split, known, tuple(x for x in remaining if x != j),
+                          prefix, placed + (j,), path + (k,))
+            if back is not None and back < len(path):
+                return back
+            done.append((j, new))
+            covered |= orbits([(j, new)], fixing)
+        return None
+
+    search((tuple(range(m)),), {}, tuple(range(n)), (), (), ())
+    return least_at[m * n]
 
 
 @lru_cache(maxsize=4096)
@@ -380,38 +470,27 @@ def canonical_form(c: Coloring) -> Coloring:
     The search is depth first and places one column per step.  A node is
     an ordered partition of the rows (rows in one cell have agreed on every
     placed column, so their order is still open), the labels met so far and
-    the columns left.  A node keeps only the columns, and the orders of tied
-    new colors, that give its least next chunk (identical columns are tried
-    once per node), and splits each row cell by the labels it just got, so
-    rows are individualised only where color counts tie.  A node whose word
-    is above the least word of the same length met so far is dropped.
+    the columns placed.  A node keeps only the columns, and the orders of
+    tied new colors, that give its least next chunk (identical columns are
+    tried once per node), and splits each row cell by the labels it just
+    got, so rows are individualised only where color counts tie.  A node
+    whose word is above the least word of the same length met so far is
+    dropped.
+
+    Two leaves with the same word give an automorphism (sigma, tau, pi):
+    sigma maps the one leaf's row order onto the other's, tau its column
+    order and pi its labels.  The search prunes by the automorphisms it
+    finds (McKay, 1981).  One fixes a node when tau fixes its placed columns
+    and sigma keeps each of its row cells (pi then fixes its labels), and
+    it maps the node's subtrees onto each other, words unchanged.  So a node
+    skips every child in the orbit of a child already searched, under the
+    automorphisms found that fix the node.  And a leaf that repeats the
+    least word ends the search below the deepest node it shares with the
+    first leaf of that word: the subtree holding it is the image of the
+    first leaf's, already searched.
     """
-    m, n = c.m, c.n
-    cols = [tuple(c.cells[i][j] for i in range(m)) for j in range(n)]
-    least_at = {0: ()}      # least word met so far, by length
-    stack = [((tuple(range(m)),), {}, tuple(range(n)), ())]
-    while stack:
-        cells, labels, remaining, word = stack.pop()
-        if not remaining or word > least_at[len(word)]:
-            continue
-        least, kept, tried = None, [], set()
-        for j in remaining:
-            if cols[j] in tried:
-                continue
-            tried.add(cols[j])
-            rest = tuple(k for k in remaining if k != j)
-            for chunk, split, known in _least_chunks(cols[j], cells, labels):
-                if least is None or chunk < least:
-                    least, kept = chunk, []
-                if chunk == least:
-                    kept.append((split, known, rest))
-        prefix = word + least
-        if prefix <= least_at.get(len(prefix), prefix):
-            least_at[len(prefix)] = prefix
-            stack += [(split, known, rest, prefix) for split, known, rest in kept]
-    word = least_at[m * n]
-    grid = [[word[j * m + i] for j in range(n)] for i in range(m)]
-    return Coloring.from_rows(grid)
+    word = _least_word(list(zip(*c.cells)))
+    return Coloring.from_rows([word[i::c.m] for i in range(c.m)])
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +733,8 @@ def isotropy_subgroup(c: Coloring) -> IsotropyReport:
     * generators = (sigma, tau_sigma) for each non-identity sigma in S, plus
       the transpositions of neighbouring equal columns;
     * orbit of (i, j) = {(sigma(i), k) : sigma in S, column k equal to
-      column tau_sigma(j)}.
+      column tau_sigma(j)}, built once, from its first cell in row-major
+      order.
 
     With more rows than columns the search runs on the transpose, with
     sigma and tau swapped back, so it visits min(m, n)! permutations.  The
@@ -697,9 +777,13 @@ def isotropy_subgroup(c: Coloring) -> IsotropyReport:
             tau[a], tau[b] = b, a
             gens.append((tuple(range(m)), tuple(tau)))
 
-    orbits = {frozenset((sigma[i], k) for sigma, tau in taus.items()
-                        for k in groups[cols[tau[j]]])
-              for i in range(m) for j in range(n)}
+    orbits, covered = [], set()
+    for i in range(m):
+        for j in range(n):
+            if (i, j) not in covered:
+                orbits.append(frozenset((sigma[i], k) for sigma, tau in taus.items()
+                                        for k in groups[cols[tau[j]]]))
+                covered |= orbits[-1]
     orbit_partition = tuple(sorted(orbits, key=sorted))
     colors = tuple(sorted(c.color_classes(), key=sorted))
     verdict = "Orbital" if orbit_partition == colors else "Exotic"

@@ -1,6 +1,6 @@
 """Property tests: the field's bitwise guarantees on generated configs,
-stacks and symmetries (hypothesis, derandomized so every run checks the
-same examples)."""
+stacks and symmetries, and the canonical form on generated colorings
+(hypothesis, derandomized so every run checks the same examples)."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from indecision import GainParams, ModelConfig, NetworkShape, SigmoidParams  # noqa: E402
+from helpers import reference_canonical_form  # noqa: E402
+from indecision import (Coloring, GainParams, ModelConfig, NetworkShape,  # noqa: E402
+                        SigmoidParams, canonical_form)
 from indecision.model import _compiled_field, _compiled_linearization  # noqa: E402
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -80,3 +82,40 @@ def test_field_and_jvp_are_bitwise_equivariant(data):
     slopes, jvp = _compiled_linearization(cfg)
     assert np.array_equal(bits(f(Z[perm][None])[0]), bits(f(Z[None])[0][perm]))
     assert np.array_equal(bits(jvp(slopes(Z[perm]), V[perm])), bits(jvp(slopes(Z), V)[perm]))
+
+
+@st.composite
+def colorings(draw, max_m, max_n, max_cells):
+    # ids drawn from 1 to m * n colors, so most grids repeat colors and tie
+    m = draw(st.integers(1, max_m))
+    n = draw(st.integers(1, min(max_n, max_cells // m)))
+    ids = draw(st.lists(st.integers(0, draw(st.integers(1, m * n)) - 1),
+                        min_size=m * n, max_size=m * n))
+    dense = {}
+    return Coloring(tuple(tuple(dense.setdefault(x, len(dense)) for x in ids[i * n:(i + 1) * n])
+                          for i in range(m)))
+
+
+@PROPERTY
+@given(colorings(max_m=6, max_n=12, max_cells=12))
+def test_canonical_form_equals_reference_on_tie_heavy_colorings(c):
+    assert canonical_form(c) == reference_canonical_form(c)
+
+
+@PROPERTY
+@given(st.data())
+def test_canonical_form_is_invariant_under_row_and_column_permutations(data):
+    c = data.draw(colorings(max_m=5, max_n=6, max_cells=30))
+    sigma = data.draw(st.permutations(range(c.m)))
+    tau = data.draw(st.permutations(range(c.n)))
+    conj = Coloring.from_rows([[c.cells[s][t] for t in tau] for s in sigma]).relabeled()
+    assert canonical_form(conj) == canonical_form(c)
+
+
+@pytest.mark.parametrize("m, n", [(5, 6), (6, 6)])
+def test_canonical_form_of_all_distinct_coloring_is_column_major_identity(m, n):
+    # every conjugate relabels to the word 0, 1, ..., m * n - 1: all m! n!
+    # row and column orders reach it, and the search must not visit them all
+    c = Coloring.from_rows([[i * n + j for j in range(n)] for i in range(m)])
+    assert canonical_form(c) == Coloring.from_rows([[j * m + i for j in range(n)]
+                                                     for i in range(m)])

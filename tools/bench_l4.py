@@ -1,0 +1,146 @@
+"""L4 timings (the exact layer) of one or more source trees, written as JSON.
+
+Every round starts one fresh interpreter per tree, in alternating order, so
+the trees share the host's drift.  Each interpreter first builds a 3x3
+catalog (warm-up), then for each benchmark shape (4x6, 5x5, 5x6) makes one
+`catalog_rows` call from cold caches and records:
+
+* catalog_rows_ms: the whole call;
+* canonical_form_ms: time inside outermost `canonical_form` calls;
+* isotropy_ms: time inside outermost `isotropy_subgroup` calls;
+
+and then times `canonical_form` once on the all-distinct 4x6 and 5x6
+colorings.  The output holds, per tree, the median and quartiles of each
+figure over the rounds, with the tree's git SHA, and the host, Python and
+numpy versions.
+
+Usage:
+    python tools/bench_l4.py --rounds 7 --out BENCH_L4.json \\
+        parent=/path/to/parent/src change=src
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+
+SHAPES = ((4, 6), (5, 5), (5, 6))
+ALL_DISTINCT = ((4, 6), (5, 6))
+
+
+def timed(owner, name, totals):
+    """Replace owner.name by a wrapper adding its outermost calls' time to
+    totals[name]."""
+    inner, depth = getattr(owner, name), [0]
+
+    def wrapper(*args):
+        depth[0] += 1
+        start = time.perf_counter()
+        try:
+            return inner(*args)
+        finally:
+            depth[0] -= 1
+            if not depth[0]:
+                totals[name] += time.perf_counter() - start
+    setattr(owner, name, wrapper)
+
+
+def child():
+    import numpy as np
+
+    from indecision import colorings
+    from indecision.experiments import catalog_rows
+    from indecision.model import NetworkShape
+    from indecision.patterns import Coloring
+
+    caches = (colorings.enumerate_axial, colorings.canonical_form,
+              colorings.classify_orbital_exotic)
+    totals = {"canonical_form": 0.0, "isotropy_subgroup": 0.0}
+    timed(colorings, "canonical_form", totals)
+    timed(colorings, "isotropy_subgroup", totals)
+    catalog_rows(NetworkShape(3, 3))
+    out = {}
+    for m, n in SHAPES:
+        for cached in caches:
+            cached.cache_clear()
+        totals.update(dict.fromkeys(totals, 0.0))
+        start = time.perf_counter()
+        catalog_rows(NetworkShape(m, n))
+        out[f"catalog_rows_ms.{m}x{n}"] = (time.perf_counter() - start) * 1e3
+        out[f"canonical_form_ms.{m}x{n}"] = totals["canonical_form"] * 1e3
+        out[f"isotropy_ms.{m}x{n}"] = totals["isotropy_subgroup"] * 1e3
+    for m, n in ALL_DISTINCT:
+        c = Coloring.from_rows([[i * n + j for j in range(n)] for i in range(m)])
+        start = time.perf_counter()
+        caches[1](c)
+        out[f"all_distinct_s.{m}x{n}"] = time.perf_counter() - start
+    print(json.dumps({"figures": out, "python": platform.python_version(),
+                      "numpy": np.__version__}))
+
+
+def git_sha(src):
+    try:
+        return subprocess.run(["git", "-C", src, "describe", "--always", "--dirty", "--abbrev=40"],
+                              capture_output=True, text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
+def cpu_model():
+    try:
+        with open("/proc/cpuinfo") as f:
+            return next(line.split(":", 1)[1].strip() for line in f
+                        if line.startswith("model name"))
+    except (OSError, StopIteration):
+        return platform.processor() or None
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("trees", nargs="+", help="label=path of a source tree's src directory")
+    ap.add_argument("--rounds", type=int, default=7)
+    ap.add_argument("--out", default=None, help="JSON file to write (default: stdout)")
+    args = ap.parse_args()
+    trees = dict(t.split("=", 1) for t in args.trees)
+    runs = {label: [] for label in trees}
+    for r in range(args.rounds):
+        order = list(trees) if r % 2 == 0 else list(reversed(trees))
+        for label in order:
+            env = {**os.environ, "PYTHONPATH": os.path.abspath(trees[label]),
+                   "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
+            proc = subprocess.run([sys.executable, __file__, "--child"], env=env,
+                                  capture_output=True, text=True, check=True)
+            runs[label].append(json.loads(proc.stdout))
+    sample = next(iter(runs.values()))[0]
+    result = {"host": {"cpu": cpu_model(), "nproc": os.cpu_count(),
+                       "machine": platform.machine(),
+                       "python": sample["python"], "numpy": sample["numpy"]},
+              "rounds": args.rounds, "method": __doc__.split("\n\n", 1)[1].split("\n\nUsage")[0],
+              "trees": {}}
+    for label, src in trees.items():
+        figures = {}
+        for key in runs[label][0]["figures"]:
+            values = [run["figures"][key] for run in runs[label]]
+            q1, median, q3 = (statistics.quantiles(values, n=4) if len(values) > 1
+                              else [values[0]] * 3)
+            figures[key] = {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
+        result["trees"][label] = {"git_sha": git_sha(src), "figures": figures}
+    text = json.dumps(result, indent=2, sort_keys=True)
+    if args.out:
+        with open(args.out, "w") as f:
+            f.write(text + "\n")
+    else:
+        print(text)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--child"]:
+        child()
+    else:
+        main()
