@@ -22,9 +22,10 @@ Contents:
     C: a 2 x 2 grid of one-color blocks;
   the only guard is MAX_AXIAL_CELLS on the grid size, and every shape under
   it finishes (demos/08_axial_census.py prints the census);
-* isotropy subgroups in S_m x S_n, found over the permutations of the
-  shorter side, their cell orbits, and the resulting orbital/exotic verdict
-  (orbital = the pattern is exactly the fixed cells of its isotropy group);
+* isotropy subgroups in S_m x S_n, found by backtracking over the row
+  images of the shorter side with column-prefix pruning, their cell
+  orbits, and the resulting orbital/exotic verdict (orbital = the pattern
+  is exactly the fixed cells of its isotropy group);
 * the 4-row sufficiency test for exotic two-color Latin rectangles via
   column-pair multiplicities;
 * exact value assignments spanning each axial pattern's line;
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, permutations, product
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import numpy as np
 
@@ -102,43 +103,25 @@ MAX_AXIAL_CELLS = 42    # largest grid (m * n cells) enumerate_axial accepts
 # balance and the tiling normal form
 # ---------------------------------------------------------------------------
 
-def _input_signatures(c: Coloring):
-    """Per cell: color count vectors of its row inputs, column inputs and
-    diagonal inputs (own cell excluded from row/column, included back in the
-    complement count)."""
-    m, n, K = c.m, c.n, c.num_colors
-    counts = _sum_constraints(c)
-    rowcnt, colcnt = counts[:m], counts[m:]
-    total = [sum(col) for col in zip(*rowcnt)]
-    sigs = {}
-    for i in range(m):
-        for j in range(n):
-            col = c.cells[i][j]
-            row = tuple(rowcnt[i][k] - (k == col) for k in range(K))
-            cln = tuple(colcnt[j][k] - (k == col) for k in range(K))
-            diag = tuple(total[k] - rowcnt[i][k] - colcnt[j][k] + (k == col)
-                         for k in range(K))
-            sigs[(i, j)] = (row, cln, diag)
-    return sigs
-
-
 def balance_witness(c: Coloring):
     """None when balanced, otherwise ((i1,j1), (i2,j2), kind) for one pair of
-    same-colored cells with differing input multisets."""
-    sigs = _input_signatures(c)
-    rep: dict[int, tuple] = {}
-    for i in range(c.m):
-        for j in range(c.n):
-            col = c.cells[i][j]
-            if col not in rep:
-                rep[col] = (i, j)
-                continue
-            ri, rj = rep[col]
-            ref, cur = sigs[(ri, rj)], sigs[(i, j)]
-            if ref != cur:
-                kind = ("row", "column", "diagonal")[
-                    next(k for k in range(3) if ref[k] != cur[k])]
-                return ((ri, rj), (i, j), kind)
+    same-colored cells with differing input multisets.
+
+    Each cell is compared with the first cell of its color in row-major
+    order: kind is "row" when their rows' color count vectors differ, else
+    "column" when their columns' do.  A cell's diagonal inputs count
+    total - row - column + own cell, so they agree whenever both of those
+    do, and the diagonal kind is implied by the other two."""
+    counts = _sum_constraints(c)
+    rowcnt, colcnt = counts[:c.m], counts[c.m:]
+    rep: dict[int, tuple[int, int]] = {}
+    for i, row in enumerate(c.cells):
+        for j, col in enumerate(row):
+            ri, rj = rep.setdefault(col, (i, j))
+            if rowcnt[i] != rowcnt[ri]:
+                return ((ri, rj), (i, j), "row")
+            if colcnt[j] != colcnt[rj]:
+                return ((ri, rj), (i, j), "column")
     return None
 
 
@@ -279,39 +262,46 @@ def _sum_constraints(c: Coloring) -> list[list[int]]:
     return rows
 
 
-def _exact_rref(rows: list[list[Fraction]]):
-    """In-place reduced row echelon form; returns pivot column list."""
-    if not rows:
-        return []
-    ncol = len(rows[0])
+def _exact_rref(rows: list[list[int]]):
+    """Gauss-Jordan elimination of integer rows, in place and in integers;
+    returns the pivot column list.  Each pivot row ends with zeros in every
+    other pivot column, so dividing it by its pivot gives the row of the
+    reduced row echelon form."""
     piv_cols = []
     r = 0
-    for col in range(ncol):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][col]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        top = rows[r]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if i != r and f:
+                new = [top[col] * a - f * b for a, b in zip(row, top)]
+                g = gcd(*new) or 1
+                rows[i] = [x // g for x in new]
         piv_cols.append(col)
         r += 1
     return piv_cols
 
 
+def _count_rows(c: Coloring) -> list[list[int]]:
+    # equal count rows span nothing new
+    return [list(row) for row in dict.fromkeys(map(tuple, _sum_constraints(c)))]
+
+
 def dim_Vd_intersection(c: Coloring) -> int:
     """Dimension (exact, over the rationals) of the space of color-constant
-    states whose row sums and column sums all vanish."""
-    return len(dissensus_intersection_basis(c))
+    states whose row sums and column sums all vanish: the number of colors
+    less the rank of the count rows."""
+    return c.num_colors - len(_exact_rref(_count_rows(c)))
 
 
 def dissensus_intersection_basis(c: Coloring) -> list[tuple[Fraction, ...]]:
-    """Exact basis (per-color value vectors) of the same space."""
-    # equal count rows span nothing new, and the RREF of a row space is unique
-    mat = [[Fraction(x) for x in row] for row in dict.fromkeys(map(tuple, _sum_constraints(c)))]
+    """Exact basis (per-color value vectors) of the same space, read off the
+    reduced row echelon form, which is unique."""
+    mat = _count_rows(c)
     piv_cols = _exact_rref(mat)
     K = c.num_colors
     free = [k for k in range(K) if k not in piv_cols]
@@ -320,7 +310,7 @@ def dissensus_intersection_basis(c: Coloring) -> list[tuple[Fraction, ...]]:
         vec = [Fraction(0)] * K
         vec[fc] = Fraction(1)
         for r, pc in enumerate(piv_cols):
-            vec[pc] = -mat[r][fc]
+            vec[pc] = Fraction(-mat[r][fc], mat[r][pc])
         basis.append(tuple(vec))
     return basis
 
@@ -349,30 +339,52 @@ def _least_chunks(col, cells, labels, bound):
     far is least, and each cell is split into the runs of rows that share a
     label.  Returns (None, []) as soon as the chunk so far is above
     `bound` (None bounds nothing)."""
+    if labels.keys() >= set(col):     # no new color: one reading, each cell in label order
+        chunk, split = [], []
+        for cell in cells:
+            runs: dict[int, list[int]] = {}
+            for i in cell:
+                runs.setdefault(labels[col[i]], []).append(i)
+            for label in sorted(runs):
+                chunk += [label] * len(runs[label])
+                split.append(tuple(runs[label]))
+            if bound is not None and tuple(chunk) > bound[:len(chunk)]:
+                return None, []
+        return tuple(chunk), [(tuple(split), labels)]
     chunk, options = (), [((), labels)]
     for cell in cells:
-        runs: dict[int, list[int]] = {}
-        for i in cell:
-            runs.setdefault(col[i], []).append(i)
-        tiers: dict[int, list[int]] = {}
-        for v, rows in runs.items():
-            if v not in options[0][1]:
-                tiers.setdefault(len(rows), []).append(v)
-        tied = [list(permutations(vs)) for _, vs in sorted(tiers.items(), reverse=True)]
-        least, kept = None, []
-        for split, base in options:
-            for order in product(*tied):
-                known = base
-                if tied:
-                    known = dict(base)
-                    for v in chain.from_iterable(order):
-                        known[v] = len(known)
-                head = sorted(runs, key=known.__getitem__)
-                part = tuple(known[v] for v in head for _ in runs[v])
-                if least is None or part < least:
-                    least, kept = part, []
-                if part == least:
-                    kept.append((split + tuple(tuple(runs[v]) for v in head), known))
+        if len(cell) == 1:      # one row: its color's label, or the next free one
+            v = col[cell[0]]
+            if v in options[0][1]:
+                least = (min(known[v] for _, known in options),)
+                kept = [(split + (cell,), known) for split, known in options
+                        if known[v] == least[0]]
+            else:
+                least = (len(options[0][1]),)
+                kept = [(split + (cell,), {**known, v: least[0]}) for split, known in options]
+        else:
+            runs: dict[int, list[int]] = {}
+            for i in cell:
+                runs.setdefault(col[i], []).append(i)
+            tiers: dict[int, list[int]] = {}
+            for v, rows in runs.items():
+                if v not in options[0][1]:
+                    tiers.setdefault(len(rows), []).append(v)
+            tied = [list(permutations(vs)) for _, vs in sorted(tiers.items(), reverse=True)]
+            least, kept = None, []
+            for split, base in options:
+                for order in product(*tied):
+                    known = base
+                    if tied:
+                        known = dict(base)
+                        for v in chain.from_iterable(order):
+                            known[v] = len(known)
+                    head = sorted(runs, key=known.__getitem__)
+                    part = tuple(known[v] for v in head for _ in runs[v])
+                    if least is None or part < least:
+                        least, kept = part, []
+                    if part == least:
+                        kept.append((split + tuple(tuple(runs[v]) for v in head), known))
         chunk, options = chunk + least, kept
         if bound is not None and chunk > bound[:len(chunk)]:
             return None, []
@@ -390,6 +402,8 @@ def _least_word(cols):
     def orbits(children, fixing):
         # children and their images under `fixing`, keyed by column content
         seen = {(cols[j], new) for j, new in children}
+        if not fixing:
+            return seen
         todo = list(children)
         while todo:
             j, new = todo.pop()
@@ -551,21 +565,28 @@ def _two_color_latin_reps(p: int, q: int):
     into one int64 (p * q <= MAX_AXIAL_CELLS bits), first column highest.
     0/1 tuples of one length compare like their binary values, and sorted
     tuples of columns like their packed values, so the keys order the
-    classes as the sorted column tuples would."""
+    classes as the sorted column tuples would.  A shape with at most one
+    array needs no key."""
     masks = _two_color_latin_masks(p, q)
     grids = (masks[:, None, :] >> (p - 1 - np.arange(p))[:, None]) & 1
+    if len(masks) <= 1:
+        return [tuple(map(tuple, g)) for g in grids.tolist()]
     keyed, rows = masks, p
     if p > q:
         keyed, rows = grids @ (1 << np.arange(q - 1, -1, -1, dtype=np.int64)), q   # row masks
     bits = (np.arange(1 << rows, dtype=np.int64)[:, None] >> (rows - 1 - np.arange(rows))) & 1
     row_weights = 1 << np.arange(rows - 1, -1, -1, dtype=np.int64)
     col_weights = 1 << (rows * np.arange(keyed.shape[1] - 1, -1, -1, dtype=np.int64))
+    # per sigma, the column mask with row sigma[k] at row k; moved[::-1][c] =
+    # moved[2**rows - 1 - c] is the same step on the complement
+    moved = bits[:, list(permutations(range(rows)))] @ row_weights
+    tables = np.concatenate([moved.T, moved[::-1].T])
     keys = np.full(len(keyed), np.iinfo(np.int64).max)
-    for sigma in permutations(range(rows)):
-        moved = bits[:, sigma] @ row_weights    # column mask with row sigma[k] at row k
-        # moved[::-1][c] = moved[2**rows - 1 - c]: the same step on the complement
-        for table in (moved, moved[::-1]):
-            np.minimum(keys, np.sort(table[keyed], axis=1) @ col_weights, out=keys)
+    step = max(1, (1 << 14) // keyed.size)     # tables applied per pass, to bound memory
+    for lo in range(0, len(tables), step):
+        chunk = tables[lo:lo + step].take(keyed, axis=1)    # (tables, arrays, columns)
+        packed = np.sort(chunk.reshape(-1, chunk.shape[2]), axis=1) @ col_weights
+        np.minimum(keys, packed.reshape(len(chunk), -1).min(axis=0), out=keys)
     _, first = np.unique(keys, return_index=True)
     return [tuple(map(tuple, g)) for g in grids[first].tolist()]
 
@@ -722,7 +743,7 @@ def isotropy_subgroup(c: Coloring) -> IsotropyReport:
     color(i, j), reported as order, a generating set, and the cell-orbit
     partition.
 
-    The search loops over row permutations only.  A sigma belongs to the
+    The search runs over row permutations only.  A sigma belongs to the
     group's row image when the sigma-permuted columns are, as a multiset,
     the original columns; tau_sigma matches them up, equal columns in index
     order.  For that sigma the admissible tau are tau_sigma followed by any
@@ -730,14 +751,19 @@ def isotropy_subgroup(c: Coloring) -> IsotropyReport:
     such sigma:
 
     * order = |S| * prod(k!) over the groups of k equal columns;
-    * generators = (sigma, tau_sigma) for each non-identity sigma in S, plus
-      the transpositions of neighbouring equal columns;
+    * generators = (sigma, tau_sigma) for each non-identity sigma in S, in
+      lexicographic order of sigma^-1, plus the transpositions of
+      neighbouring equal columns;
     * orbit of (i, j) = {(sigma(i), k) : sigma in S, column k equal to
       column tau_sigma(j)}, built once, from its first cell in row-major
       order.
 
-    With more rows than columns the search runs on the transpose, with
-    sigma and tau swapped back, so it visits min(m, n)! permutations.  The
+    S is found by backtracking (Leon, 1991): sigma^-1 is extended one row
+    at a time, in lexicographic order, and a partial sigma^-1 is dropped
+    unless the moved columns' prefixes of its length are, as a multiset,
+    the original columns' prefixes of that length.  Prefixes are base-K
+    integers, compared as sorted lists.  With more rows than columns the
+    search runs on the transpose, with sigma and tau swapped back.  The
     verdict is Orbital when the cell orbits coincide with the color classes
     (the pattern equals the fixed set of its own isotropy group) and Exotic
     otherwise.
@@ -751,22 +777,41 @@ def isotropy_subgroup(c: Coloring) -> IsotropyReport:
                               orbit_partition=tuple(sorted(orbits, key=sorted)),
                               verdict=rep.verdict)
 
-    cols = [tuple(c.cells[i][j] for i in range(m)) for j in range(n)]
-    groups: dict[tuple, list[int]] = {}
-    for j, v in enumerate(cols):
+    K = c.num_colors
+    prefixes = [[0] * n]    # per length d: each column's first d entries as a base-K integer
+    for row in c.cells:
+        prefixes.append([x * K + v for x, v in zip(prefixes[-1], row)])
+    targets = [sorted(codes) for codes in prefixes]
+    full = prefixes[m]
+    groups: dict[int, list[int]] = {}
+    for j, v in enumerate(full):
         groups.setdefault(v, []).append(j)
-    sorted_cols = sorted(cols)
+    by_column = sorted(range(n), key=full.__getitem__)     # stable: equal columns in index order
 
     taus: dict[tuple, tuple] = {}
-    for inv in permutations(range(m)):     # inv = sigma^-1: moved[j][sigma[i]] = cols[j][i]
-        if tuple(map(cols[0].__getitem__, inv)) not in groups:
-            continue    # most permutations already move column 0 off every column
-        moved = [tuple(map(col.__getitem__, inv)) for col in cols]
-        if sorted(moved) == sorted_cols:
-            sigma = tuple(sorted(range(m), key=inv.__getitem__))
-            pools = {v: iter(g) for v, g in groups.items()}
-            taus[sigma] = tuple(next(pools[v]) for v in moved)
+    inv = []    # sigma^-1 so far: row k of the moved grid is row inv[k]
 
+    def extend(moved):
+        target = targets[len(inv) + 1]
+        for r, row in enumerate(c.cells):
+            if r in inv:
+                continue
+            grown = [x * K + v for x, v in zip(moved, row)]
+            if sorted(grown) != target:
+                continue
+            inv.append(r)
+            if len(inv) < m:
+                extend(grown)
+            else:
+                sigma, tau = [0] * m, [0] * n
+                for i, x in enumerate(inv):
+                    sigma[x] = i
+                for a, b in zip(sorted(range(n), key=grown.__getitem__), by_column):
+                    tau[a] = b
+                taus[tuple(sigma)] = tuple(tau)
+            inv.pop()
+
+    extend(prefixes[0])
     order = len(taus)
     for g in groups.values():
         order *= factorial(len(g))
@@ -782,7 +827,7 @@ def isotropy_subgroup(c: Coloring) -> IsotropyReport:
         for j in range(n):
             if (i, j) not in covered:
                 orbits.append(frozenset((sigma[i], k) for sigma, tau in taus.items()
-                                        for k in groups[cols[tau[j]]]))
+                                        for k in groups[full[tau[j]]]))
                 covered |= orbits[-1]
     orbit_partition = tuple(sorted(orbits, key=sorted))
     colors = tuple(sorted(c.color_classes(), key=sorted))

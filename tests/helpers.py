@@ -9,6 +9,7 @@ import numpy as np
 from indecision import (
     Coloring,
     EquilibriumResult,
+    IsotropyReport,
     Trajectory,
     all_colorings,
     canonical_form,
@@ -109,17 +110,21 @@ def brute_force_axial(m: int, n: int) -> set:
     return {canonical_form(c) for c in reps}
 
 
-def two_color_latin_indicators(p: int, q: int):
+def two_color_latin_indicators(p: int, q: int, reachable: bool = True):
     """Reference list of all p x q 0/1 arrays with constant row sums and
     constant column sums, both symbols present, as tuples of row tuples:
     DFS over rows (row 0 slowest, each row over combinations(range(q), a))
-    with column-capacity pruning."""
+    with column-capacity pruning.  With `reachable`, a partial array is also
+    dropped when some column count plus the rows left is below b, the ones
+    per column; such an array has no completion, so the list and its order
+    are the same."""
     out = []
     for a in range(1, q):
         if (a * p) % q:
             continue
         b = a * p // q
         row_choices = list(combinations(range(q), a))
+        row_of = {comb: tuple(int(j in comb) for j in range(q)) for comb in row_choices}
         colcnt = [0] * q
 
         def dfs(i, acc):
@@ -131,15 +136,15 @@ def two_color_latin_indicators(p: int, q: int):
                     continue
                 for j in comb:
                     colcnt[j] += 1
-                acc.append(comb)
-                dfs(i + 1, acc)
-                acc.pop()
+                if not reachable or min(colcnt) + p - 1 - i >= b:
+                    acc.append(row_of[comb])
+                    dfs(i + 1, acc)
+                    acc.pop()
                 for j in comb:
                     colcnt[j] -= 1
 
         dfs(0, [])
-    return [tuple(tuple(1 if j in mat[i] else 0 for j in range(q)) for i in range(p))
-            for mat in out]
+    return out
 
 
 def reference_canonical_form(c: Coloring) -> Coloring:
@@ -371,3 +376,111 @@ def reference_integrate(Z0, cfg, icfg):
                                    residual=residual, elapsed_time=t, n_steps=k,
                                    diverged=diverged, stop_reason=stop,
                                    spectral_abscissa=None)
+
+
+# ---------------------------------------------------------------------------
+# exact-layer oracles: the direct computations that the package speeds up
+# ---------------------------------------------------------------------------
+
+def reference_balance_witness(c: Coloring):
+    """Balance witness from full per-cell input signatures: the color count
+    vectors of each cell's row, column and diagonal inputs (own cell left
+    out of row and column, added back in the diagonal count).  Each cell is
+    compared with the first cell of its color in row-major order; the kind
+    is the first signature part that differs."""
+    m, n, K = c.m, c.n, c.num_colors
+    rowcnt = [[sum(x == k for x in row) for k in range(K)] for row in c.cells]
+    colcnt = [[sum(x == k for x in col) for k in range(K)] for col in zip(*c.cells)]
+    total = [sum(col) for col in zip(*rowcnt)]
+
+    def signature(i, j):
+        own = [int(k == c.cells[i][j]) for k in range(K)]
+        return ([rowcnt[i][k] - own[k] for k in range(K)],
+                [colcnt[j][k] - own[k] for k in range(K)],
+                [total[k] - rowcnt[i][k] - colcnt[j][k] + own[k] for k in range(K)])
+
+    rep = {}
+    for i in range(m):
+        for j in range(n):
+            col = c.cells[i][j]
+            if col not in rep:
+                rep[col] = (i, j)
+                continue
+            ref, cur = signature(*rep[col]), signature(i, j)
+            if ref != cur:
+                kind = ("row", "column", "diagonal")[
+                    next(k for k in range(3) if ref[k] != cur[k])]
+                return (rep[col], (i, j), kind)
+    return None
+
+
+def reference_dissensus_basis(c: Coloring):
+    """Basis of the color-constant states with zero row and column sums,
+    from a Fraction reduced row echelon form of every row's and column's
+    color counts; its length is the dimension."""
+    K = c.num_colors
+    mat = [[Fraction(sum(x == k for x in line)) for k in range(K)]
+           for line in list(c.cells) + list(zip(*c.cells))]
+    pivots, r = [], 0
+    for col in range(K):
+        piv = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        mat[r] = [x / mat[r][col] for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col] != 0:
+                mat[i] = [a - mat[i][col] * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+        r += 1
+    basis = []
+    for fc in (k for k in range(K) if k not in pivots):
+        vec = [Fraction(0)] * K
+        vec[fc] = Fraction(1)
+        for row, pc in enumerate(pivots):
+            vec[pc] = -mat[row][fc]
+        basis.append(tuple(vec))
+    return basis
+
+
+def reference_isotropy_subgroup(c: Coloring) -> IsotropyReport:
+    """Isotropy report from a loop over all min(m, n)! row permutations of
+    the shorter side: sigma is kept when the moved columns equal the
+    original ones as a multiset, and the report is built as
+    `isotropy_subgroup` documents, generators in lexicographic order of
+    sigma^-1."""
+    m, n = c.m, c.n
+    if m > n:
+        rep = reference_isotropy_subgroup(Coloring(tuple(zip(*c.cells))))
+        orbits = (frozenset((i, j) for j, i in orbit) for orbit in rep.orbit_partition)
+        return IsotropyReport(group_order=rep.group_order,
+                              generators=[(sigma, tau) for tau, sigma in rep.generators],
+                              orbit_partition=tuple(sorted(orbits, key=sorted)),
+                              verdict=rep.verdict)
+    cols = [tuple(c.cells[i][j] for i in range(m)) for j in range(n)]
+    groups = {}
+    for j, v in enumerate(cols):
+        groups.setdefault(v, []).append(j)
+    taus = {}
+    for inv in permutations(range(m)):     # inv = sigma^-1
+        moved = [tuple(col[k] for k in inv) for col in cols]
+        if sorted(moved) == sorted(cols):
+            sigma = tuple(sorted(range(m), key=inv.__getitem__))
+            pools = {v: iter(g) for v, g in groups.items()}
+            taus[sigma] = tuple(next(pools[v]) for v in moved)
+    order = len(taus)
+    for g in groups.values():
+        order *= math.factorial(len(g))
+    gens = [(sigma, tau) for sigma, tau in taus.items() if sigma != tuple(range(m))]
+    for g in groups.values():
+        for a, b in zip(g, g[1:]):
+            tau = list(range(n))
+            tau[a], tau[b] = b, a
+            gens.append((tuple(range(m)), tuple(tau)))
+    orbits = {frozenset((sigma[i], k) for sigma, tau in taus.items()
+                        for k in groups[cols[tau[j]]])
+              for i in range(m) for j in range(n)}
+    orbit_partition = tuple(sorted(orbits, key=sorted))
+    colors = tuple(sorted(c.color_classes(), key=sorted))
+    return IsotropyReport(group_order=order, generators=gens, orbit_partition=orbit_partition,
+                          verdict="Orbital" if orbit_partition == colors else "Exotic")

@@ -405,6 +405,15 @@ def test_two_color_latin_masks_match_reference_dfs():
             assert grids == column_sorted, (p, q)
 
 
+def test_reference_dfs_drops_no_array_when_pruning_unreachable_columns():
+    # a partial array with a column that can no longer reach b ones has no
+    # completion: pruning it keeps the list and its order
+    for p in range(2, 13):
+        for q in range(2, 24 // p + 1):
+            assert two_color_latin_indicators(p, q) == \
+                two_color_latin_indicators(p, q, reachable=False), (p, q)
+
+
 def test_two_color_latin_masks_differ_by_more_than_column_order():
     # no two masks of one shape under the cell guard are column permutations
     # of each other

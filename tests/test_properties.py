@@ -1,6 +1,8 @@
 """Property tests: the field's bitwise guarantees on generated configs,
-stacks and symmetries, and the canonical form on generated colorings
-(hypothesis, derandomized so every run checks the same examples)."""
+stacks and symmetries, and the exact layer (canonical form, isotropy,
+balance witness, dissensus basis) against its direct reference
+computations on generated colorings (hypothesis, derandomized so every run
+checks the same examples)."""
 
 import numpy as np
 import pytest
@@ -9,9 +11,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from helpers import reference_canonical_form  # noqa: E402
+from helpers import (random_balanced_coloring, reference_balance_witness,  # noqa: E402
+                     reference_canonical_form, reference_dissensus_basis,
+                     reference_isotropy_subgroup)
 from indecision import (Coloring, GainParams, ModelConfig, NetworkShape,  # noqa: E402
-                        SigmoidParams, canonical_form)
+                        SigmoidParams, balance_witness, canonical_form, dim_Vd_intersection,
+                        dissensus_intersection_basis, enumerate_axial, is_axial_Vd,
+                        isotropy_subgroup)
 from indecision.model import _compiled_field, _compiled_linearization  # noqa: E402
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -119,3 +125,32 @@ def test_canonical_form_of_all_distinct_coloring_is_column_major_identity(m, n):
     c = Coloring.from_rows([[i * n + j for j in range(n)] for i in range(m)])
     assert canonical_form(c) == Coloring.from_rows([[j * m + i for j in range(n)]
                                                      for i in range(m)])
+
+
+@st.composite
+def balanced_colorings(draw, max_side):
+    m, n = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    return random_balanced_coloring(m, n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+
+
+def assert_exact_layer_equals_reference(c):
+    assert isotropy_subgroup(c) == reference_isotropy_subgroup(c)
+    witness, basis = reference_balance_witness(c), reference_dissensus_basis(c)
+    assert balance_witness(c) == witness
+    assert dissensus_intersection_basis(c) == basis
+    assert dim_Vd_intersection(c) == len(basis)
+    assert is_axial_Vd(c) == (witness is None and len(basis) == 1)
+
+
+@PROPERTY
+@given(colorings(max_m=6, max_n=6, max_cells=36) | balanced_colorings(max_side=6))
+def test_exact_layer_equals_reference_on_random_colorings(c):
+    # the whole isotropy report (generators in order included) and the
+    # witness tuple, not only the verdicts
+    assert_exact_layer_equals_reference(c)
+
+
+@pytest.mark.parametrize("m, n", [(4, 6), (5, 5), (5, 6), (7, 6)])
+def test_exact_layer_equals_reference_on_catalog_entries(m, n):
+    for e in enumerate_axial(NetworkShape(m, n)):
+        assert_exact_layer_equals_reference(e.coloring)

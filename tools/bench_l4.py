@@ -8,11 +8,14 @@ catalog (warm-up), then for each benchmark shape (4x6, 5x5, 5x6) makes one
 * catalog_rows_ms: the whole call;
 * canonical_form_ms: time inside outermost `canonical_form` calls;
 * isotropy_ms: time inside outermost `isotropy_subgroup` calls;
+* axial_check_ms: time inside outermost `is_axial_Vd` calls (balance and
+  the V_d dimension);
 
-and then times `canonical_form` once on the all-distinct 4x6 and 5x6
-colorings.  The output holds, per tree, the median and quartiles of each
-figure over the rounds, with the tree's git SHA, and the host, Python and
-numpy versions.
+then times `canonical_form` once on the all-distinct 4x6 and 5x6
+colorings, and last builds the 7x6 catalog and times `isotropy_subgroup`
+on each of its entries (isotropy_ms.7x6).  The output holds, per tree, the
+median and quartiles of each figure over the rounds, with the tree's git
+SHA, and the host, Python and numpy versions.
 
 Usage:
     python tools/bench_l4.py --rounds 7 --out BENCH_L4.json \\
@@ -31,6 +34,7 @@ import sys
 import time
 
 SHAPES = ((4, 6), (5, 5), (5, 6))
+ISOTROPY_SHAPE = (7, 6)
 ALL_DISTINCT = ((4, 6), (5, 6))
 
 
@@ -61,9 +65,9 @@ def child():
 
     caches = (colorings.enumerate_axial, colorings.canonical_form,
               colorings.classify_orbital_exotic)
-    totals = {"canonical_form": 0.0, "isotropy_subgroup": 0.0}
-    timed(colorings, "canonical_form", totals)
-    timed(colorings, "isotropy_subgroup", totals)
+    totals = {"canonical_form": 0.0, "isotropy_subgroup": 0.0, "is_axial_Vd": 0.0}
+    for name in totals:
+        timed(colorings, name, totals)
     catalog_rows(NetworkShape(3, 3))
     out = {}
     for m, n in SHAPES:
@@ -75,11 +79,17 @@ def child():
         out[f"catalog_rows_ms.{m}x{n}"] = (time.perf_counter() - start) * 1e3
         out[f"canonical_form_ms.{m}x{n}"] = totals["canonical_form"] * 1e3
         out[f"isotropy_ms.{m}x{n}"] = totals["isotropy_subgroup"] * 1e3
+        out[f"axial_check_ms.{m}x{n}"] = totals["is_axial_Vd"] * 1e3
     for m, n in ALL_DISTINCT:
         c = Coloring.from_rows([[i * n + j for j in range(n)] for i in range(m)])
         start = time.perf_counter()
         caches[1](c)
         out[f"all_distinct_s.{m}x{n}"] = time.perf_counter() - start
+    entries = [e.coloring for e in colorings.enumerate_axial(NetworkShape(*ISOTROPY_SHAPE))]
+    start = time.perf_counter()
+    for c in entries:
+        colorings.isotropy_subgroup(c)
+    out["isotropy_ms.{}x{}".format(*ISOTROPY_SHAPE)] = (time.perf_counter() - start) * 1e3
     print(json.dumps({"figures": out, "python": platform.python_version(),
                       "numpy": np.__version__}))
 
