@@ -20,8 +20,11 @@ Contents:
        two-color Latin rectangle on the remaining columns;
     B: the transpose arrangement (one-color row block on top);
     C: a 2 x 2 grid of one-color blocks;
-  the only guard is MAX_AXIAL_CELLS on the grid size, and every shape under
-  it finishes (demos/08_axial_census.py prints the census);
+  the Latin rectangles are generated doubly sorted (rows and columns
+  non-increasing), which leaves at least one per class, and the catalog
+  keeps the first candidate of each canonical form; the only guard is
+  MAX_AXIAL_CELLS on the grid size, and every shape under it finishes
+  (demos/08_axial_census.py prints the census);
 * isotropy subgroups in S_m x S_n, found by backtracking over the row
   images of the shorter side with column-prefix pruning, their cell
   orbits, and the resulting orbital/exotic verdict (orbital = the pattern
@@ -96,7 +99,10 @@ class SearchBudgetError(RuntimeError):
     MAX_AXIAL_CELLS cells."""
 
 
-MAX_AXIAL_CELLS = 42    # largest grid (m * n cells) enumerate_axial accepts
+# Largest grid (m * n cells) enumerate_axial accepts.  It bounds only the
+# cost: the widest integer the enumeration packs is a column mask of one bit
+# per row, which fits int64 up to 63 rows.
+MAX_AXIAL_CELLS = 42
 
 
 # ---------------------------------------------------------------------------
@@ -512,26 +518,37 @@ def canonical_form(c: Coloring) -> Coloring:
 # ---------------------------------------------------------------------------
 
 def _two_color_latin_masks(p: int, q: int) -> np.ndarray:
-    """The p x q 0/1 arrays with constant row sums and constant column sums,
-    both symbols present, and columns non-increasing from left to right, as
-    an (N, q) int64 array of column masks (a column read top-down is a
-    p-bit integer, row 0 the most significant bit).  Every such array is a
-    column permutation of exactly one of these.
+    """The doubly sorted p x q 0/1 arrays with constant row sums a <= q/2 and
+    constant column sums, both symbols present, as an (N, q) int64 array of
+    column masks (a column read top-down is a p-bit integer, row 0 the most
+    significant bit).  Doubly sorted means rows non-increasing from top to
+    bottom and columns non-increasing from left to right, both read as
+    binary words.
 
-    With a ones per row and b per column, row 0 is a ones then zeros: the
-    only row whose columns are non-increasing.  The middle rows are added
-    one at a time, each ranging over combinations(range(q), a) with earlier
-    rows varying slowest.  A partial array is kept while every column count
-    c satisfies b - rows_left <= c <= b and its partial column masks are
-    non-increasing.  The last row is then forced to b - c, and the array is
-    kept when that row is 0/1 and its columns are non-increasing."""
+    Every class under row permutations, column permutations and symbol swap
+    has a member here: the swap maps a to q - a, and sorting the rows, then
+    the columns, and so on, never lowers the row-major word, so it stops at
+    a doubly sorted array (Lubiw, SIAM J. Comput. 1987).  The first array of
+    a class in this order has the smallest a and, for that a, the largest
+    row-major word of the class.
+
+    With b ones per column, row 0 is a ones then zeros: the largest row.
+    The middle rows are added one at a time, each ranging over
+    combinations(range(q), a), which runs in descending binary order, with
+    earlier rows varying slowest.  A partial array is kept while every
+    column count c satisfies b - rows_left <= c <= b, its partial column
+    masks are non-increasing and its new row's combination index is at
+    least the previous row's.  The last row is then forced to b - c, and the
+    array is kept when that row is 0/1, at most the row before it, and its
+    columns are non-increasing."""
     out = [np.zeros((0, q), dtype=np.int64)]
-    for a in range(1, q):
+    for a in range(1, q // 2 + 1):
         b, rem = divmod(a * p, q)
         if rem:
             continue
-        counts = np.array([[1] * a + [0] * (q - a)], dtype=np.int8)
+        counts = choices = np.array([[1] * a + [0] * (q - a)], dtype=np.int8)
         masks = counts.astype(np.int64)
+        last = np.zeros(1, dtype=np.intp)     # combination index of each array's newest row
         if p > 2:
             picked = np.fromiter(chain.from_iterable(combinations(range(q), a)),
                                  np.intp, comb(q, a) * a).reshape(-1, a)
@@ -541,54 +558,19 @@ def _two_color_latin_masks(p: int, q: int) -> np.ndarray:
                 grown = counts[:, None] + choices     # (kept, choices, q) column counts
                 moved = (masks[:, None] << 1) | choices   # (kept, choices, q) column masks
                 keep = (((grown >= b - rows_left) & (grown <= b)).all(axis=2)
-                        & (moved[..., :-1] >= moved[..., 1:]).all(axis=2))
+                        & (moved[..., :-1] >= moved[..., 1:]).all(axis=2)
+                        & (np.arange(len(choices)) >= last[:, None]))
                 masks, counts = moved[keep], grown[keep]   # row-major: earlier rows vary slowest
-        last = b - counts
-        masks = (masks << 1) | last
-        keep = (((last >= 0) & (last <= 1)).all(axis=1)
-                & (masks[:, :-1] >= masks[:, 1:]).all(axis=1))
+                last = np.nonzero(keep)[1]
+        final = b - counts
+        masks = (masks << 1) | final
+        step = final - choices[last]     # the last row is at most the one before it:
+        first = (step != 0).argmax(axis=1)   # its first difference is negative or absent
+        keep = (((final >= 0) & (final <= 1)).all(axis=1)
+                & (masks[:, :-1] >= masks[:, 1:]).all(axis=1)
+                & (np.take_along_axis(step, first[:, None], axis=1)[:, 0] <= 0))
         out.append(masks[keep])
     return np.concatenate(out)
-
-
-def _two_color_latin_reps(p: int, q: int):
-    """One two-color Latin indicator per class under row permutations,
-    column permutations and symbol swap: the first array of
-    _two_color_latin_masks in each class, in ascending key order, as a
-    tuple of row tuples.  The masks hold one array per class under column
-    permutations, the one with columns in descending order, which is also
-    the first of that class in the order rows are chosen.
-
-    The key of an array is its sorted column masks, minimized over the p!
-    row permutations and the complement; when p > q the transposed array is
-    keyed instead, over q! permutations of its rows.  The sorted masks pack
-    into one int64 (p * q <= MAX_AXIAL_CELLS bits), first column highest.
-    0/1 tuples of one length compare like their binary values, and sorted
-    tuples of columns like their packed values, so the keys order the
-    classes as the sorted column tuples would.  A shape with at most one
-    array needs no key."""
-    masks = _two_color_latin_masks(p, q)
-    grids = (masks[:, None, :] >> (p - 1 - np.arange(p))[:, None]) & 1
-    if len(masks) <= 1:
-        return [tuple(map(tuple, g)) for g in grids.tolist()]
-    keyed, rows = masks, p
-    if p > q:
-        keyed, rows = grids @ (1 << np.arange(q - 1, -1, -1, dtype=np.int64)), q   # row masks
-    bits = (np.arange(1 << rows, dtype=np.int64)[:, None] >> (rows - 1 - np.arange(rows))) & 1
-    row_weights = 1 << np.arange(rows - 1, -1, -1, dtype=np.int64)
-    col_weights = 1 << (rows * np.arange(keyed.shape[1] - 1, -1, -1, dtype=np.int64))
-    # per sigma, the column mask with row sigma[k] at row k; moved[::-1][c] =
-    # moved[2**rows - 1 - c] is the same step on the complement
-    moved = bits[:, list(permutations(range(rows)))] @ row_weights
-    tables = np.concatenate([moved.T, moved[::-1].T])
-    keys = np.full(len(keyed), np.iinfo(np.int64).max)
-    step = max(1, (1 << 14) // keyed.size)     # tables applied per pass, to bound memory
-    for lo in range(0, len(tables), step):
-        chunk = tables[lo:lo + step].take(keyed, axis=1)    # (tables, arrays, columns)
-        packed = np.sort(chunk.reshape(-1, chunk.shape[2]), axis=1) @ col_weights
-        np.minimum(keys, packed.reshape(len(chunk), -1).min(axis=0), out=keys)
-    _, first = np.unique(keys, return_index=True)
-    return [tuple(map(tuple, g)) for g in grids[first].tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -699,10 +681,11 @@ def enumerate_axial(shape) -> AxialCatalog:
     with r = m/2 and s = n/2 is skipped because its value line coincides
     with the coarser two-color Latin rectangle of the same block layout,
     and a branch follows the pattern with fewest colors.  Cases A and B run
-    over conjugacy representatives of all two-color Latin rectangles,
-    bordered by the forced-zero block when they do not fill the grid.  No
-    two entries are conjugate, so the catalog is the entries sorted by
-    canonical form.
+    over the doubly sorted two-color Latin rectangles of
+    _two_color_latin_masks, bordered by the forced-zero block when they do
+    not fill the grid.  Several of these can be conjugate; the catalog keeps
+    the first candidate of each canonical form and sorts the kept entries
+    by canonical form.
     """
     check_axial_shape(shape)
     m, n = shape.m, shape.n
@@ -718,12 +701,19 @@ def enumerate_axial(shape) -> AxialCatalog:
                 block_colors=(col.cells[0][0], col.cells[0][n - 1],
                               col.cells[m - 1][0], col.cells[m - 1][n - 1])))
 
-    for q in range(2, n + 1):
-        raw += [_bordered_latin("A", L, n - q) for L in _two_color_latin_reps(m, q)]
-    for p in range(2, m):
-        raw += [_bordered_latin("B", L, m - p) for L in _two_color_latin_reps(p, n)]
+    def latin(p, q):    # the masks as tuples of row tuples
+        grids = (_two_color_latin_masks(p, q)[:, None, :] >> (p - 1 - np.arange(p))[:, None]) & 1
+        return [tuple(map(tuple, g)) for g in grids.tolist()]
 
-    return AxialCatalog(shape, sorted(raw, key=lambda e: canonical_form(e.coloring).cells))
+    for q in range(2, n + 1):
+        raw += [_bordered_latin("A", L, n - q) for L in latin(m, q)]
+    for p in range(2, m):
+        raw += [_bordered_latin("B", L, m - p) for L in latin(p, n)]
+
+    first: dict[Coloring, AxialColoring] = {}
+    for e in raw:
+        first.setdefault(canonical_form(e.coloring), e)
+    return AxialCatalog(shape, [first[k] for k in sorted(first, key=lambda c: c.cells)])
 
 
 # ---------------------------------------------------------------------------
@@ -980,36 +970,29 @@ class SynthesisReport:
 
 
 def _hermite_double_nodes(levels: list[Fraction]) -> tuple[Fraction, ...]:
-    """Newton-form Hermite interpolation with f(v)=0, f'(v)=-1 at every v,
-    expanded to monomial coefficients, all exact."""
-    nodes: list[Fraction] = []
+    """Exact ascending coefficients of the Hermite interpolant with f(v) = 0
+    and f'(v) = -1 at every level v, in closed form:
+
+        f = -sum_k P * P_k / P_k(v_k)^2,  P = prod_v (x - v),  P_k = P / (x - v_k).
+
+    At v_j, P and every P_k with k != j vanish, so f(v_j) = 0 and only
+    P'(v_j) * P_j(v_j) = P_j(v_j)^2 is left in f'(v_j).  The degree is below
+    twice the number of levels, so f is the unique interpolant."""
+    def times(poly, v):     # poly * (x - v)
+        return [-v * poly[0]] + [a - v * b for a, b in zip(poly, poly[1:])] + [poly[-1]]
+
+    P = [Fraction(1)]
     for v in levels:
-        nodes.extend((v, v))
-    N = len(nodes)
-    # divided difference table with repeated nodes
-    table = [[Fraction(0)] * N for _ in range(N)]
-    for i in range(N):
-        table[i][0] = Fraction(0)  # f(v) = 0
-    for order in range(1, N):
-        for i in range(N - order):
-            if nodes[i + order] == nodes[i]:
-                # only order 1 can hit this with doubled nodes
-                table[i][order] = Fraction(-1)
-            else:
-                table[i][order] = (table[i + 1][order - 1] - table[i][order - 1]) \
-                    / (nodes[i + order] - nodes[i])
-    # expand newton form sum_k c_k prod_{l<k} (x - nodes[l])
-    coeffs = [Fraction(0)] * N
-    basis = [Fraction(1)]  # coefficients of prod so far
-    for k in range(N):
-        ck = table[0][k]
-        for p, b in enumerate(basis):
-            coeffs[p] += ck * b
-        new_basis = [Fraction(0)] * (len(basis) + 1)
-        for p, b in enumerate(basis):
-            new_basis[p + 1] += b
-            new_basis[p] -= nodes[k] * b
-        basis = new_basis
+        P = times(P, v)
+    coeffs = [Fraction(0)] * (2 * len(levels))
+    for k, vk in enumerate(levels):
+        Pk, at = [Fraction(1)], Fraction(1)
+        for j, v in enumerate(levels):
+            if j != k:
+                Pk, at = times(Pk, v), at * (vk - v)
+        for i, a in enumerate(P):
+            for j, b in enumerate(Pk):
+                coeffs[i + j] -= a * b / (at * at)
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)

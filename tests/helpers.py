@@ -484,3 +484,37 @@ def reference_isotropy_subgroup(c: Coloring) -> IsotropyReport:
     colors = tuple(sorted(c.color_classes(), key=sorted))
     return IsotropyReport(group_order=order, generators=gens, orbit_partition=orbit_partition,
                           verdict="Orbital" if orbit_partition == colors else "Exotic")
+
+
+def reference_hermite_double_nodes(levels: list[Fraction]) -> tuple[Fraction, ...]:
+    """Reference Hermite interpolation with f(v)=0, f'(v)=-1 at every level:
+    the Newton form over doubled nodes from a divided-difference table,
+    expanded to exact ascending monomial coefficients."""
+    nodes: list[Fraction] = []
+    for v in levels:
+        nodes.extend((v, v))
+    N = len(nodes)
+    # divided difference table with repeated nodes; column 0 is f(v) = 0
+    table = [[Fraction(0)] * N for _ in range(N)]
+    for order in range(1, N):
+        for i in range(N - order):
+            if nodes[i + order] == nodes[i]:
+                # only order 1 can hit this with doubled nodes
+                table[i][order] = Fraction(-1)
+            else:
+                table[i][order] = (table[i + 1][order - 1] - table[i][order - 1]) \
+                    / (nodes[i + order] - nodes[i])
+    # expand newton form sum_k c_k prod_{l<k} (x - nodes[l])
+    coeffs = [Fraction(0)] * N
+    basis = [Fraction(1)]  # coefficients of prod so far
+    for k in range(N):
+        for p, b in enumerate(basis):
+            coeffs[p] += table[0][k] * b
+        new_basis = [Fraction(0)] * (len(basis) + 1)
+        for p, b in enumerate(basis):
+            new_basis[p + 1] += b
+            new_basis[p] -= nodes[k] * b
+        basis = new_basis
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)

@@ -42,6 +42,7 @@ from helpers import (
     random_balanced_coloring,
     random_generic_levels,
     reference_canonical_form,
+    reference_hermite_double_nodes,
     sample_balanced_coloring,
     two_color_latin_indicators,
 )
@@ -377,32 +378,41 @@ def test_case_b_is_transposed_case_a(m, n):
 
 
 def test_two_color_latin_reps_match_reference_key():
-    # same representatives in the same order as keying each grid with the
-    # pure-Python reference, and one per conjugacy class of the indicators
+    # the first mask of each canonical form is, class for class, the first
+    # reference grid of each conjugacy key (row and column permutations and
+    # symbol swap), and every class of the indicators has one
     for p in range(2, 6):
         for q in range(2, 24 // p + 1):
             grids = two_color_latin_indicators(p, q)
             reference = {}
             for g in grids:
                 reference.setdefault(indicator_key(g), g)
-            reps = colorings._two_color_latin_reps(p, q)
-            assert reps == [reference[k] for k in sorted(reference)], (p, q)
+            masks = colorings._two_color_latin_masks(p, q)
+            reps = {}
+            for row in masks:
+                g = tuple(tuple((int(col) >> (p - 1 - i)) & 1 for col in row) for i in range(p))
+                reps.setdefault(canonical_form(Coloring.from_rows(g)), g)
+            assert reps == {canonical_form(Coloring.from_rows(g)): g
+                            for g in reference.values()}, (p, q)
             classes = {canonical_form(Coloring.from_rows(g)) for g in grids}
-            assert len(reps) == len(classes), (p, q)
+            assert len(reps) == len(reference) == len(classes), (p, q)
 
 
 def test_two_color_latin_masks_match_reference_dfs():
     # the row-by-row mask builder yields exactly the reference DFS grids
-    # whose columns are non-increasing from left to right, in the same order
-    # (representatives are the first grid of each class)
+    # that are doubly sorted (rows non-increasing from top to bottom,
+    # columns from left to right) with at most half of each row ones, in
+    # the same order
     for p in range(2, 13):
         for q in range(2, 24 // p + 1):
             masks = colorings._two_color_latin_masks(p, q)
             grids = [tuple(tuple((int(col) >> (p - 1 - i)) & 1 for col in row)
                            for i in range(p)) for row in masks]
-            column_sorted = [g for g in two_color_latin_indicators(p, q)
-                             if list(zip(*g)) == sorted(zip(*g), reverse=True)]
-            assert grids == column_sorted, (p, q)
+            doubly_sorted = [g for g in two_color_latin_indicators(p, q)
+                             if list(g) == sorted(g, reverse=True)
+                             and list(zip(*g)) == sorted(zip(*g), reverse=True)
+                             and 2 * sum(g[0]) <= q]
+            assert grids == doubly_sorted, (p, q)
 
 
 def test_reference_dfs_drops_no_array_when_pruning_unreachable_columns():
@@ -445,6 +455,24 @@ def test_catalog_export_is_pinned(m, n, digest):
     # SHA-256 of the exported catalog: entry order, colorings, rho, splits
     # and verdicts must not drift
     text = enumerate_axial(NetworkShape(m, n)).export_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("m, n, digest", [
+    (7, 7, "1b730dfea2d86e25fefaaf30db1809980f4daa137efd9350277199c2c031a7dc"),
+    (24, 2, "ca974ca70e4d74c77e387c9492e6f683e6095b3f049523ec8b65b3c9b5a32732"),
+    (6, 10, "f0fb3109540bcbf7e10376677217999901f5735cbd5c5dea207e335261c4092e"),
+])
+def test_catalog_export_over_the_guard_is_pinned(m, n, digest, monkeypatch):
+    # shapes over MAX_AXIAL_CELLS, built with the guard lifted; the digests
+    # come from an enumeration that picked Latin representatives by the
+    # p!-row-permutation key of helpers.indicator_key, so they pin that the
+    # first doubly sorted block per canonical form is that representative
+    monkeypatch.setattr(colorings, "MAX_AXIAL_CELLS", m * n)
+    try:
+        text = enumerate_axial(NetworkShape(m, n)).export_json()
+    finally:
+        enumerate_axial.cache_clear()     # a cached catalog would skip the guard
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
@@ -718,6 +746,20 @@ def test_synthesize_random_balanced_colorings():
         assert report.exact_roots and report.exact_slopes
         assert report.residual_max <= 1e-12
         assert report.max_eigenvalue_deviation <= 1e-8
+
+
+def test_hermite_closed_form_matches_divided_differences():
+    # the closed form and the Newton form over doubled nodes give the same
+    # exact coefficients (the Hermite interpolant is unique)
+    rng = np.random.default_rng(7)
+    for num in range(1, 9):
+        for _ in range(25):
+            levels = [Fraction(int(rng.integers(-40, 41)), int(rng.integers(1, 13)))
+                      for _ in range(num)]
+            if len(set(levels)) < num:
+                continue
+            assert colorings._hermite_double_nodes(levels) == \
+                reference_hermite_double_nodes(levels), levels
 
 
 def test_synthesize_rejects_non_generic():

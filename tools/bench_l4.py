@@ -2,8 +2,9 @@
 
 Every round starts one fresh interpreter per tree, in alternating order, so
 the trees share the host's drift.  Each interpreter first builds a 3x3
-catalog (warm-up), then for each benchmark shape (4x6, 5x5, 5x6) makes one
-`catalog_rows` call from cold caches and records:
+catalog (warm-up), then for each benchmark shape (4x6, 5x5, 5x6) makes
+CALLS `catalog_rows` calls, each from cold caches, and records the median
+over those calls of:
 
 * catalog_rows_ms: the whole call;
 * canonical_form_ms: time inside outermost `canonical_form` calls;
@@ -11,11 +12,12 @@ catalog (warm-up), then for each benchmark shape (4x6, 5x5, 5x6) makes one
 * axial_check_ms: time inside outermost `is_axial_Vd` calls (balance and
   the V_d dimension);
 
-then times `canonical_form` once on the all-distinct 4x6 and 5x6
-colorings, and last builds the 7x6 catalog and times `isotropy_subgroup`
-on each of its entries (isotropy_ms.7x6).  The output holds, per tree, the
-median and quartiles of each figure over the rounds, with the tree's git
-SHA, and the host, Python and numpy versions.
+then times `canonical_form` CALLS times from a cold cache on the
+all-distinct 4x6 and 5x6 colorings (median), and last builds the 7x6
+catalog and times `isotropy_subgroup` on each of its entries
+(isotropy_ms.7x6).  The output holds, per tree, the median and quartiles
+over the rounds of each interpreter's figure, with the tree's git SHA, and
+the host, Python and numpy versions.
 
 Usage:
     python tools/bench_l4.py --rounds 7 --out BENCH_L4.json \\
@@ -36,6 +38,7 @@ import time
 SHAPES = ((4, 6), (5, 5), (5, 6))
 ISOTROPY_SHAPE = (7, 6)
 ALL_DISTINCT = ((4, 6), (5, 6))
+CALLS = 5     # cold calls per shape in one interpreter; each figure is their median
 
 
 def timed(owner, name, totals):
@@ -71,20 +74,27 @@ def child():
     catalog_rows(NetworkShape(3, 3))
     out = {}
     for m, n in SHAPES:
-        for cached in caches:
-            cached.cache_clear()
-        totals.update(dict.fromkeys(totals, 0.0))
-        start = time.perf_counter()
-        catalog_rows(NetworkShape(m, n))
-        out[f"catalog_rows_ms.{m}x{n}"] = (time.perf_counter() - start) * 1e3
-        out[f"canonical_form_ms.{m}x{n}"] = totals["canonical_form"] * 1e3
-        out[f"isotropy_ms.{m}x{n}"] = totals["isotropy_subgroup"] * 1e3
-        out[f"axial_check_ms.{m}x{n}"] = totals["is_axial_Vd"] * 1e3
+        calls = []
+        for _ in range(CALLS):
+            for cached in caches:
+                cached.cache_clear()
+            totals.update(dict.fromkeys(totals, 0.0))
+            start = time.perf_counter()
+            catalog_rows(NetworkShape(m, n))
+            calls.append({f"catalog_rows_ms.{m}x{n}": (time.perf_counter() - start) * 1e3,
+                          f"canonical_form_ms.{m}x{n}": totals["canonical_form"] * 1e3,
+                          f"isotropy_ms.{m}x{n}": totals["isotropy_subgroup"] * 1e3,
+                          f"axial_check_ms.{m}x{n}": totals["is_axial_Vd"] * 1e3})
+        out.update({key: statistics.median(call[key] for call in calls) for key in calls[0]})
     for m, n in ALL_DISTINCT:
         c = Coloring.from_rows([[i * n + j for j in range(n)] for i in range(m)])
-        start = time.perf_counter()
-        caches[1](c)
-        out[f"all_distinct_s.{m}x{n}"] = time.perf_counter() - start
+        times = []
+        for _ in range(CALLS):
+            caches[1].cache_clear()
+            start = time.perf_counter()
+            caches[1](c)
+            times.append(time.perf_counter() - start)
+        out[f"all_distinct_s.{m}x{n}"] = statistics.median(times)
     entries = [e.coloring for e in colorings.enumerate_axial(NetworkShape(*ISOTROPY_SHAPE))]
     start = time.perf_counter()
     for c in entries:
@@ -131,7 +141,8 @@ def main():
     result = {"host": {"cpu": cpu_model(), "nproc": os.cpu_count(),
                        "machine": platform.machine(),
                        "python": sample["python"], "numpy": sample["numpy"]},
-              "rounds": args.rounds, "method": __doc__.split("\n\n", 1)[1].split("\n\nUsage")[0],
+              "rounds": args.rounds, "calls": CALLS,
+              "method": __doc__.split("\n\n", 1)[1].split("\n\nUsage")[0],
               "trees": {}}
     for label, src in trees.items():
         figures = {}
