@@ -15,7 +15,7 @@ from .model import (
 )
 from .integrate import (
     IntegratorConfig, RK4_RADIUS, Trajectory, EquilibriumResult,
-    stable_step, random_near_origin, integrate, integrate_batch, numerical_jacobian,
+    stable_step, random_near_origin, integrate, integrate_batch,
     trajectory_to_csv,
 )
 from .patterns import (
@@ -23,7 +23,7 @@ from .patterns import (
     quantize_to_coloring, classify_state, zero_sum_report, match_axial,
 )
 from .colorings import (
-    NotBalancedError, SearchBudgetError, LatinRectangleBlock, RectangleTiling,
+    NotBalancedError, CatalogTooLargeError, LatinRectangleBlock, RectangleTiling,
     AxialColoring, AxialCatalog, IsotropyReport, StablePolynomialMap,
     SynthesisReport,
     is_balanced, balance_witness, is_latin_rectangle, tiling_decomposition,

@@ -21,7 +21,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .colorings import SearchBudgetError, check_axial_shape, synthesize_stable_admissible
+from .colorings import enumerate_axial, synthesize_stable_admissible
 from .experiments import (BUILTIN_SCENARIOS, DEFAULT_QUANTIZE_TOL, Scenario, catalog_rows,
                           get_scenario, run_scenario, sweep_lambda)
 from .model import NetworkShape
@@ -42,7 +42,7 @@ def _usage_errors(args):
     """Invalid input raised in the block becomes a usage error, exit status 2."""
     try:
         yield
-    except (ValueError, SearchBudgetError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         args.parser.error(str(exc))
 
 
@@ -106,7 +106,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_catalog(args) -> int:
     with _usage_errors(args):
         shape = NetworkShape(args.m, args.n)
-        check_axial_shape(shape)
+        enumerate_axial(shape)
     cat, rows = catalog_rows(shape)
     by_case: dict[str, int] = {}
     by_verdict: dict[str, int] = {}

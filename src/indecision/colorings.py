@@ -21,10 +21,11 @@ Contents:
     B: the transpose arrangement (one-color row block on top);
     C: a 2 x 2 grid of one-color blocks;
   the Latin rectangles are generated doubly sorted (rows and columns
-  non-increasing), which leaves at least one per class, and the catalog
-  keeps the first candidate of each canonical form; the only guard is
-  MAX_AXIAL_CELLS on the grid size, and every shape under it finishes
-  (demos/08_axial_census.py prints the census);
+  non-increasing), row by row over the runs of equal partial columns,
+  which leaves at least one per class, and the catalog keeps the first
+  candidate of each canonical form; the only guard is MAX_AXIAL_CELLS on
+  the grid size (CatalogTooLargeError past it), and every shape under it
+  finishes (demos/08_axial_census.py prints the census);
 * isotropy subgroups in S_m x S_n, found by backtracking over the row
   images of the shorter side with column-prefix pruning, their cell
   orbits, and the resulting orbital/exotic verdict (orbital = the pattern
@@ -43,8 +44,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations, permutations, product
-from math import comb, factorial, gcd
+from itertools import chain, permutations, product
+from math import factorial, gcd
 
 import numpy as np
 
@@ -52,7 +53,7 @@ from .patterns import Coloring
 
 __all__ = [
     "NotBalancedError",
-    "SearchBudgetError",
+    "CatalogTooLargeError",
     "LatinRectangleBlock",
     "RectangleTiling",
     "AxialColoring",
@@ -68,7 +69,6 @@ __all__ = [
     "dissensus_intersection_basis",
     "is_axial_Vd",
     "canonical_form",
-    "check_axial_shape",
     "enumerate_axial",
     "isotropy_subgroup",
     "classify_orbital_exotic",
@@ -94,14 +94,14 @@ class NotBalancedError(ValueError):
                          f"{witness[2]} input multisets")
 
 
-class SearchBudgetError(RuntimeError):
-    """An axial enumeration was asked for a grid larger than
-    MAX_AXIAL_CELLS cells."""
+class CatalogTooLargeError(ValueError):
+    """enumerate_axial was asked for a grid of more than MAX_AXIAL_CELLS
+    cells."""
 
 
 # Largest grid (m * n cells) enumerate_axial accepts.  It bounds only the
-# cost: the widest integer the enumeration packs is a column mask of one bit
-# per row, which fits int64 up to 63 rows.
+# cost: every shape under it builds in a fraction of a second, while 8 x 8
+# takes tens of seconds, nearly all of them in canonical_form.
 MAX_AXIAL_CELLS = 42
 
 
@@ -517,13 +517,11 @@ def canonical_form(c: Coloring) -> Coloring:
 # two-color Latin rectangles
 # ---------------------------------------------------------------------------
 
-def _two_color_latin_masks(p: int, q: int) -> np.ndarray:
+def _two_color_latin_blocks(p: int, q: int) -> list[tuple[tuple[int, ...], ...]]:
     """The doubly sorted p x q 0/1 arrays with constant row sums a <= q/2 and
-    constant column sums, both symbols present, as an (N, q) int64 array of
-    column masks (a column read top-down is a p-bit integer, row 0 the most
-    significant bit).  Doubly sorted means rows non-increasing from top to
-    bottom and columns non-increasing from left to right, both read as
-    binary words.
+    constant column sums, both symbols present, as tuples of row tuples.
+    Doubly sorted means rows non-increasing from top to bottom and columns
+    non-increasing from left to right, both read as binary words.
 
     Every class under row permutations, column permutations and symbol swap
     has a member here: the swap maps a to q - a, and sorting the rows, then
@@ -533,44 +531,40 @@ def _two_color_latin_masks(p: int, q: int) -> np.ndarray:
     row-major word of the class.
 
     With b ones per column, row 0 is a ones then zeros: the largest row.
-    The middle rows are added one at a time, each ranging over
-    combinations(range(q), a), which runs in descending binary order, with
-    earlier rows varying slowest.  A partial array is kept while every
-    column count c satisfies b - rows_left <= c <= b, its partial column
-    masks are non-increasing and its new row's combination index is at
-    least the previous row's.  The last row is then forced to b - c, and the
-    array is kept when that row is 0/1, at most the row before it, and its
-    columns are non-increasing."""
-    out = [np.zeros((0, q), dtype=np.int64)]
+    The search is depth first, one row at a time, and its state is the runs
+    of equal partial columns, each as (width, ones so far).  A middle row
+    puts k ones at the head of each run, which keeps the columns
+    non-increasing; the k's sum to a, k = 0 on a run that already holds b
+    ones and k = width on a run that would otherwise miss b.  Running each
+    k downwards, earlier runs slowest, gives the rows in descending binary
+    order, and a row is kept when it is at most the row above.  The last
+    row is forced to b less the ones so far, and kept when it is 0/1 and at
+    most the row above."""
+    out = []
+
+    def grow(rows, runs, a, b):
+        left = p - 1 - len(rows)      # rows still to come after the next one
+        if not left:
+            if all(0 <= b - c <= 1 for _, c in runs):
+                last = tuple(b - c for w, c in runs for _ in range(w))
+                if last <= rows[-1]:
+                    out.append(rows + (last,))
+            return
+        spans = [(0,) if c == b else (w,) if c < b - left else range(w, -1, -1)
+                 for w, c in runs]
+        for ks in product(*spans):
+            if sum(ks) != a:
+                continue
+            row = tuple(x for (w, _), k in zip(runs, ks) for x in (1,) * k + (0,) * (w - k))
+            if row <= rows[-1]:
+                grow(rows + (row,), [run for (w, c), k in zip(runs, ks)
+                                     for run in ((k, c + 1), (w - k, c)) if run[0]], a, b)
+
     for a in range(1, q // 2 + 1):
         b, rem = divmod(a * p, q)
-        if rem:
-            continue
-        counts = choices = np.array([[1] * a + [0] * (q - a)], dtype=np.int8)
-        masks = counts.astype(np.int64)
-        last = np.zeros(1, dtype=np.intp)     # combination index of each array's newest row
-        if p > 2:
-            picked = np.fromiter(chain.from_iterable(combinations(range(q), a)),
-                                 np.intp, comb(q, a) * a).reshape(-1, a)
-            choices = np.zeros((len(picked), q), dtype=np.int8)   # one 0/1 row per combination
-            np.put_along_axis(choices, picked, 1, axis=1)
-            for rows_left in range(p - 2, 0, -1):
-                grown = counts[:, None] + choices     # (kept, choices, q) column counts
-                moved = (masks[:, None] << 1) | choices   # (kept, choices, q) column masks
-                keep = (((grown >= b - rows_left) & (grown <= b)).all(axis=2)
-                        & (moved[..., :-1] >= moved[..., 1:]).all(axis=2)
-                        & (np.arange(len(choices)) >= last[:, None]))
-                masks, counts = moved[keep], grown[keep]   # row-major: earlier rows vary slowest
-                last = np.nonzero(keep)[1]
-        final = b - counts
-        masks = (masks << 1) | final
-        step = final - choices[last]     # the last row is at most the one before it:
-        first = (step != 0).argmax(axis=1)   # its first difference is negative or absent
-        keep = (((final >= 0) & (final <= 1)).all(axis=1)
-                & (masks[:, :-1] >= masks[:, 1:]).all(axis=1)
-                & (np.take_along_axis(step, first[:, None], axis=1)[:, 0] <= 0))
-        out.append(masks[keep])
-    return np.concatenate(out)
+        if not rem:
+            grow(((1,) * a + (0,) * (q - a),), [(a, 1), (q - a, 0)], a, b)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -662,15 +656,6 @@ def _bordered_latin(case: str, L, z: int) -> AxialColoring:
         red_color=ids[1], blue_color=ids[0], yellow_color=ids.get(2))
 
 
-def check_axial_shape(shape):
-    """Raise SearchBudgetError, as enumerate_axial does before any work, for
-    more than MAX_AXIAL_CELLS cells, the only guard on the enumeration."""
-    m, n = shape.m, shape.n
-    if m * n > MAX_AXIAL_CELLS:
-        raise SearchBudgetError(
-            f"axial enumeration for {m}x{n} exceeds the {MAX_AXIAL_CELLS}-cell guard")
-
-
 @lru_cache(maxsize=32)
 def enumerate_axial(shape) -> AxialCatalog:
     """All axial colorings of the shape, up to conjugacy.  The returned
@@ -682,13 +667,18 @@ def enumerate_axial(shape) -> AxialCatalog:
     with the coarser two-color Latin rectangle of the same block layout,
     and a branch follows the pattern with fewest colors.  Cases A and B run
     over the doubly sorted two-color Latin rectangles of
-    _two_color_latin_masks, bordered by the forced-zero block when they do
+    _two_color_latin_blocks, bordered by the forced-zero block when they do
     not fill the grid.  Several of these can be conjugate; the catalog keeps
     the first candidate of each canonical form and sorts the kept entries
     by canonical form.
+
+    A shape of more than MAX_AXIAL_CELLS cells raises CatalogTooLargeError
+    before any work.
     """
-    check_axial_shape(shape)
     m, n = shape.m, shape.n
+    if m * n > MAX_AXIAL_CELLS:
+        raise CatalogTooLargeError(
+            f"axial enumeration for {m}x{n} exceeds the {MAX_AXIAL_CELLS}-cell guard")
     raw: list[AxialColoring] = []
 
     for r in range(1, m // 2 + 1):
@@ -701,14 +691,10 @@ def enumerate_axial(shape) -> AxialCatalog:
                 block_colors=(col.cells[0][0], col.cells[0][n - 1],
                               col.cells[m - 1][0], col.cells[m - 1][n - 1])))
 
-    def latin(p, q):    # the masks as tuples of row tuples
-        grids = (_two_color_latin_masks(p, q)[:, None, :] >> (p - 1 - np.arange(p))[:, None]) & 1
-        return [tuple(map(tuple, g)) for g in grids.tolist()]
-
     for q in range(2, n + 1):
-        raw += [_bordered_latin("A", L, n - q) for L in latin(m, q)]
+        raw += [_bordered_latin("A", L, n - q) for L in _two_color_latin_blocks(m, q)]
     for p in range(2, m):
-        raw += [_bordered_latin("B", L, m - p) for L in latin(p, n)]
+        raw += [_bordered_latin("B", L, m - p) for L in _two_color_latin_blocks(p, n)]
 
     first: dict[Coloring, AxialColoring] = {}
     for e in raw:

@@ -27,12 +27,13 @@ import json
 import os
 from collections import Counter
 from dataclasses import dataclass
+from html import escape
 from numbers import Integral, Real
 
 import numpy as np
 
-from .colorings import (MAX_AXIAL_CELLS, AxialCatalog, classify_orbital_exotic, enumerate_axial,
-                        is_axial_Vd)
+from .colorings import (AxialCatalog, CatalogTooLargeError, classify_orbital_exotic,
+                        enumerate_axial, is_axial_Vd)
 from .integrate import (EquilibriumResult, IntegratorConfig, integrate, integrate_batch,
                         random_near_origin, stable_step, trajectory_to_csv)
 from .model import (CriticalCoefficients, GainParams, ModelConfig, NetworkShape,
@@ -98,6 +99,8 @@ class Scenario:
             raise ValueError("radius must be > 0")
         if self.t_max is not None and not self.t_max > 0:
             raise ValueError("t_max must be > 0")
+        if any(sep in str(self.name) for sep in ("/", os.sep, os.altsep) if sep):
+            raise ValueError(f"name {self.name!r} contains a path separator")
 
     @classmethod
     def from_dict(cls, raw: dict, base: "Scenario | None" = None) -> "Scenario":
@@ -304,8 +307,10 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None) -> list[RunRepo
     When out_dir is given, per-seed JSON reports, CSV trajectories and SVG
     heatmaps plus a scenario summary are written there.
     """
-    catalog = enumerate_axial(scenario.shape) \
-        if scenario.shape.cells <= MAX_AXIAL_CELLS else None
+    try:
+        catalog = enumerate_axial(scenario.shape)
+    except CatalogTooLargeError:
+        catalog = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
 
@@ -446,7 +451,7 @@ def write_heatmap_svg(Z, path: str, title: str | None = None):
     parts.append(f'<rect width="{width}" height="{height}" fill="white"/>')
     if title:
         parts.append(f'<text x="{left}" y="18" font-family="sans-serif" '
-                     f'font-size="13">{title}</text>')
+                     f'font-size="13">{escape(title, quote=False)}</text>')
     for j in range(n):
         x = left + j * cell + cell / 2
         parts.append(f'<text x="{x:g}" y="{top - 6}" text-anchor="middle" '

@@ -59,7 +59,7 @@ from typing import ClassVar
 import numpy as np
 
 from .model import (ModelConfig, NetworkShape, _compiled_field, _compiled_linearization,
-                    as_state, jacobian)
+                    jacobian)
 
 __all__ = [
     "IntegratorConfig",
@@ -70,7 +70,6 @@ __all__ = [
     "random_near_origin",
     "integrate",
     "integrate_batch",
-    "numerical_jacobian",
     "trajectory_to_csv",
 ]
 
@@ -462,25 +461,6 @@ def _gmres(A, b: np.ndarray):
     for coef, v in zip(y[1:], basis[1:]):
         x = x + coef * v
     return x
-
-
-def numerical_jacobian(Z, cfg: ModelConfig, h_fd: float) -> np.ndarray:
-    """Central-difference Jacobian of the model field at Z (mn x mn,
-    row-major cell order)."""
-    if h_fd <= 0:
-        raise ValueError("h_fd must be positive")
-    Z = as_state(Z, cfg.shape)
-    f = _compiled_field(cfg)
-    m, n = Z.shape
-    J = np.empty((m * n, m * n))
-    for k in range(m * n):
-        E = np.zeros((m, n))
-        E[divmod(k, n)] = h_fd
-        col = (f((Z + E)[None]) - f((Z - E)[None]))[0] / (2.0 * h_fd)
-        if not np.isfinite(col).all():
-            raise ValueError("non-finite entries in finite-difference column")
-        J[:, k] = col.ravel()
-    return J
 
 
 def trajectory_to_csv(traj: Trajectory, path):

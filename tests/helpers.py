@@ -12,10 +12,12 @@ from indecision import (
     IsotropyReport,
     Trajectory,
     all_colorings,
+    as_state,
     canonical_form,
     dim_Vd_intersection,
     dissensus_intersection_basis,
     is_balanced,
+    vector_field,
 )
 from indecision.integrate import RECORD_STRIDE, RK4_RADIUS
 
@@ -274,6 +276,24 @@ def clustered_spectrum(eigs, tol=1e-6):
         else:
             groups.append([v])
     return [(sum(g) / len(g), len(g)) for g in groups]
+
+
+def numerical_jacobian(Z, cfg, h_fd: float) -> np.ndarray:
+    """Central-difference Jacobian of the model field at Z (mn x mn,
+    row-major cell order)."""
+    if h_fd <= 0:
+        raise ValueError("h_fd must be positive")
+    Z = as_state(Z, cfg.shape)
+    m, n = Z.shape
+    J = np.empty((m * n, m * n))
+    for k in range(m * n):
+        E = np.zeros((m, n))
+        E[divmod(k, n)] = h_fd
+        col = (vector_field(Z + E, cfg) - vector_field(Z - E, cfg)) / (2.0 * h_fd)
+        if not np.isfinite(col).all():
+            raise ValueError("non-finite entries in finite-difference column")
+        J[:, k] = col.ravel()
+    return J
 
 
 def reference_field(cfg):

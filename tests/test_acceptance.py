@@ -34,7 +34,6 @@ from indecision import (
     is_balanced,
     isotropy_subgroup,
     match_axial,
-    numerical_jacobian,
     quantize_to_coloring,
     synthesize_stable_admissible,
     tiling_decomposition,
@@ -45,6 +44,7 @@ from helpers import (
     EXOTIC_4X6_GENERATORS,
     brute_force_axial,
     closure_pairs,
+    numerical_jacobian,
     preserves_coloring,
     random_balanced_coloring,
     random_generic_levels,

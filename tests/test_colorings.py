@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from indecision import (
+    CatalogTooLargeError,
     Coloring,
     NetworkShape,
     NotBalancedError,
-    SearchBudgetError,
     all_colorings,
     axial_value_matrix,
     axial_values,
@@ -325,9 +325,14 @@ def test_no_exotics_with_fewer_than_four_rows_and_columns():
             assert classify_orbital_exotic(e.coloring) == "Orbital", (m, n, e)
 
 
-def test_enumerate_axial_guard():
-    with pytest.raises(SearchBudgetError):
+def test_enumerate_axial_guard(monkeypatch):
+    # the guard raises before any block is generated
+    def no_blocks(p, q):
+        raise AssertionError("generated blocks over the guard")
+    monkeypatch.setattr(colorings, "_two_color_latin_blocks", no_blocks)
+    with pytest.raises(CatalogTooLargeError) as exc:
         enumerate_axial(NetworkShape(7, 7))
+    assert isinstance(exc.value, ValueError)
 
 
 @pytest.mark.parametrize("m, n, size", [(2, 13, 12), (3, 12, 11)])
@@ -378,7 +383,7 @@ def test_case_b_is_transposed_case_a(m, n):
 
 
 def test_two_color_latin_reps_match_reference_key():
-    # the first mask of each canonical form is, class for class, the first
+    # the first block of each canonical form is, class for class, the first
     # reference grid of each conjugacy key (row and column permutations and
     # symbol swap), and every class of the indicators has one
     for p in range(2, 6):
@@ -387,10 +392,8 @@ def test_two_color_latin_reps_match_reference_key():
             reference = {}
             for g in grids:
                 reference.setdefault(indicator_key(g), g)
-            masks = colorings._two_color_latin_masks(p, q)
             reps = {}
-            for row in masks:
-                g = tuple(tuple((int(col) >> (p - 1 - i)) & 1 for col in row) for i in range(p))
+            for g in colorings._two_color_latin_blocks(p, q):
                 reps.setdefault(canonical_form(Coloring.from_rows(g)), g)
             assert reps == {canonical_form(Coloring.from_rows(g)): g
                             for g in reference.values()}, (p, q)
@@ -398,16 +401,14 @@ def test_two_color_latin_reps_match_reference_key():
             assert len(reps) == len(reference) == len(classes), (p, q)
 
 
-def test_two_color_latin_masks_match_reference_dfs():
-    # the row-by-row mask builder yields exactly the reference DFS grids
+def test_two_color_latin_blocks_match_reference_dfs():
+    # the run-by-run block builder yields exactly the reference DFS grids
     # that are doubly sorted (rows non-increasing from top to bottom,
     # columns from left to right) with at most half of each row ones, in
     # the same order
     for p in range(2, 13):
         for q in range(2, 24 // p + 1):
-            masks = colorings._two_color_latin_masks(p, q)
-            grids = [tuple(tuple((int(col) >> (p - 1 - i)) & 1 for col in row)
-                           for i in range(p)) for row in masks]
+            grids = colorings._two_color_latin_blocks(p, q)
             doubly_sorted = [g for g in two_color_latin_indicators(p, q)
                              if list(g) == sorted(g, reverse=True)
                              and list(zip(*g)) == sorted(zip(*g), reverse=True)
@@ -424,13 +425,14 @@ def test_reference_dfs_drops_no_array_when_pruning_unreachable_columns():
                 two_color_latin_indicators(p, q, reachable=False), (p, q)
 
 
-def test_two_color_latin_masks_differ_by_more_than_column_order():
-    # no two masks of one shape under the cell guard are column permutations
+def test_two_color_latin_blocks_differ_by_more_than_column_order():
+    # no two blocks of one shape under the cell guard are column permutations
     # of each other
     for p in range(2, colorings.MAX_AXIAL_CELLS // 2 + 1):
         for q in range(2, colorings.MAX_AXIAL_CELLS // p + 1):
-            masks = colorings._two_color_latin_masks(p, q)
-            assert len(np.unique(np.sort(masks, axis=1), axis=0)) == len(masks), (p, q)
+            blocks = colorings._two_color_latin_blocks(p, q)
+            columns = {tuple(sorted(zip(*g))) for g in blocks}
+            assert len(columns) == len(blocks), (p, q)
 
 
 def test_catalog_entries_are_pairwise_nonconjugate():

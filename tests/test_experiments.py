@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -64,7 +65,7 @@ def test_unknown_scenario():
     {"seeds": ()}, {"quantize_tol": 0.0}, {"radius": 0.0}, {"epsilon": True},
     {"epsilon": -0.01}, {"radius": None}, {"seeds": (True, False)}, {"t_max": 0.0},
     {"t_max": True}, {"coefficients": CriticalCoefficients(True, 1.0, -1.0, -1.0)},
-    {"sigmoids": SigmoidParams(0.5, True)}, {"seeds": (0, -1)},
+    {"sigmoids": SigmoidParams(0.5, True)}, {"seeds": (0, -1)}, {"name": "runs/a"},
 ])
 def test_scenario_rejects_invalid_fields(bad):
     with pytest.raises(ValueError):
@@ -148,7 +149,8 @@ def test_run_scenario_mini_consensus():
 
 def test_converged_attractor_is_linearly_stable():
     # the jacobian spectrum at a converged scenario final has negative real parts
-    from indecision import integrate, numerical_jacobian, random_near_origin
+    from helpers import numerical_jacobian
+    from indecision import integrate, random_near_origin
     sc = fast_consensus_2x2(seeds=(0,))
     cfg = sc.model_config()
     Z0 = random_near_origin(sc.shape, sc.radius, 0)
@@ -329,6 +331,16 @@ def test_cli_simulate_with_config(tmp_path, capsys):
     assert "converged" in captured
 
 
+def test_cli_simulate_svg_title_is_escaped(tmp_path):
+    cfg = write_mini_config(tmp_path / "cfg.json")
+    cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "name": "a&b <1>"}))
+    out = tmp_path / "out"
+    assert cli_main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    root = ElementTree.parse(out / "a&b <1>_seed0.svg").getroot()
+    titles = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert titles[0] == "a&b <1> seed 0"
+
+
 def test_cli_simulate_flag_overrides(tmp_path, capsys):
     cfg = write_mini_config(tmp_path / "cfg.json")
     rv = cli_main(["simulate", "--config", str(cfg), "--seeds", "1,2",
@@ -431,6 +443,7 @@ def test_cli_rejects_empty_seed_range(monkeypatch):
     ["simulate", "--config", "shape_whole_floats.json"],
     ["simulate", "--config", "seeds_negative.json"],
     ["simulate", "--scenario", "consensus-4x6", "--seeds=-1"],
+    ["simulate", "--config", "name_path.json", "--out-dir", "out"],
 ])
 def test_cli_invalid_input_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     def no_integration(*args):
@@ -448,7 +461,8 @@ def test_cli_invalid_input_is_usage_error(tmp_path, monkeypatch, capsys, argv):
                              ("t_max_inf", "integrator", {"t_max": float("inf")}),
                              ("shape_float", "shape", [4, 6.5]),
                              ("shape_whole_floats", "shape", [4.0, 6.0]),
-                             ("seeds_negative", "seeds", [-1])]:
+                             ("seeds_negative", "seeds", [-1]),
+                             ("name_path", "name", "runs/a")]:
         (tmp_path / f"{name}.json").write_text(json.dumps({**mini, key: value}))
     (tmp_path / "list.json").write_text("[1]")
     (tmp_path / "matrix.csv").write_text("1.0,2.0\n2.0,1.0\n")

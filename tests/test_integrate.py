@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import gershgorin_step, reference_integrate, uniform_slope_jacobian
+from helpers import (gershgorin_step, numerical_jacobian, reference_integrate,
+                     uniform_slope_jacobian)
 from indecision import (
     BUILTIN_SCENARIOS,
     RK4_RADIUS,
@@ -20,7 +21,6 @@ from indecision import (
     integrate,
     integrate_batch,
     jacobian,
-    numerical_jacobian,
     random_near_origin,
     stable_step,
     trajectory_to_csv,

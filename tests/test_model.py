@@ -22,10 +22,9 @@ from indecision import (
     interaction_matrix_det,
     irrep_project,
     jacobian,
-    numerical_jacobian,
     vector_field,
 )
-from helpers import random_balanced_coloring, reference_field
+from helpers import numerical_jacobian, random_balanced_coloring, reference_field
 from indecision.model import _compiled_field, _compiled_linearization
 
 
