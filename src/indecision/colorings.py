@@ -44,7 +44,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, permutations, product
+from itertools import accumulate, chain, permutations, product
 from math import factorial, gcd
 
 import numpy as np
@@ -535,11 +535,13 @@ def _two_color_latin_blocks(p: int, q: int) -> list[tuple[tuple[int, ...], ...]]
     of equal partial columns, each as (width, ones so far).  A middle row
     puts k ones at the head of each run, which keeps the columns
     non-increasing; the k's sum to a, k = 0 on a run that already holds b
-    ones and k = width on a run that would otherwise miss b.  Running each
-    k downwards, earlier runs slowest, gives the rows in descending binary
-    order, and a row is kept when it is at most the row above.  The last
-    row is forced to b less the ones so far, and kept when it is 0/1 and at
-    most the row above."""
+    ones, k = width on a run that would otherwise miss b, and k > 0 on the
+    first run short of b: the row's leading zeros are zeros in every later
+    row, which is at most this one.  Spreading a over the runs, each k
+    downwards, earlier runs slowest, never leaving more than the later runs
+    can take, gives the rows in descending binary order; a row is kept when
+    it is at most the row above.  The last row is forced to b less the ones
+    so far, and kept when it is 0/1 and at most the row above."""
     out = []
 
     def grow(rows, runs, a, b):
@@ -550,15 +552,23 @@ def _two_color_latin_blocks(p: int, q: int) -> list[tuple[tuple[int, ...], ...]]
                 if last <= rows[-1]:
                     out.append(rows + (last,))
             return
-        spans = [(0,) if c == b else (w,) if c < b - left else range(w, -1, -1)
-                 for w, c in runs]
-        for ks in product(*spans):
-            if sum(ks) != a:
-                continue
-            row = tuple(x for (w, _), k in zip(runs, ks) for x in (1,) * k + (0,) * (w - k))
-            if row <= rows[-1]:
-                grow(rows + (row,), [run for (w, c), k in zip(runs, ks)
-                                     for run in ((k, c + 1), (w - k, c)) if run[0]], a, b)
+        spans = [(0, 0) if c == b else (w, w) if c < b - left else (0, w) for w, c in runs]
+        first = next(i for i, (_, c) in enumerate(runs) if c < b)
+        spans[first] = (max(spans[first][0], 1), spans[first][1])
+        # the most ones that runs i, i + 1, ... can take
+        room = list(accumulate((hi for _, hi in reversed(spans)), initial=0))[::-1]
+
+        def spread(i, rest, row, next_runs):
+            if i == len(runs):
+                if row <= rows[-1]:
+                    grow(rows + (row,), next_runs, a, b)
+                return
+            (w, c), (lo, hi) = runs[i], spans[i]
+            for k in range(min(hi, rest), max(lo, rest - room[i + 1]) - 1, -1):
+                spread(i + 1, rest - k, row + (1,) * k + (0,) * (w - k),
+                       next_runs + [run for run in ((k, c + 1), (w - k, c)) if run[0]])
+
+        spread(0, a, (), [])
 
     for a in range(1, q // 2 + 1):
         b, rem = divmod(a * p, q)
@@ -920,30 +930,30 @@ class StablePolynomialMap:
     levels: tuple[Fraction, ...]
 
     def field(self, Z: np.ndarray) -> np.ndarray:
-        acc = np.zeros_like(Z, dtype=float)
-        for coef in reversed(self.coeffs):
-            acc = acc * Z + float(coef)
-        return acc
+        return _horner([float(c) for c in self.coeffs], Z, np.zeros_like(Z, dtype=float))
 
     def slope(self, Z: np.ndarray) -> np.ndarray:
         """f'(Z) cellwise in floating point: the Jacobian of `field` at Z is
         diagonal, with these entries in row-major order."""
-        acc = np.zeros_like(Z, dtype=float)
-        for k in range(len(self.coeffs) - 1, 0, -1):
-            acc = acc * Z + float(k * self.coeffs[k])
-        return acc
+        return _horner([float(c) for c in self._slope_coeffs()], Z,
+                       np.zeros_like(Z, dtype=float))
 
     def eval_exact(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for coef in reversed(self.coeffs):
-            acc = acc * x + coef
-        return acc
+        return _horner(self.coeffs, x, Fraction(0))
 
     def derivative_exact(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for k in range(len(self.coeffs) - 1, 0, -1):
-            acc = acc * x + k * self.coeffs[k]
-        return acc
+        return _horner(self._slope_coeffs(), x, Fraction(0))
+
+    def _slope_coeffs(self) -> list[Fraction]:
+        """Ascending coefficients k c_k of f', exact."""
+        return [k * c for k, c in enumerate(self.coeffs) if k]
+
+
+def _horner(coeffs, x, acc):
+    """The polynomial with ascending coeffs at x by Horner's rule from acc = 0."""
+    for coef in reversed(coeffs):
+        acc = acc * x + coef
+    return acc
 
 
 @dataclass

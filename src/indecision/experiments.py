@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -84,9 +85,11 @@ class Scenario:
         numbers.update((f"sigmoids.{k}", v) for k, v in vars(self.sigmoids).items())
         if self.t_max is not None:
             numbers["t_max"] = self.t_max
-        bad = [k for k, v in numbers.items() if not isinstance(v, Real) or isinstance(v, bool)]
+        # an infinite t_max is rejected with the step, when the run is set up
+        bad = [k for k, v in numbers.items() if not isinstance(v, Real) or isinstance(v, bool)
+               or k != "t_max" and not math.isfinite(v)]
         if bad:
-            raise ValueError(f"not a number: {', '.join(bad)}")
+            raise ValueError(f"not a finite number: {', '.join(bad)}")
         if self.epsilon < 0:
             raise ValueError("epsilon must be >= 0")
         if not self.seeds:

@@ -58,8 +58,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .model import (ModelConfig, NetworkShape, _compiled_field, _compiled_linearization,
-                    jacobian)
+from .model import ModelConfig, NetworkShape, _compiled_model, jacobian
 
 __all__ = [
     "IntegratorConfig",
@@ -185,8 +184,8 @@ def random_near_origin(shape: NetworkShape, radius: float, seed: int) -> np.ndar
     Drawn row-major from numpy's default PCG64 generator seeded with `seed`,
     so one (shape, radius, seed) triple always gives the same matrix.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < radius < math.inf:
+        raise ValueError("radius must be positive and finite")
     rng = np.random.default_rng(seed)
     return rng.uniform(-radius, radius, size=(shape.m, shape.n))
 
@@ -230,7 +229,7 @@ def integrate_batch(Z0s, cfg: ModelConfig,
     m, n = cfg.shape.m, cfg.shape.n
     if Z.ndim != 3 or Z.shape[1:] != (m, n):
         raise ValueError(f"state shape {Z.shape[1:]} does not match network {m}x{n}")
-    f = _compiled_field(cfg)
+    f = _compiled_model(cfg)[0]
     h = icfg.step
     tol = icfg.equilibrium_tol
     stride = RECORD_STRIDE
@@ -384,12 +383,12 @@ def _newton_finish(Z, FZ, cfg: ModelConfig, tol: float):
     Returns (W, residual, abscissa) for the first iterate W whose residual
     is <= tol, provided the Jacobian at W is stable; None when no iterate
     gets there, one is not finite or cannot be summed, or the one that does
-    is unstable.  Each correction is solved by _gmres on the field's
+    is unstable.  The iterates are stacks of one, as the compiled model
+    takes them, and each correction is solved by _gmres on its
     Jacobian-vector product, so W is bitwise equivariant and stays bitwise
     in every synchrony subspace that contains Z."""
-    f = _compiled_field(cfg)
-    slopes, jvp = _compiled_linearization(cfg)
-    W, FW = Z, FZ
+    f, slopes, jvp = _compiled_model(cfg)
+    W, FW = Z[None], FZ[None]
     try:
         for _ in range(NEWTON_STEPS):
             D = slopes(W)
@@ -397,13 +396,13 @@ def _newton_finish(Z, FZ, cfg: ModelConfig, tol: float):
             if step is None:
                 return None
             W = W - step
-            FW = f(W[None])[0]
+            FW = f(W)
             if not np.isfinite(FW).all():
                 return None
             residual = float(np.abs(FW).max())
             if residual <= tol:
-                abscissa = _spectral_abscissa(jacobian(W, cfg))
-                return (W, residual, abscissa) if abscissa < 0.0 else None
+                abscissa = _spectral_abscissa(jacobian(W[0], cfg))
+                return (W[0], residual, abscissa) if abscissa < 0.0 else None
     except (OverflowError, ValueError):
         # math.fsum met an unsummable iterate
         return None

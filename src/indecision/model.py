@@ -15,7 +15,11 @@ conversion between interaction gains and the per-subspace growth
 coefficients, analytic eigenvalues with multiplicities, bifurcation
 thresholds, and the orthogonal projections onto the four subspaces.
 
-Exactness conventions: the multiset reductions inside ``vector_field`` use
+One compiled model per config gives the field, its saturation slopes and
+its Jacobian-vector product (the field with each saturation replaced by
+its slope) on stacks of states.
+
+Exactness conventions: the multiset reductions of the model use
 ``math.fsum``, which is correctly rounded and therefore independent of
 summand order.  Everything else is elementwise: both saturations of a whole
 stack of states are evaluated in one numpy pass whose elements see exactly
@@ -23,9 +27,8 @@ the IEEE operations of a per-saturation evaluation of one state, which
 relies on ``np.tanh`` returning the same bits for a value wherever it sits
 in an array (a test pins this).  As a consequence equivariance and the
 invariance of synchrony subspaces hold *bitwise*, not merely to rounding
-tolerance, and a state's field does not depend on the stack it is in.  The
-Jacobian-vector product that the integrator's Newton finish uses follows the
-same conventions, so it is exact in the same sense.
+tolerance, for the field and the Jacobian-vector product alike, and a
+state's result does not depend on the stack it is in.
 """
 
 from __future__ import annotations
@@ -169,101 +172,73 @@ def as_state(values, shape: NetworkShape) -> np.ndarray:
     return Z
 
 
-def _stacked_constants(cfg: ModelConfig, ndim: int):
-    """Per-saturation constants as (2, 1, ..., 1) arrays of ndim axes, S1
-    first: the gains (alpha, beta) and (gamma, delta), the offsets (s1, s2),
-    their tanh values and the denominators 1 - tanh(s)^2; and lambda as a
-    0-d array."""
-    s1, s2 = cfg.sigmoids.s1, cfg.sigmoids.s2
-    t1, t2 = math.tanh(s1), math.tanh(s2)
-
-    def stacked(x, y):
-        return np.array([x, y]).reshape((2,) + (1,) * (ndim - 1))
-
-    return (stacked(cfg.gains.alpha, cfg.gains.beta),
-            stacked(cfg.gains.gamma, cfg.gains.delta),
-            stacked(s1, s2), stacked(t1, t2),
-            stacked(1.0 - t1 * t1, 1.0 - t2 * t2), np.array(cfg.lam))
-
-
 @lru_cache(maxsize=64)
-def _compiled_field(cfg: ModelConfig):
-    """Closure evaluating the vector field for a fixed config on a (B, m, n)
-    stack of B states, returning the (B, m, n) stack of their fields.
+def _compiled_model(cfg: ModelConfig):
+    """Closures (field, slopes, jvp) for a fixed config on (B, m, n) stacks
+    of B states, built from two shared steps: mix(Z), the (2, B, m, n) stack
+    A Z + G (C - Z) of both saturations' arguments (C the column sums), and
+    close(X, Z) = lam (X[0] + T - X[1]) - Z (T the row sums of X[1]).
 
-    Both saturations of every state run in one pass: the gains (alpha,
-    beta) and (gamma, delta), the offsets (s1, s2), their tanh values and
-    the two denominators are (2, 1, 1, 1) arrays, so X[0] is S1 and X[1] is
-    S2 of the whole stack, each element computed by the same IEEE
-    operations as one saturation of one state at a time.  The result equals
-    the per-state, per-saturation one bitwise because np.tanh gives each
-    value the same bits at any offset and array length (pinned by a test).
-    Column sums and the per-row sums of S2 are accumulated with math.fsum,
-    over the B*n columns and B*m rows of the stack, so each state's result
-    is a function of its own input *multisets*: this is what makes
-    equivariance and synchrony invariance exact, and what keeps a state's
-    field independent of the other states of the stack.  The closure holds
-    no scratch buffers and is re-entrant.
+    * field(Z) = close(sat(mix(Z)), Z), sat(u) = (tanh(u - s) + tanh(s)) /
+      (1 - tanh(s)^2): the stack of the states' fields;
+    * slopes(Z) = sat'(mix(Z)): the (2, B, m, n) slopes D1 = D[0] of S1 and
+      D2 = D[1] of S2;
+    * jvp(D, V) = close(D mix(V), V): J(Z) V for each state when D =
+      slopes(Z), the field's pass with each saturation replaced by its slope.
+
+    The per-saturation constants are (2, 1, 1, 1) arrays, so both
+    saturations of every state run in one pass, each element by the same
+    IEEE operations as one saturation of one state alone (np.tanh gives a
+    value the same bits at any offset and array length; a test pins this).
+    Column and row sums are math.fsum over the B*n columns and B*m rows, so
+    each state's result is a function of its own input *multisets*: this
+    makes equivariance and synchrony invariance exact, and keeps a state's
+    result independent of the rest of the stack.  The closures hold no
+    scratch buffers and are re-entrant.
     """
     m, n = cfg.shape.m, cfg.shape.n
-    A, G, S, T0, DEN, lam = _stacked_constants(cfg, 4)
+    t1, t2 = math.tanh(cfg.sigmoids.s1), math.tanh(cfg.sigmoids.s2)
+    A, G, S, T0, DEN = (np.array(pair).reshape(2, 1, 1, 1) for pair in (
+        (cfg.gains.alpha, cfg.gains.beta), (cfg.gains.gamma, cfg.gains.delta),
+        (cfg.sigmoids.s1, cfg.sigmoids.s2), (t1, t2), (1.0 - t1 * t1, 1.0 - t2 * t2)))
+    lam = np.array(cfg.lam)
     fsum = math.fsum
 
-    def field(Z: np.ndarray) -> np.ndarray:
+    def mix(Z):
         B = len(Z)
         C = np.fromiter(map(fsum, Z.transpose(0, 2, 1).reshape(B * n, m).tolist()),
                         float, B * n).reshape(B, 1, n)
-        # (tanh(A Z + G (C - Z) - S) + T0) / DEN, computed in place
         X = A * Z
         X += G * (C - Z)
-        X -= S
-        np.tanh(X, out=X)
-        X += T0
-        X /= DEN
-        S2 = X[1]
-        T = np.fromiter(map(fsum, S2.reshape(B * m, n).tolist()),
+        return X
+
+    def close(X, Z):
+        B = len(Z)
+        X2 = X[1]
+        T = np.fromiter(map(fsum, X2.reshape(B * m, n).tolist()),
                         float, B * m).reshape(B, m, 1)
-        # lam (X[0] + T - S2) - Z
         F = X[0] + T
-        F -= S2
+        F -= X2
         F *= lam
         F -= Z
         return F
 
-    return field
-
-
-@lru_cache(maxsize=64)
-def _compiled_linearization(cfg: ModelConfig):
-    """Closures (slopes, jvp) for the linearization of the field.
-
-    slopes(Z) is the (2, m, n) array of saturation slopes at the state Z,
-    (1 - tanh(u)^2) / (1 - tanh(s)^2) at each stacked argument u of the
-    field.  jvp(D, V) is J(Z) V for the slopes D of Z: the field's stacked
-    pass with each tanh replaced by multiplication with its slope, column
-    sums of V and row sums of the S2 part again by math.fsum.  So the
-    product is bitwise equivariant under a joint permutation of Z and V,
-    and lies bitwise in a synchrony subspace that contains both.
-    """
-    m, n = cfg.shape.m, cfg.shape.n
-    A, G, S, _, DEN, lam = _stacked_constants(cfg, 3)
-    fsum = math.fsum
-
-    def mix(Z):
-        C = np.fromiter(map(fsum, Z.T.tolist()), float, n)
-        return A * Z + G * (C - Z)
+    def field(Z: np.ndarray) -> np.ndarray:
+        X = mix(Z)
+        X -= S
+        np.tanh(X, out=X)
+        X += T0
+        X /= DEN
+        return close(X, Z)
 
     def slopes(Z: np.ndarray) -> np.ndarray:
         th = np.tanh(mix(Z) - S)
         return (1.0 - th * th) / DEN
 
     def jvp(D: np.ndarray, V: np.ndarray) -> np.ndarray:
-        Y = D * mix(V)
-        Y2 = Y[1]
-        T = np.fromiter(map(fsum, Y2.tolist()), float, m)[:, None]
-        return lam * (Y[0] + T - Y2) - V
+        return close(D * mix(V), V)
 
-    return slopes, jvp
+    return field, slopes, jvp
 
 
 def vector_field(Z, cfg: ModelConfig) -> np.ndarray:
@@ -273,7 +248,7 @@ def vector_field(Z, cfg: ModelConfig) -> np.ndarray:
                                + sum_{l!=j} S2(beta z_il + delta * sum_{k!=i} z_kl) )
     """
     Z = as_state(Z, cfg.shape)
-    return _compiled_field(cfg)(Z[None])[0]
+    return _compiled_model(cfg)[0](Z[None])[0]
 
 
 def jacobian(Z, cfg: ModelConfig) -> np.ndarray:
@@ -287,7 +262,7 @@ def jacobian(Z, cfg: ModelConfig) -> np.ndarray:
     Z = as_state(Z, cfg.shape)
     m, n = cfg.shape.m, cfg.shape.n
     a, b, g, d = cfg.gains.as_tuple()
-    D1, D2 = _compiled_linearization(cfg)[0](Z)
+    D1, D2 = _compiled_model(cfg)[1](Z[None])[:, 0]
     same_row = np.eye(m)[:, None, :, None]   # [i=k], axes (i, j, k, l)
     same_col = np.eye(n)[None, :, None, :]   # [j=l]
     w1 = g + (a - g) * same_row

@@ -14,6 +14,7 @@ is always the lowest level ("red is small, blue is high" in heatmaps).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -139,10 +140,11 @@ def quantize_to_coloring(Z, tol: float) -> Coloring:
 
     A chain of nearby values can produce a cluster much wider than tol; a
     cluster whose diameter exceeds 10*tol is rejected as ambiguous.  A state
-    with a NaN or infinite entry has no levels and raises ValueError.
+    with a NaN or infinite entry has no levels and raises ValueError, as
+    does a tol that is not positive and finite.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     Z = np.asarray(Z, dtype=float)
     if not np.isfinite(Z).all():
         raise ValueError("state has non-finite entries")

@@ -66,6 +66,9 @@ def test_unknown_scenario():
     {"epsilon": -0.01}, {"radius": None}, {"seeds": (True, False)}, {"t_max": 0.0},
     {"t_max": True}, {"coefficients": CriticalCoefficients(True, 1.0, -1.0, -1.0)},
     {"sigmoids": SigmoidParams(0.5, True)}, {"seeds": (0, -1)}, {"name": "runs/a"},
+    {"radius": float("nan")}, {"radius": float("inf")}, {"quantize_tol": float("nan")},
+    {"quantize_tol": float("inf")}, {"epsilon": float("nan")}, {"epsilon": float("inf")},
+    {"sigmoids": SigmoidParams(0.5, float("nan"))},
 ])
 def test_scenario_rejects_invalid_fields(bad):
     with pytest.raises(ValueError):
@@ -444,6 +447,9 @@ def test_cli_rejects_empty_seed_range(monkeypatch):
     ["simulate", "--config", "seeds_negative.json"],
     ["simulate", "--scenario", "consensus-4x6", "--seeds=-1"],
     ["simulate", "--config", "name_path.json", "--out-dir", "out"],
+    ["classify", "matrix.csv", "--tol", "nan"],
+    ["classify", "matrix.csv", "--tol", "inf"],
+    ["simulate", "--config", "radius_nan.json"],
 ])
 def test_cli_invalid_input_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     def no_integration(*args):
@@ -462,6 +468,7 @@ def test_cli_invalid_input_is_usage_error(tmp_path, monkeypatch, capsys, argv):
                              ("shape_float", "shape", [4, 6.5]),
                              ("shape_whole_floats", "shape", [4.0, 6.0]),
                              ("seeds_negative", "seeds", [-1]),
+                             ("radius_nan", "radius", float("nan")),
                              ("name_path", "name", "runs/a")]:
         (tmp_path / f"{name}.json").write_text(json.dumps({**mini, key: value}))
     (tmp_path / "list.json").write_text("[1]")

@@ -25,7 +25,7 @@ from indecision import (
     vector_field,
 )
 from helpers import numerical_jacobian, random_balanced_coloring, reference_field
-from indecision.model import _compiled_field, _compiled_linearization
+from indecision.model import _compiled_model
 
 
 def make_config(shape, gains, sig=(0.5, 0.3), lam=1.1):
@@ -131,7 +131,7 @@ def test_field_matches_two_pass_reference_bitwise():
             sig = tuple(rng.choice([-1.0, 1.0], size=2) * rng.uniform(0.1, 1.0, size=2))
             cfg = make_config(NetworkShape(m, n), gains, sig,
                               lam=float(rng.uniform(0.5, 1.5)))
-            fast, ref = _compiled_field(cfg), reference_field(cfg)
+            fast, ref = _compiled_model(cfg)[0], reference_field(cfg)
             for scale in (1e-9, 1e-4, 1e-1, 1.0, 10.0):
                 for size in (1, 2, 3):
                     Z = rng.uniform(-scale, scale, size=(size, m, n))
@@ -192,17 +192,17 @@ def test_jacobian_matches_finite_differences(name):
     states = [rng.uniform(-scale, scale, size=(4, 6)) for scale in (1e-3, 0.3, 1.0)]
     if name == "dissensus-exotic-4x6":
         states.append(exotic_final())
-    slopes, jvp = _compiled_linearization(cfg)
+    _, slopes, jvp = _compiled_model(cfg)
     sigma, tau = rng.permutation(4), rng.permutation(6)
     for Z in states:
         J = jacobian(Z, cfg)
         assert np.abs(J - numerical_jacobian(Z, cfg, 1e-6)).max() <= 1e-8
         V = rng.standard_normal((4, 6))
-        JV = jvp(slopes(Z), V)
+        JV = jvp(slopes(Z[None]), V[None])[0]
         assert np.allclose(JV.ravel(), J @ V.ravel(), rtol=0.0, atol=1e-13)
         # the product is bitwise equivariant, like the field
         perm = np.ix_(sigma, tau)
-        assert np.array_equal(jvp(slopes(Z[perm]), V[perm]), JV[perm])
+        assert np.array_equal(jvp(slopes(Z[perm][None]), V[perm][None])[0], JV[perm])
 
 
 # ---------------------------------------------------------------------------

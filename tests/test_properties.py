@@ -18,7 +18,7 @@ from indecision import (Coloring, GainParams, ModelConfig, NetworkShape,  # noqa
                         SigmoidParams, balance_witness, canonical_form, dim_Vd_intersection,
                         dissensus_intersection_basis, enumerate_axial, is_axial_Vd,
                         isotropy_subgroup)
-from indecision.model import _compiled_field, _compiled_linearization  # noqa: E402
+from indecision.model import _compiled_model  # noqa: E402
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -45,34 +45,42 @@ def bits(a):
     return np.where(np.isnan(a), np.nan, a).view(np.int64)
 
 
-def field_or_none(f, Z):
+def or_none(fn, *stacks):
     try:
-        return f(Z)
+        return fn(*stacks)
     except (OverflowError, ValueError):
         # math.fsum cannot sum a column or row of this stack
         return None
+
+
+def member(a, i):
+    # member i of a stack as a stack of one: the states are the last two
+    # axes and the members the axis before them
+    return a.take([i], axis=a.ndim - 3)
 
 
 @PROPERTY
 @given(st.data())
 def test_stacked_field_equals_each_member_alone_bitwise(data):
     # any stack size and any values, non-finite and huge ones included: a
-    # stack's field is its members' fields, and it cannot be summed exactly
-    # when one member's cannot
+    # stack's field, slopes and Jacobian-vector product are its members',
+    # and cannot be summed exactly when one member's cannot
     cfg = data.draw(configs())
     size = data.draw(st.integers(1, 5))
     values = st.floats(allow_nan=True, allow_infinity=True) | st.floats(-10.0, 10.0)
-    Z = states(data.draw, cfg.shape, (size,), values)
-    f = _compiled_field(cfg)
-    with np.errstate(all="ignore"):
-        stacked = field_or_none(f, Z)
-        alone = [field_or_none(f, Zi[None]) for Zi in Z]
-    if any(F is None for F in alone):
-        assert stacked is None
-        return
-    assert stacked is not None and stacked.shape == Z.shape
-    for Fi, F in zip(stacked, alone):
-        assert np.array_equal(bits(Fi), bits(F[0]))
+    Z, V = (states(data.draw, cfg.shape, (size,), values) for _ in range(2))
+    D = np.stack([V, Z])    # the product is defined for any slopes
+    field, slopes, jvp = _compiled_model(cfg)
+    for fn, args in ((field, (Z,)), (slopes, (Z,)), (jvp, (D, V))):
+        with np.errstate(all="ignore"):
+            stacked = or_none(fn, *args)
+            alone = [or_none(fn, *(member(a, i) for a in args)) for i in range(size)]
+        if any(F is None for F in alone):
+            assert stacked is None
+            continue
+        assert stacked is not None and stacked.shape[-3:] == Z.shape
+        for i, F in enumerate(alone):
+            assert np.array_equal(bits(member(stacked, i)), bits(F))
 
 
 @PROPERTY
@@ -84,10 +92,10 @@ def test_field_and_jvp_are_bitwise_equivariant(data):
     sigma = data.draw(st.permutations(range(m)))
     tau = data.draw(st.permutations(range(n)))
     perm = np.ix_(sigma, tau)
-    f = _compiled_field(cfg)
-    slopes, jvp = _compiled_linearization(cfg)
+    f, slopes, jvp = _compiled_model(cfg)
     assert np.array_equal(bits(f(Z[perm][None])[0]), bits(f(Z[None])[0][perm]))
-    assert np.array_equal(bits(jvp(slopes(Z[perm]), V[perm])), bits(jvp(slopes(Z), V)[perm]))
+    assert np.array_equal(bits(jvp(slopes(Z[perm][None]), V[perm][None])[0]),
+                          bits(jvp(slopes(Z[None]), V[None])[0][perm]))
 
 
 @st.composite

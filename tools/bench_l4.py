@@ -14,10 +14,10 @@ over those calls of:
 
 then times `canonical_form` CALLS times from a cold cache on the
 all-distinct 4x6 and 5x6 colorings (median), and last builds the 7x6
-catalog and times `isotropy_subgroup` on each of its entries
-(isotropy_ms.7x6).  The output holds, per tree, the median and quartiles
-over the rounds of each interpreter's figure, with the tree's git SHA, and
-the host, Python and numpy versions.
+catalog and times CALLS passes of `isotropy_subgroup` over its entries
+(isotropy_ms.7x6, the median pass).  The output holds, per tree, the
+median and quartiles over the rounds of each interpreter's figure, with
+the tree's git SHA, and the host, Python and numpy versions.
 
 Usage:
     python tools/bench_l4.py --rounds 7 --out BENCH_L4.json \\
@@ -96,10 +96,13 @@ def child():
             times.append(time.perf_counter() - start)
         out[f"all_distinct_s.{m}x{n}"] = statistics.median(times)
     entries = [e.coloring for e in colorings.enumerate_axial(NetworkShape(*ISOTROPY_SHAPE))]
-    start = time.perf_counter()
-    for c in entries:
-        colorings.isotropy_subgroup(c)
-    out["isotropy_ms.{}x{}".format(*ISOTROPY_SHAPE)] = (time.perf_counter() - start) * 1e3
+    times = []
+    for _ in range(CALLS):
+        start = time.perf_counter()
+        for c in entries:
+            colorings.isotropy_subgroup(c)
+        times.append(time.perf_counter() - start)
+    out["isotropy_ms.{}x{}".format(*ISOTROPY_SHAPE)] = statistics.median(times) * 1e3
     print(json.dumps({"figures": out, "python": platform.python_version(),
                       "numpy": np.__version__}))
 
