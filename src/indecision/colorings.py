@@ -583,23 +583,22 @@ def _two_color_latin_blocks(p: int, q: int) -> list[tuple[tuple[int, ...], ...]]
 
 @dataclass(frozen=True)
 class AxialColoring:
-    """One axial pattern: its structural case, the coloring, and the data
-    needed to write down the exact value line.
+    """One axial pattern: its structural case, the coloring, and the one
+    number the case adds to it.  Cases A and B carry rho, the share of each
+    row of the two-color Latin block held by its red color; case C carries
+    split, the (r, s) size of its top-left block.
 
-    red_color / blue_color / yellow_color are ids in `coloring` (cases A/B);
-    block_colors maps the four case-C blocks (11, 12, 21, 22) to ids.
+    The coloring numbers its colors in order of first appearance, row by
+    row, which fixes every role: in cases A and B, color 0 is the
+    forced-zero block when there is one (three colors), and the next id is
+    red, the other Latin color blue; in case C, colors 0, 1, 2, 3 are the
+    top-left, top-right, bottom-left and bottom-right blocks.
     """
 
     case: str
     coloring: Coloring
-    zero_block: tuple[int, ...] | None = None
-    latin_block: LatinRectangleBlock | None = None
     split: tuple[int, int] | None = None
     rho: Fraction | None = None
-    red_color: int | None = None
-    blue_color: int | None = None
-    yellow_color: int | None = None
-    block_colors: tuple[int, int, int, int] | None = None
 
 
 class AxialCatalog:
@@ -648,22 +647,14 @@ def _case_c_coloring(m, n, r, s) -> Coloring:
 
 
 def _bordered_latin(case: str, L, z: int) -> AxialColoring:
-    """Case A: the two-color Latin rectangle L (ids 0, 1) right of z
-    forced-zero columns.  Case B, z forced-zero rows above L, is case A of
-    L transposed, transposed back."""
+    """Case A: the two-color Latin rectangle L (ids 0, 1; red is 1) right
+    of z forced-zero columns.  Case B, z forced-zero rows above L, is case A
+    of L transposed, transposed back.  The zero block takes raw id 2 so
+    that the grid is a Coloring before relabeling."""
     flip = (lambda g: list(zip(*g))) if case == "B" else list
     grid = flip([(2,) * z + row for row in flip(L)])
-    col = Coloring.from_rows(grid).relabeled()
-    ids = {a: b for row, new in zip(grid, col.cells) for a, b in zip(row, new)}
-    m, n = col.m, col.n
-    rows, cols = (range(z, m), range(n)) if case == "B" else (range(m), range(z, n))
-    return AxialColoring(
-        case=case, coloring=col, zero_block=tuple(range(z)) or None,
-        latin_block=LatinRectangleBlock(
-            rows=tuple(rows), cols=tuple(cols),
-            colors=tuple(tuple(col.cells[i][j] for j in cols) for i in rows)),
-        rho=Fraction(sum(L[0]), len(L[0])),
-        red_color=ids[1], blue_color=ids[0], yellow_color=ids.get(2))
+    return AxialColoring(case=case, coloring=Coloring.from_rows(grid).relabeled(),
+                         rho=Fraction(sum(L[0]), len(L[0])))
 
 
 @lru_cache(maxsize=32)
@@ -680,7 +671,8 @@ def enumerate_axial(shape) -> AxialCatalog:
     _two_color_latin_blocks, bordered by the forced-zero block when they do
     not fill the grid.  Several of these can be conjugate; the catalog keeps
     the first candidate of each canonical form and sorts the kept entries
-    by canonical form.
+    by canonical form.  A case C entry records its split, a case A or B
+    entry the rho of its Latin block; the coloring fixes the rest.
 
     A shape of more than MAX_AXIAL_CELLS cells raises CatalogTooLargeError
     before any work.
@@ -695,11 +687,8 @@ def enumerate_axial(shape) -> AxialCatalog:
         for s in range(1, n // 2 + 1):
             if 2 * r == m and 2 * s == n:
                 continue
-            col = _case_c_coloring(m, n, r, s)
-            raw.append(AxialColoring(
-                case="C", coloring=col, split=(r, s),
-                block_colors=(col.cells[0][0], col.cells[0][n - 1],
-                              col.cells[m - 1][0], col.cells[m - 1][n - 1])))
+            raw.append(AxialColoring(case="C", coloring=_case_c_coloring(m, n, r, s),
+                                     split=(r, s)))
 
     for q in range(2, n + 1):
         raw += [_bordered_latin("A", L, n - q) for L in _two_color_latin_blocks(m, q)]
@@ -891,21 +880,16 @@ def exotic_sufficient_4xn(c: Coloring) -> bool:
 # ---------------------------------------------------------------------------
 
 def axial_values(a: AxialColoring, amplitude) -> list[list[Fraction]]:
-    """The unique element of the pattern's line with the red (case A/B) or
-    top-left block (case C) value equal to `amplitude`: the exact basis
-    vector of dissensus_intersection_basis, scaled.  Exact rationals; all
-    row and column sums are exactly zero."""
+    """The unique element of the pattern's line whose first nonzero color,
+    by id, has value `amplitude`: the red color in cases A and B, the
+    top-left block in case C.  It is the exact basis vector of
+    dissensus_intersection_basis, scaled.  Exact rationals; all row and
+    column sums are exactly zero."""
     amp = Fraction(amplitude)
     if amp == 0:
         raise ValueError("amplitude must be nonzero")
-    if a.case in ("A", "B"):
-        ref = a.red_color
-    elif a.case == "C":
-        ref = a.block_colors[0]
-    else:
-        raise ValueError(f"unknown case {a.case!r}")
     (line,) = dissensus_intersection_basis(a.coloring)
-    scale = amp / line[ref]
+    scale = amp / next(v for v in line if v)
     return [[line[col] * scale for col in row] for row in a.coloring.cells]
 
 

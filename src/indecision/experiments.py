@@ -98,8 +98,8 @@ class Scenario:
             raise ValueError(f"seeds must be >= 0, got {min(self.seeds)}")
         if self.quantize_tol <= 0:
             raise ValueError("quantize_tol must be > 0")
-        if self.radius <= 0:
-            raise ValueError("radius must be > 0")
+        if not (self.radius > 0 and math.isfinite(2 * self.radius)):
+            raise ValueError("radius must be > 0 with 2 * radius finite")
         if self.t_max is not None and not self.t_max > 0:
             raise ValueError("t_max must be > 0")
         if any(sep in str(self.name) for sep in ("/", os.sep, os.altsep) if sep):

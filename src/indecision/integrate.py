@@ -182,10 +182,11 @@ def random_near_origin(shape: NetworkShape, radius: float, seed: int) -> np.ndar
     """Random state with entries i.i.d. uniform on [-radius, radius].
 
     Drawn row-major from numpy's default PCG64 generator seeded with `seed`,
-    so one (shape, radius, seed) triple always gives the same matrix.
+    so one (shape, radius, seed) triple always gives the same matrix.  The
+    draw spans 2 * radius, which must be finite.
     """
-    if not 0 < radius < math.inf:
-        raise ValueError("radius must be positive and finite")
+    if not (radius > 0 and math.isfinite(2 * radius)):
+        raise ValueError("radius must be positive with 2 * radius finite")
     rng = np.random.default_rng(seed)
     return rng.uniform(-radius, radius, size=(shape.m, shape.n))
 
@@ -198,7 +199,7 @@ def integrate(Z0, cfg: ModelConfig,
     the final state (a Newton final replaces the sample it started from).
 
     The stability gate and the Newton finish are tried at a sampled state
-    with residual <= sqrt(equilibrium_tol) and at most half the residual of
+    with residual <= sqrt(equilibrium_tol) and under half the residual of
     the previous try; tries re-arm once the residual climbs above
     sqrt(equilibrium_tol) again, and the last step is always tried.
 
@@ -318,7 +319,7 @@ class _Member:
         stop = "t_max" if last else None
         if residual > math.sqrt(tol):
             self.last_try = math.inf
-        elif last or residual <= 0.5 * self.last_try:
+        elif last or residual < 0.5 * self.last_try:
             self.last_try = residual
             self.abscissa = _spectral_abscissa(jacobian(Z, cfg))
             if self.abscissa < 0.0:
@@ -329,7 +330,8 @@ class _Member:
                     if finish is not None:
                         self.traj.states[-1], self.residual, self.abscissa = finish
                         stop = "newton"
-        if stop == "t_max":
+        if stop == "t_max" and residual > math.sqrt(tol):
+            # under sqrt(tol) the gate has just computed it at Z
             self.abscissa = _spectral_abscissa(jacobian(Z, cfg))
         if stop is not None:
             self._end(stop, t, k)

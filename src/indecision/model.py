@@ -128,7 +128,8 @@ class SigmoidParams:
     """Offsets of the two saturations S(x) = (tanh(x - s) + tanh(s)) /
     (1 - tanh(s)^2), normalized so S(0) = 0 and S'(0) = 1; zero offsets are
     rejected because they kill the quadratic terms the bifurcation analysis
-    relies on."""
+    relies on, and non-finite ones, or ones so large (|s| > 19.06) that
+    1 - tanh(s)^2 rounds to 0, because the normalization divides by it."""
 
     s1: float
     s2: float
@@ -136,6 +137,10 @@ class SigmoidParams:
     def __post_init__(self):
         if self.s1 == 0.0 or self.s2 == 0.0:
             raise ValueError("sigmoid offsets must be nonzero")
+        offsets = (self.s1, self.s2)
+        if not all(math.isfinite(s) and 1.0 - math.tanh(s) ** 2 > 0.0 for s in offsets):
+            raise ValueError("sigmoid offsets must be finite with 1 - tanh(s)^2 > 0 "
+                             f"(|s| <= 19.06), got {self.s1}, {self.s2}")
 
 
 @dataclass(frozen=True)

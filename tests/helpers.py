@@ -17,6 +17,7 @@ from indecision import (
     dim_Vd_intersection,
     dissensus_intersection_basis,
     is_balanced,
+    tiling_decomposition,
     vector_field,
 )
 from indecision.integrate import RECORD_STRIDE, RK4_RADIUS
@@ -74,6 +75,28 @@ def line_of(c: Coloring):
     flat = [vec[col] for row in c.cells for col in row]
     lead = next(x for x in flat if x != 0)
     return tuple(tuple(vec[col] / lead for col in row) for row in c.cells)
+
+
+def bordered_latin_roles(e):
+    """(zero, red, blue, latin) of a case A or B catalog entry, read off the
+    tiling of its coloring: zero is the color of its one-color block (None
+    without one), latin its two-color Latin block, red the color with
+    rho * q cells in each row of that block (q its width; the lower id when
+    rho = 1/2, both then qualifying) and blue the other one."""
+    blocks = tiling_decomposition(e.coloring).blocks
+    zeros = [min(b.color_set) for b in blocks if len(b.color_set) == 1]
+    (latin,) = [b for b in blocks if len(b.color_set) == 2]
+    assert len(blocks) == 1 + len(zeros) <= 2
+    width = len(latin.cols)
+    red = min(c for c in latin.color_set if latin.colors[0].count(c) == e.rho * width)
+    (blue,) = latin.color_set - {red}
+    return (zeros or [None])[0], red, blue, latin
+
+
+def corner_colors(c: Coloring):
+    """The colors of the top-left, top-right, bottom-left and bottom-right
+    cells: the four blocks of a case C catalog entry."""
+    return c.cells[0][0], c.cells[0][-1], c.cells[-1][0], c.cells[-1][-1]
 
 
 def refines(fine: Coloring, coarse: Coloring) -> bool:

@@ -42,8 +42,10 @@ from indecision import (
 from helpers import (
     EXOTIC_4X6,
     EXOTIC_4X6_GENERATORS,
+    bordered_latin_roles,
     brute_force_axial,
     closure_pairs,
+    corner_colors,
     numerical_jacobian,
     preserves_coloring,
     random_balanced_coloring,
@@ -182,7 +184,7 @@ def test_criterion_05a_dissensus1_all_match_axial(scenario_runs, catalog_4x6):
     bad = []
     for r in converged:
         entry = match_axial(r.final, catalog_4x6, tol=1e-4)
-        ok = (entry is not None and entry.case == "A" and entry.zero_block
+        ok = (entry is not None and entry.case == "A" and entry.coloring.num_colors == 3
               and classify_orbital_exotic(entry.coloring) == "Orbital")
         if not ok:
             bad.append(r.seed)
@@ -241,7 +243,7 @@ def test_criterion_06_dissensus2_latin_census(scenario_runs, catalog_4x6):
         assert np.all(counts0 == 2), "each column must split 2+2"
         assert np.all(rows0 == 3), "each row must split 3+3"
         entry = match_axial(r.final, catalog_4x6, tol=1e-4)
-        assert entry is not None and entry.case == "A" and not entry.zero_block
+        assert entry is not None and entry.case == "A" and entry.coloring.num_colors == 2
         verdicts[classify_orbital_exotic(entry.coloring)] += 1
     report(6, len(converged) > 0,
            f"all {len(converged)} converged runs quantize to 4x6 two-color "
@@ -382,13 +384,14 @@ def test_criterion_12_axial_value_ratios():
                 for j, col in enumerate(row):
                     level[col] = vals[i][j]
             if e.case in ("A", "B"):
-                assert level[e.red_color] == amp
-                assert level[e.blue_color] == -e.rho / (1 - e.rho) * amp
-                if e.yellow_color is not None:
-                    assert level[e.yellow_color] == 0
+                zero, red, blue, _ = bordered_latin_roles(e)
+                assert level[red] == amp
+                assert level[blue] == -e.rho / (1 - e.rho) * amp
+                if zero is not None:
+                    assert level[zero] == 0
             else:
                 r, s = e.split
-                b11, b12, b21, b22 = e.block_colors
+                b11, b12, b21, b22 = corner_colors(e.coloring)
                 assert level[b12] == -Fraction(s, n - s) * amp
                 assert level[b21] == -Fraction(r, m - r) * amp
                 assert level[b22] == Fraction(s, n - s) * Fraction(r, m - r) * amp

@@ -34,8 +34,10 @@ from indecision import colorings
 from helpers import (
     EXOTIC_4X6,
     EXOTIC_4X6_GENERATORS,
+    bordered_latin_roles,
     brute_force_axial,
     closure_pairs,
+    corner_colors,
     indicator_key,
     line_of,
     preserves_coloring,
@@ -296,7 +298,7 @@ def test_enumerate_axial_2xn_structure():
         for e in cat:
             if e.case == "A":
                 assert e.rho == Fraction(1, 2)
-                q = len(e.latin_block.cols)
+                q = len(bordered_latin_roles(e)[3].cols)
                 assert q % 2 == 0
             assert e.case != "B"
 
@@ -304,7 +306,8 @@ def test_enumerate_axial_2xn_structure():
 def test_enumerate_axial_3xn_case_a_thirds():
     # rho for the widest 3-row Latin blocks is 1/3 (or 2/3 by relabeling)
     cat = enumerate_axial(NetworkShape(3, 6))
-    rhos = {e.rho for e in cat if e.case == "A" and len(e.latin_block.cols) == 6}
+    rhos = {e.rho for e in cat
+            if e.case == "A" and len(bordered_latin_roles(e)[3].cols) == 6}
     assert rhos <= {Fraction(1, 3), Fraction(2, 3)}
     assert rhos
 
@@ -376,7 +379,7 @@ def test_case_b_is_transposed_case_a(m, n):
     case_b = [e.coloring for e in enumerate_axial(NetworkShape(m, n)) if e.case == "B"]
     transposed_a = [Coloring.from_rows(zip(*e.coloring.cells)).relabeled()
                     for e in enumerate_axial(NetworkShape(n, m))
-                    if e.case == "A" and e.zero_block]
+                    if e.case == "A" and e.coloring.num_colors == 3]
     assert case_b
     assert sorted(case_b, key=lambda c: c.cells) == \
         sorted(transposed_a, key=lambda c: c.cells)
@@ -650,7 +653,7 @@ def test_axial_values_case_c_ratios():
     e = next(e for e in enumerate_axial(NetworkShape(3, 4))
              if e.case == "C" and e.split == (1, 1))
     vals = axial_values(e, 1)
-    b11, b12, b21, b22 = e.block_colors
+    b11, b12, b21, b22 = corner_colors(e.coloring)
     value_of = {}
     for i in range(3):
         for j in range(4):
@@ -674,7 +677,7 @@ def test_axial_values_zero_sums_exact():
                 blue = -e.rho / (1 - e.rho) * red
                 flat = {v for row in vals for v in row}
                 assert red in flat and blue in flat
-                if e.yellow_color is not None:
+                if bordered_latin_roles(e)[0] is not None:
                     assert Fraction(0) in flat
 
 

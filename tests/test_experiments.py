@@ -65,13 +65,17 @@ def test_unknown_scenario():
     {"seeds": ()}, {"quantize_tol": 0.0}, {"radius": 0.0}, {"epsilon": True},
     {"epsilon": -0.01}, {"radius": None}, {"seeds": (True, False)}, {"t_max": 0.0},
     {"t_max": True}, {"coefficients": CriticalCoefficients(True, 1.0, -1.0, -1.0)},
-    {"sigmoids": SigmoidParams(0.5, True)}, {"seeds": (0, -1)}, {"name": "runs/a"},
+    {"sigmoids": (0.5, True)}, {"seeds": (0, -1)}, {"name": "runs/a"},
     {"radius": float("nan")}, {"radius": float("inf")}, {"quantize_tol": float("nan")},
     {"quantize_tol": float("inf")}, {"epsilon": float("nan")}, {"epsilon": float("inf")},
-    {"sigmoids": SigmoidParams(0.5, float("nan"))},
+    {"sigmoids": (0.5, float("nan"))}, {"sigmoids": (20.0, 0.3)}, {"sigmoids": (0.3, -19.07)},
+    {"radius": 1e308},
 ])
 def test_scenario_rejects_invalid_fields(bad):
+    # sigmoid offsets are given as pairs, since SigmoidParams may reject them itself
     with pytest.raises(ValueError):
+        if "sigmoids" in bad:
+            bad = {**bad, "sigmoids": SigmoidParams(*bad["sigmoids"])}
         fast_consensus_2x2().replace(**bad)
 
 
@@ -450,6 +454,8 @@ def test_cli_rejects_empty_seed_range(monkeypatch):
     ["classify", "matrix.csv", "--tol", "nan"],
     ["classify", "matrix.csv", "--tol", "inf"],
     ["simulate", "--config", "radius_nan.json"],
+    ["simulate", "--config", "sigmoids_saturated.json"],
+    ["simulate", "--config", "radius_huge.json"],
 ])
 def test_cli_invalid_input_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     def no_integration(*args):
@@ -469,6 +475,8 @@ def test_cli_invalid_input_is_usage_error(tmp_path, monkeypatch, capsys, argv):
                              ("shape_whole_floats", "shape", [4.0, 6.0]),
                              ("seeds_negative", "seeds", [-1]),
                              ("radius_nan", "radius", float("nan")),
+                             ("sigmoids_saturated", "sigmoids", [20.0, 0.3]),
+                             ("radius_huge", "radius", 1e308),
                              ("name_path", "name", "runs/a")]:
         (tmp_path / f"{name}.json").write_text(json.dumps({**mini, key: value}))
     (tmp_path / "list.json").write_text("[1]")

@@ -63,6 +63,9 @@ def test_random_near_origin_rejects_bad_radius():
         random_near_origin(NetworkShape(2, 2), 0.0, 0)
     with pytest.raises(ValueError):
         random_near_origin(NetworkShape(2, 2), -1.0, 0)
+    # the draw spans 2 * radius, which overflows past 8.99e307
+    with pytest.raises(ValueError):
+        random_near_origin(NetworkShape(2, 2), 1e308, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +187,20 @@ def test_unstable_equilibrium_is_not_convergence():
         assert res.spectral_abscissa < 0
         assert np.abs(res.final).max() > 0.1
         assert res.spectral_abscissa == np.linalg.eigvals(jacobian(res.final, cfg)).real.max()
+
+
+def test_stability_gate_tries_a_resting_start_once_before_t_max(monkeypatch):
+    # on the unstable origin every sample has residual 0: the gate tries it
+    # at the first sample and at t_max, and the t_max report reuses that
+    # abscissa instead of computing it again
+    cfg = get_scenario("consensus-4x6").model_config()
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda J: calls.append(J) or eigvals(J))
+    _, res = integrate(np.zeros((4, 6)), cfg, IntegratorConfig(step=0.1, t_max=20.0))
+    assert res.stop_reason == "t_max" and res.residual == 0.0
+    assert res.spectral_abscissa == eigvals(jacobian(np.zeros((4, 6)), cfg)).real.max() > 0
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("stop,lam,step,radius,t_max", [

@@ -6,10 +6,9 @@ items are:
 
 * catalog/MxN: the SHA-256 of `enumerate_axial(M x N).export_json()` for
   every shape with M, N >= 2 and at most MAX_AXIAL_CELLS cells;
-* entry/MxN#k: every field of each entry's `AxialColoring`, which the
-  export leaves out in part: case, coloring, zero_block, latin_block
-  (rows, columns and color ids), split, rho, and the red, blue, yellow and
-  block color ids, so a change of representative shows;
+* entry/MxN#k: each entry's case, coloring, split and rho, and its exact
+  `axial_values` at amplitude 5/3, which the export leaves out, so a
+  change of the value line's scale shows as well as one of representative;
 * for every entry of those catalogs, a random conjugate of each entry, a
   seeded random set of colorings (1 to m * n colors, up to 6 x 6) and a
   random conjugate of each: `canonical_form`, the whole `isotropy_subgroup`
@@ -38,6 +37,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 
 
 def digest(value) -> str:
@@ -72,7 +72,8 @@ def exact_items(n_random: int, seed: int) -> dict:
             cat = C.enumerate_axial(NetworkShape(m, n))
             items[f"catalog/{m}x{n}"] = hashlib.sha256(cat.export_json().encode()).hexdigest()
             for k, e in enumerate(cat):
-                items[f"entry/{m}x{n}#{k}"] = digest(e)
+                items[f"entry/{m}x{n}#{k}"] = digest((e.case, e.coloring, e.split, e.rho,
+                                                      C.axial_values(e, Fraction(5, 3))))
                 subjects.append((f"{m}x{n}#{k}", e.coloring))
                 subjects.append((f"{m}x{n}#{k}~", conjugate(rng, e.coloring)))
     for k in range(n_random):
