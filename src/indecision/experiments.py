@@ -28,7 +28,6 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass
-from html import escape
 from numbers import Integral, Real
 
 import numpy as np
@@ -56,6 +55,7 @@ __all__ = [
 DEFAULT_SEEDS = tuple(range(20))
 DEFAULT_QUANTIZE_TOL = 1e-4  # also the default of `indecision classify --tol`
 ZERO_AMPLITUDE = 1e-6  # below this a final state counts as "converged to 0"
+MAX_STEPS = 10**6  # most RK4 steps a run may take to t_max; the built-ins take < 4,000
 _CONFIG_KEYS = ("name", "shape", "coefficients", "sigmoids", "epsilon", "seeds",
                 "radius", "quantize_tol", "integrator")
 _INTEGRATOR_KEYS = ("t_max",)
@@ -187,7 +187,10 @@ class Scenario:
         consensus-4x6), and t_max the scenario's or, when that is None,
         sized from the linear growth rate |lam c - 1| of the first
         bifurcating subspace (coefficient c).
-        Raises ValueError when t_max is infinite or not longer than one step."""
+        Raises ValueError when t_max is infinite or not longer than one step,
+        and when it takes more than MAX_STEPS steps: the step shrinks with
+        1 - tanh(s)^2 of the sigmoid offsets, so a large offset would make
+        a run that never ends."""
         cfg = self.model_config(lam)
         t_max = self.t_max
         if t_max is None:
@@ -196,7 +199,12 @@ class Scenario:
             c_first = self.coefficients.get(self.first_threshold().which)
             rate = abs(cfg.lam * c_first - 1.0)
             t_max = 15.0 / max(rate, 1e-3) + 1500.0
-        return IntegratorConfig(step=stable_step(cfg), t_max=t_max)
+        icfg = IntegratorConfig(step=stable_step(cfg), t_max=t_max)
+        steps = t_max / icfg.step
+        if steps > MAX_STEPS:
+            raise ValueError(f"the stable step {icfg.step:.3g} takes {steps:.3g} RK4 steps "
+                             f"to t_max {t_max:g}, over the {MAX_STEPS:,} allowed")
+        return icfg
 
     def replace(self, **kw) -> "Scenario":
         return dataclasses.replace(self, **kw)
@@ -453,8 +461,10 @@ def write_heatmap_svg(Z, path: str, title: str | None = None):
              f'height="{height}" viewBox="0 0 {width} {height}">']
     parts.append(f'<rect width="{width}" height="{height}" fill="white"/>')
     if title:
+        # html.escape(title, quote=False), without importing html
+        title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(f'<text x="{left}" y="18" font-family="sans-serif" '
-                     f'font-size="13">{escape(title, quote=False)}</text>')
+                     f'font-size="13">{title}</text>')
     for j in range(n):
         x = left + j * cell + cell / 2
         parts.append(f'<text x="{x:g}" y="{top - 6}" text-anchor="middle" '

@@ -45,6 +45,11 @@ is elementwise), so a start's trajectory and result are the same, bitwise,
 whatever batch it runs in and in whatever order; integrate is the batch of
 one.
 
+Starts.  random_near_origin draws a seeded start from numpy's stream,
+np.random.default_rng(seed).uniform (SeedSequence into PCG64), bit for
+bit, computed in pure Python: the start of a seed is what it was, without
+the import time and memory of numpy.random.
+
 Divergence (a non-finite state, or one too large for the field's sums) is
 reported in the result, not raised, so parameter sweeps survive unstable
 regions; in a batch it ends only the starts it occurs in.
@@ -53,6 +58,7 @@ regions; in a batch it ends only the starts it occurs in.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -181,14 +187,80 @@ def _centre_spectrum(cfg: ModelConfig) -> tuple[tuple[float, ...], float]:
 def random_near_origin(shape: NetworkShape, radius: float, seed: int) -> np.ndarray:
     """Random state with entries i.i.d. uniform on [-radius, radius].
 
-    Drawn row-major from numpy's default PCG64 generator seeded with `seed`,
-    so one (shape, radius, seed) triple always gives the same matrix.  The
-    draw spans 2 * radius, which must be finite.
+    The entries are np.random.default_rng(seed).uniform(-radius, radius,
+    (m, n)) bitwise: numpy's SeedSequence and PCG64 stream, filled
+    row-major, computed in pure Python by _pcg64_doubles, so one (shape,
+    radius, seed) triple always gives the same matrix and numpy.random is
+    never imported.  The seed is a non-negative integer; the draw spans
+    2 * radius, which must be finite.
     """
     if not (radius > 0 and math.isfinite(2 * radius)):
         raise ValueError("radius must be positive with 2 * radius finite")
-    rng = np.random.default_rng(seed)
-    return rng.uniform(-radius, radius, size=(shape.m, shape.n))
+    span = 2 * radius
+    values = [-radius + span * u for u in _pcg64_doubles(seed, shape.m * shape.n)]
+    return np.array(values).reshape(shape.m, shape.n)
+
+
+_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_sequence_state(seed: int) -> list[int]:
+    """numpy's SeedSequence(seed).generate_state(4, np.uint64): the seed's
+    little-endian 32-bit words hashed into a pool of 4 words, each word of
+    the pool hashed into the others, then 8 output words paired into 4
+    64-bit ones (O'Neill's seed_seq_fe, all arithmetic mod 2**32)."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed & _MASK32]
+    while seed := seed >> 32:
+        words.append(seed & _MASK32)
+    const = 0x43b0d7e5
+
+    def hashmix(value):
+        nonlocal const
+        value ^= const
+        const = const * 0x931e8875 & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = (0xca01f9dd * x - 0x4973f715 * y) & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const, out = 0x8b51f9dd, []
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * 0x58f38ded & _MASK32
+        value = value * const & _MASK32
+        out.append(value ^ value >> 16)
+    return [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+def _pcg64_doubles(seed: int, count: int) -> list[float]:
+    """The first count doubles of np.random.default_rng(seed).random():
+    PCG64 (O'Neill 2014) seeded as numpy seeds it from
+    _seed_sequence_state, each double the top 53 bits of one XSL-RR
+    128/64 output."""
+    s_hi, s_lo, i_hi, i_lo = _seed_sequence_state(seed)
+    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+    state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+    doubles = []
+    for _ in range(count):
+        state = (state * _PCG64_MULT + inc) & _MASK128
+        word, rot = ((state >> 64) ^ state) & _MASK64, state >> 122
+        word = (word >> rot | word << (64 - rot)) & _MASK64
+        doubles.append((word >> 11) * 2.0**-53)
+    return doubles
 
 
 def integrate(Z0, cfg: ModelConfig,

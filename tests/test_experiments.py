@@ -87,6 +87,18 @@ def test_scenario_rejects_t_max_under_one_step_or_infinite_when_run(t_max):
         sc.integrator_config()
 
 
+@pytest.mark.parametrize("s1", [5.0, 8.0, 19.0])
+def test_scenario_rejects_a_run_of_too_many_steps(s1):
+    # the stable step shrinks with 1 - tanh(s1)^2: 6.4e6 steps to t_max at
+    # s1 = 5, 5.3e18 at s1 = 19, against fewer than 4,000 for the built-ins
+    sc = fast_consensus_2x2().replace(sigmoids=SigmoidParams(s1, 0.3))
+    with pytest.raises(ValueError, match="RK4 steps to t_max"):
+        sc.integrator_config()
+    for builtin in experiments.BUILTIN_SCENARIOS.values():
+        icfg = builtin.integrator_config()
+        assert icfg.t_max / icfg.step < 4000
+
+
 def test_scenario_from_dict_rejects_booleans_by_name():
     raw = {"epsilon": True, "seeds": [True, False], "radius": True,
            "coefficients": {"c_d": -1.0, "c_c": True, "c_dl": -1.0, "c_s": -1.0}}
@@ -411,6 +423,27 @@ def test_import_makes_no_linear_algebra_call():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_runs_import_neither_numpy_random_nor_html(tmp_path):
+    # the seeded starts are drawn in pure Python and the SVG title escaped
+    # by hand: neither module is worth its import time and memory
+    cfg = write_mini_config(tmp_path / "cfg.json", seeds=(0, 1))
+    code = ("import sys\n"
+            "from indecision import cli, experiments, get_scenario\n"
+            f"assert cli.main(['simulate', '--config', {str(cfg)!r}, "
+            f"'--out-dir', {str(tmp_path / 'out')!r}]) == 0\n"
+            "sc = get_scenario('consensus-4x6').replace(seeds=(0, 1), t_max=5.0)\n"
+            "assert len(experiments.sweep_lambda(sc, [0.9, 1.1])) == 2\n"
+            "print(sorted({'numpy.random', 'html'} & set(sys.modules)))\n")
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "out" / "cli-mini_seed1.svg").exists()
+
+
 def test_cli_rejects_empty_seed_range(monkeypatch):
     def no_integration(*args):
         raise AssertionError("integrated an invalid scenario")
@@ -456,6 +489,8 @@ def test_cli_rejects_empty_seed_range(monkeypatch):
     ["simulate", "--config", "radius_nan.json"],
     ["simulate", "--config", "sigmoids_saturated.json"],
     ["simulate", "--config", "radius_huge.json"],
+    ["simulate", "--config", "sigmoids_slow.json"],
+    ["sweep", "--config", "sigmoids_slow.json", "--lambda-list", "0.9"],
 ])
 def test_cli_invalid_input_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     def no_integration(*args):
@@ -476,6 +511,7 @@ def test_cli_invalid_input_is_usage_error(tmp_path, monkeypatch, capsys, argv):
                              ("seeds_negative", "seeds", [-1]),
                              ("radius_nan", "radius", float("nan")),
                              ("sigmoids_saturated", "sigmoids", [20.0, 0.3]),
+                             ("sigmoids_slow", "sigmoids", [8.0, 0.3]),
                              ("radius_huge", "radius", 1e308),
                              ("name_path", "name", "runs/a")]:
         (tmp_path / f"{name}.json").write_text(json.dumps({**mini, key: value}))

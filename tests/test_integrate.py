@@ -68,6 +68,26 @@ def test_random_near_origin_rejects_bad_radius():
         random_near_origin(NetworkShape(2, 2), 1e308, 0)
 
 
+@pytest.mark.parametrize("radius", [1e-300, 1e-3, 1e300])
+def test_random_near_origin_is_numpys_pcg64_stream(radius):
+    # numpy's generator is the oracle: the same stream, bit for bit
+    seeds = [*range(500), 2**32 - 1, 2**32, 2**64 + 5, 2**200, np.int64(7), np.int64(2**40)]
+    shapes = [NetworkShape(m, n) for m in range(2, 8) for n in range(2, 7)]
+    for i, seed in enumerate(seeds):
+        shape = shapes[i % len(shapes)]
+        expected = np.random.default_rng(seed).uniform(-radius, radius, (shape.m, shape.n))
+        got = random_near_origin(shape, radius, seed)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes(), (seed, shape)
+
+
+def test_random_near_origin_rejects_negative_seed():
+    with pytest.raises(ValueError, match="non-negative"):
+        random_near_origin(NetworkShape(2, 2), 1e-3, -1)
+    with pytest.raises(ValueError):
+        np.random.default_rng(-1)
+
+
 # ---------------------------------------------------------------------------
 # integration
 # ---------------------------------------------------------------------------

@@ -124,28 +124,34 @@ def cpu_model():
         return platform.processor() or None
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("trees", nargs="+", help="label=path of a source tree's src directory")
-    ap.add_argument("--rounds", type=int, default=7)
-    ap.add_argument("--out", default=None, help="JSON file to write (default: stdout)")
-    args = ap.parse_args()
-    trees = dict(t.split("=", 1) for t in args.trees)
+def run_rounds(script, trees, rounds, *child_args):
+    """Run `script --child *child_args` once per tree and round in a fresh
+    interpreter, with the tree on PYTHONPATH, alternating the order of the
+    trees from round to round; per tree label, the parsed JSON output of
+    each run."""
     runs = {label: [] for label in trees}
-    for r in range(args.rounds):
+    for r in range(rounds):
         order = list(trees) if r % 2 == 0 else list(reversed(trees))
         for label in order:
             env = {**os.environ, "PYTHONPATH": os.path.abspath(trees[label]),
                    "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
-            proc = subprocess.run([sys.executable, __file__, "--child"], env=env,
+            proc = subprocess.run([sys.executable, script, "--child", *child_args], env=env,
                                   capture_output=True, text=True, check=True)
             runs[label].append(json.loads(proc.stdout))
+    return runs
+
+
+def write_summary(out, doc, trees, runs, **fields):
+    """Write to the file out (stdout when None) the JSON document of a
+    benchmark tool whose module docstring is doc: host, method, the extra
+    fields, and per tree its git SHA and the median and quartiles over the
+    runs of each figure."""
     sample = next(iter(runs.values()))[0]
     result = {"host": {"cpu": cpu_model(), "nproc": os.cpu_count(),
                        "machine": platform.machine(),
                        "python": sample["python"], "numpy": sample["numpy"]},
-              "rounds": args.rounds, "calls": CALLS,
-              "method": __doc__.split("\n\n", 1)[1].split("\n\nUsage")[0],
+              **fields,
+              "method": doc.split("\n\n", 1)[1].split("\n\nUsage")[0],
               "trees": {}}
     for label, src in trees.items():
         figures = {}
@@ -156,11 +162,22 @@ def main():
             figures[key] = {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
         result["trees"][label] = {"git_sha": git_sha(src), "figures": figures}
     text = json.dumps(result, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as f:
+    if out:
+        with open(out, "w") as f:
             f.write(text + "\n")
     else:
         print(text)
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("trees", nargs="+", help="label=path of a source tree's src directory")
+    ap.add_argument("--rounds", type=int, default=7)
+    ap.add_argument("--out", default=None, help="JSON file to write (default: stdout)")
+    args = ap.parse_args()
+    trees = dict(t.split("=", 1) for t in args.trees)
+    runs = run_rounds(__file__, trees, args.rounds)
+    write_summary(args.out, __doc__, trees, runs, rounds=args.rounds, calls=CALLS)
 
 
 if __name__ == "__main__":
