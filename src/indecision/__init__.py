@@ -14,8 +14,8 @@ from .model import (
     bifurcation_threshold, irrep_project, as_state,
 )
 from .integrate import (
-    IntegratorConfig, RK4_RADIUS, Trajectory, EquilibriumResult,
-    stable_step, random_near_origin, integrate, integrate_batch,
+    IntegratorConfig, Trajectory, EquilibriumResult,
+    spectral_bound, random_near_origin, integrate, integrate_batch,
     trajectory_to_csv,
 )
 from .patterns import (

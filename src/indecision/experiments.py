@@ -35,7 +35,7 @@ import numpy as np
 from .colorings import (AxialCatalog, CatalogTooLargeError, classify_orbital_exotic,
                         enumerate_axial, is_axial_Vd)
 from .integrate import (EquilibriumResult, IntegratorConfig, integrate, integrate_batch,
-                        random_near_origin, stable_step, trajectory_to_csv)
+                        random_near_origin, spectral_bound, trajectory_to_csv)
 from .model import (CriticalCoefficients, GainParams, ModelConfig, NetworkShape,
                     SigmoidParams, bifurcation_threshold, gains_from_coefficients)
 from .patterns import (AmbiguousQuantizationError, PatternClass, PatternReport,
@@ -55,7 +55,7 @@ __all__ = [
 DEFAULT_SEEDS = tuple(range(20))
 DEFAULT_QUANTIZE_TOL = 1e-4  # also the default of `indecision classify --tol`
 ZERO_AMPLITUDE = 1e-6  # below this a final state counts as "converged to 0"
-MAX_STEPS = 10**6  # most RK4 steps a run may take to t_max; the built-ins take < 4,000
+MAX_STEPS = 2_600_000  # most steps of 1/rho a run's t_max may span; the built-ins span < 10,000
 _CONFIG_KEYS = ("name", "shape", "coefficients", "sigmoids", "epsilon", "seeds",
                 "radius", "quantize_tol", "integrator")
 _INTEGRATOR_KEYS = ("t_max",)
@@ -126,8 +126,8 @@ class Scenario:
         }
 
         Every run stops at the residual IntegratorConfig.equilibrium_tol,
-        records every RECORD_STRIDE-th step and takes the step
-        stable_step(model config); none of them is a config key.  A JSON
+        records every accepted step and takes its first trial step from
+        spectral_bound(model config); none of them is a config key.  A JSON
         boolean is not a number: true as a number or seed raises ValueError.
         """
         if not isinstance(raw, dict):
@@ -181,16 +181,18 @@ class Scenario:
 
     def integrator_config(self, lam: float | None = None) -> IntegratorConfig:
         """Integrator config of a run at lam (default: the scenario's
-        lambda): the step is stable_step of its model config, RK4_RADIUS
-        over a Bauer-Fike bound on the Jacobian's spectral radius at every
-        state (0.81-0.89 on the built-ins; 1.24-0.61 at lam = 0.5-1.5 on
-        consensus-4x6), and t_max the scenario's or, when that is None,
-        sized from the linear growth rate |lam c - 1| of the first
+        lambda): the first trial step is 1 / rho, rho = spectral_bound of
+        its model config, a Bauer-Fike bound on the Jacobian's spectral
+        radius at every state (2.9-3.2 on the built-ins; 2.1-4.3 at lam =
+        0.5-1.5 on consensus-4x6), and t_max the scenario's or, when that
+        is None, sized from the linear growth rate |lam c - 1| of the first
         bifurcating subspace (coefficient c).
-        Raises ValueError when t_max is infinite or not longer than one step,
-        and when it takes more than MAX_STEPS steps: the step shrinks with
-        1 - tanh(s)^2 of the sigmoid offsets, so a large offset would make
-        a run that never ends."""
+        Raises ValueError when t_max is infinite or not longer than that
+        step, and when t_max rho, the horizon over the fastest time scale,
+        exceeds MAX_STEPS: rho grows like 1 / (1 - tanh(s)^2) of the
+        sigmoid offsets, and an RKC step of size h takes about sqrt(1.54 h
+        rho) field evaluations, so a large offset would make a run that
+        never ends."""
         cfg = self.model_config(lam)
         t_max = self.t_max
         if t_max is None:
@@ -199,11 +201,11 @@ class Scenario:
             c_first = self.coefficients.get(self.first_threshold().which)
             rate = abs(cfg.lam * c_first - 1.0)
             t_max = 15.0 / max(rate, 1e-3) + 1500.0
-        icfg = IntegratorConfig(step=stable_step(cfg), t_max=t_max)
-        steps = t_max / icfg.step
-        if steps > MAX_STEPS:
-            raise ValueError(f"the stable step {icfg.step:.3g} takes {steps:.3g} RK4 steps "
-                             f"to t_max {t_max:g}, over the {MAX_STEPS:,} allowed")
+        rho = spectral_bound(cfg)
+        icfg = IntegratorConfig(step=1.0 / rho, t_max=t_max)
+        if t_max * rho > MAX_STEPS:
+            raise ValueError(f"t_max {t_max:g} spans {t_max * rho:.3g} steps of 1/rho = "
+                             f"{icfg.step:.3g}, over the {MAX_STEPS:,} allowed")
         return icfg
 
     def replace(self, **kw) -> "Scenario":

@@ -1,26 +1,41 @@
 """Deterministic, seeded integration of the value dynamics.
 
-Fixed-step classical Runge-Kutta (4th order) carries a run through the
-escape from its start, which decides the basin; a gated Newton finish
-replaces the slow last approach.  Scenario runs do not choose the step:
-stable_step derives it from the model, so that no RK4 update amplifies a
-decaying linear mode at any state: the Jacobian at any state is within a
-closed-form distance of the symmetric Jacobian at the centre of the slope
-ranges, whose four isotypic eigenvalues are closed-form too, so Bauer-Fike
-bounds its spectrum, and the step fits that bound into the RK4 stability
-region.  The Newton finish, not the step, sets the accuracy of a final.
+Second-order Runge-Kutta-Chebyshev (RKC; Sommeijer, Shampine & Verwer,
+J. Comput. Appl. Math. 1997) with damping RKC_DAMPING = 2/13 carries a run
+through the escape from its start, which decides the basin, and through
+the slow approach that follows; a gated Newton finish replaces the last of
+it.  Near a threshold the slow rates are of order epsilon while the fast
+ones stay near -2, so a method held to a fixed stable step would spend most
+of a run resolving modes that have long decayed.  RKC is explicit: an
+s-stage step is stable for every h mu with mu in [-beta(s), 0], beta(s) ~
+0.65 s^2, and uses only field calls and elementwise updates.  A step of
+size h takes s = 1 + floor(sqrt(1 + 1.54 h rho)) stages, where rho =
+spectral_bound(cfg) bounds the spectral radius of the Jacobian at every
+state: the Jacobian at any state is within a closed-form distance of the
+symmetric Jacobian at the centre of the slope ranges, whose four isotypic
+eigenvalues are closed-form too, so Bauer-Fike bounds its spectrum.
 
-Equilibrium is detected from the vector-field residual at sampled states
-rather than from state differences; near a bifurcation the transients are
-slow (growth rates of order epsilon) and state-difference tests give false
-positives there.  A residual within tolerance counts as convergence only
-where the closed-form Jacobian of the field is stable (spectral abscissa
-< 0), so a run that passes close to an unstable equilibrium keeps going.
+Steps are error-controlled.  Verwer's estimate 0.8 (y_n - y_n+1) + 0.4 h
+(F_n + F_n+1), with the field at the new state reused as the next step's
+first (FSAL), is measured in the max-norm against ERROR_ATOL + ERROR_RTOL
+max(|y_n|, |y_n+1|); a step is accepted when that is <= 1 and otherwise
+leaves the run where it was.  Either way the next h is h min(10, max(0.1,
+0.8 err^(-1/3))), cut to land on t_max; the first trial h is
+IntegratorConfig.step.  The Newton finish, not the tolerance, sets the
+accuracy of a final.
+
+Equilibrium is detected from the vector-field residual at every accepted
+state rather than from state differences; near a bifurcation the
+transients are slow (growth rates of order epsilon) and state-difference
+tests give false positives there.  A residual within tolerance counts as
+convergence only where the closed-form Jacobian of the field is stable
+(spectral abscissa < 0), so a run that passes close to an unstable
+equilibrium keeps going.
 
 Newton finish.  Once a sampled residual is at most sqrt(equilibrium_tol)
 and the Jacobian there is stable, up to NEWTON_STEPS Newton steps start
-from the RK4 state.  An iterate with residual <= equilibrium_tol and a
-stable Jacobian ends the run and replaces that sample; otherwise RK4 goes
+from the sampled state.  An iterate with residual <= equilibrium_tol and a
+stable Jacobian ends the run and replaces that sample; otherwise RKC goes
 on from its own state, untouched.  The gate sits at sqrt(tol), not at the
 first stable Jacobian: from further out most Newton attempts fail or leave
 the state's neighbourhood, while at sqrt(tol) the correction is of order
@@ -32,27 +47,33 @@ order of the cells.
 
 A trajectory is a pure function of (Z0, model config, integrator config):
 identical inputs give bitwise-identical output on one platform.  Because
-the vector field and its Jacobian-vector product are exactly equivariant
-and every other update is elementwise, integrating a permuted initial state
-yields the permuted trajectory and final bitwise, and a start inside a
-synchrony subspace stays in it bitwise, through the Newton finish too.
+the vector field and its Jacobian-vector product are exactly equivariant,
+every stage update is elementwise and the error norm is a maximum, which
+does not depend on the order of the cells, integrating a permuted initial
+state yields the permuted trajectory and final bitwise, and a start inside
+a synchrony subspace stays in it bitwise, through the Newton finish too.
 
-Batches.  integrate_batch runs the starts of one config together: they
-share the step and t, each RK4 stage evaluates the field of the whole stack
-in one call, and a start leaves the stack when it stops.  The field of a
-stack is the field of each of its states (the sums are per state, the rest
-is elementwise), so a start's trajectory and result are the same, bitwise,
-whatever batch it runs in and in whatever order; integrate is the batch of
-one.
+Batches.  integrate_batch runs the starts of one config together: each
+member has its own t, h and stage count, held as (B, 1, 1) arrays, each
+stage evaluates the field of the members still in their stages in one
+call, and a member that stops leaves the stack.  The stages run to the largest stage count of the
+batch; a member past its own keeps its stage value, exactly.  The field of
+a stack is the field of each of its states (the sums are per state, the
+rest is elementwise), so a start's trajectory and result are the same,
+bitwise, whatever batch it runs in and in whatever order; integrate is the
+batch of one.
 
 Starts.  random_near_origin draws a seeded start from numpy's stream,
 np.random.default_rng(seed).uniform (SeedSequence into PCG64), bit for
 bit, computed in pure Python: the start of a seed is what it was, without
 the import time and memory of numpy.random.
 
-Divergence (a non-finite state, or one too large for the field's sums) is
-reported in the result, not raised, so parameter sweeps survive unstable
-regions; in a batch it ends only the starts it occurs in.
+Divergence (a start whose field is not finite or cannot be summed, or a
+step whose stages overflow) is reported in the result, not raised, so
+parameter sweeps survive unstable regions; in a batch it ends only the
+starts it occurs in.  The field is -Z plus a bounded term, so an exact
+run decays into a bounded set; only a start near the float limit
+diverges, and an oversized trial step is rejected, not blown up.
 """
 
 from __future__ import annotations
@@ -60,6 +81,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
@@ -68,8 +90,7 @@ from .model import ModelConfig, NetworkShape, _compiled_model, jacobian
 
 __all__ = [
     "IntegratorConfig",
-    "RK4_RADIUS",
-    "stable_step",
+    "spectral_bound",
     "Trajectory",
     "EquilibriumResult",
     "random_near_origin",
@@ -81,10 +102,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Step size and horizon; the residual threshold equilibrium_tol is a
-    class constant, the same for every run.  Scenario runs take
-    step = stable_step(cfg) and a horizon sized from their growth rate
-    (Scenario.integrator_config); the defaults serve direct calls.
+    """First trial step and horizon; the residual threshold
+    equilibrium_tol is a class constant, the same for every run, as are
+    the step tolerances ERROR_RTOL and ERROR_ATOL.  Scenario runs take
+    step = 1 / spectral_bound(cfg) and a horizon sized from their growth
+    rate (Scenario.integrator_config); the defaults serve direct calls.
     """
 
     step: float = 0.01
@@ -114,51 +136,89 @@ class Trajectory:
 class EquilibriumResult:
     """Where a run ended and why.
 
-    stop_reason is "tolerance" (RK4 reached a stable state within
-    equilibrium_tol), "newton" (the Newton finish did), "t_max" or
+    stop_reason is "tolerance" (an accepted step reached a stable state
+    within equilibrium_tol), "newton" (the Newton finish did), "t_max" or
     "diverged"; converged is true for the first two only.
     spectral_abscissa is the largest real part of the Jacobian spectrum at
     final (None when the run diverged).  residual is max |F(final)|,
-    elapsed_time the RK4 time at which the run stopped and n_steps the
-    number of RK4 steps taken to get there."""
+    elapsed_time the time of the sample at which the run stopped, n_steps
+    the number of accepted steps taken to get there and n_evals the field
+    evaluations they cost, rejected steps included and the Newton finish
+    excluded."""
 
     final: np.ndarray
     converged: bool
     residual: float
     elapsed_time: float
     n_steps: int
+    n_evals: int
     diverged: bool
     stop_reason: str
     spectral_abscissa: float | None
 
 
-RECORD_STRIDE = 10     # a trajectory keeps every RECORD_STRIDE-th RK4 step
-RK4_RADIUS = 2.6       # the closed left half-disk of this radius lies in the
-                       # RK4 stability region (the largest such radius is 2.6156)
+RKC_DAMPING = 2 / 13   # damping epsilon of the Chebyshev stages
+ERROR_RTOL = 1e-4      # a step's error estimate is measured against
+ERROR_ATOL = 1e-4      # ERROR_ATOL + ERROR_RTOL max(|y_n|, |y_n+1|)
 NEWTON_STEPS = 3       # Newton steps per attempt of the finish
 KRYLOV_RTOL = 1e-10    # GMRES stops below this residual relative to |b|
 
 
-def stable_step(cfg: ModelConfig) -> float:
-    """RK4 step RK4_RADIUS / rho for the model, where rho bounds the
-    spectral radius of jacobian(Z, cfg) at every state Z.
+def spectral_bound(cfg: ModelConfig) -> float:
+    """rho, a bound on the spectral radius of jacobian(Z, cfg) at every
+    state Z; an RKC step of size h takes s = 1 + floor(sqrt(1 + 1.54 h
+    rho)) stages, so that h rho lies in its real stability interval.
 
     The slopes Dk of saturation k lie in (0, 2 dk], dk = 1 / (2 (1 -
     tanh(sk)^2)).  With every slope at that centre the Jacobian J(d) is
     symmetric, with the four closed-form eigenvalues of _centre_spectrum,
     and J(Z) is within eps of J(d) in the 2-norm.  By Bauer-Fike for normal
     matrices (Bauer & Fike, Numer. Math. 1960) every eigenvalue of J(Z) lies
-    within eps of a centre eigenvalue, so rho = max |centre| + eps.  Each
-    eigenvalue mu with Re mu <= 0 then has h mu in the closed left half-disk
-    of radius RK4_RADIUS, inside the RK4 stability region |1 + z + z^2/2 +
-    z^3/6 + z^4/24| <= 1 (Hairer & Wanner, Solving ODEs II, IV.2): no
-    decaying mode is amplified, whatever state a run passes through.
+    within eps of a centre eigenvalue, so rho = max |centre| + eps.
 
-    Since rho <= 1 + 2 eps, which is at most the Gershgorin row-sum bound
-    1 + |lam| (2 d1 (|alpha| + (m-1)|gamma|) + 2 d2 (n-1) (|beta| + (m-1)|delta|)),
-    this step is never smaller than the row-sum one."""
+    Since rho <= 1 + 2 eps, this bound is never above the Gershgorin
+    row-sum bound 1 + |lam| (2 d1 (|alpha| + (m-1)|gamma|) + 2 d2 (n-1)
+    (|beta| + (m-1)|delta|))."""
     centres, eps = _centre_spectrum(cfg)
-    return float(RK4_RADIUS / (max(abs(mu) for mu in centres) + eps))
+    return float(max(abs(mu) for mu in centres) + eps)
+
+
+@lru_cache(maxsize=64)
+def _rkc_coefficients(s: int) -> np.ndarray:
+    """The (s + 1, 5) coefficients of an s-stage RKC step (s >= 2):
+    row j >= 2 holds (1 - mu_j - nu_j, mu_j, nu_j, mu~_j, gamma~_j) of
+
+        Y_j = (1 - mu_j - nu_j) Y_0 + mu_j Y_j-1 + nu_j Y_j-2
+              + mu~_j h F(Y_j-1) + gamma~_j h F(Y_0),
+
+    row 1 holds mu~_1 of Y_1 = Y_0 + mu~_1 h F(Y_0) in its fourth column,
+    and row 0 is zero.  With w0 = 1 + RKC_DAMPING / s^2, the Chebyshev
+    polynomials T_j at w0 and their derivatives give w1 = T_s'/T_s'',
+    b_j = T_j''/T_j'^2 (b_0 = b_1 = b_2), mu_j = 2 w0 b_j / b_j-1,
+    nu_j = -b_j / b_j-2, mu~_1 = b_1 w1, mu~_j = 2 w1 b_j / b_j-1 and
+    gamma~_j = -(1 - b_j-1 T_j-1) mu~_j (Sommeijer, Shampine & Verwer
+    1997).  The step's stability polynomial is 1 - b_s T_s(w0) + b_s
+    T_s(w0 + w1 z), bounded by 1 on [-(1 + w0) / w1, 0]."""
+    w0 = 1.0 + RKC_DAMPING / (s * s)
+    T, dT, d2T = [1.0, w0], [0.0, 1.0], [0.0, 0.0]
+    for j in range(2, s + 1):
+        T.append(2.0 * w0 * T[j - 1] - T[j - 2])
+        dT.append(2.0 * w0 * dT[j - 1] + 2.0 * T[j - 1] - dT[j - 2])
+        d2T.append(2.0 * w0 * d2T[j - 1] + 4.0 * dT[j - 1] - d2T[j - 2])
+    w1 = dT[s] / d2T[s]
+    b = [d2T[j] / dT[j] ** 2 if j >= 2 else d2T[2] / dT[2] ** 2 for j in range(s + 1)]
+    rows = np.zeros((s + 1, 5))
+    rows[1, 3] = b[1] * w1
+    for j in range(2, s + 1):
+        mu, nu = 2.0 * w0 * b[j] / b[j - 1], -b[j] / b[j - 2]
+        mut = 2.0 * w1 * b[j] / b[j - 1]
+        rows[j] = (1.0 - mu - nu, mu, nu, mut, -(1.0 - b[j - 1] * T[j - 1]) * mut)
+    return rows
+
+
+def _stage_count(h: float, rho: float) -> int:
+    """Stages of an RKC step of size h under the spectral bound rho."""
+    return 1 + int(math.sqrt(1.0 + 1.54 * h * rho))
 
 
 def _centre_spectrum(cfg: ModelConfig) -> tuple[tuple[float, ...], float]:
@@ -265,22 +325,22 @@ def _pcg64_doubles(seed: int, count: int) -> list[float]:
 
 def integrate(Z0, cfg: ModelConfig,
               icfg: IntegratorConfig) -> tuple[Trajectory, EquilibriumResult]:
-    """Run RK4 from Z0 until a sampled state, or the Newton finish from it,
-    is a stable equilibrium within tolerance, or t_max is reached.  The
-    trajectory contains the initial state, every RECORD_STRIDE-th step, and
-    the final state (a Newton final replaces the sample it started from).
+    """Run RKC from Z0 until an accepted state, or the Newton finish from
+    it, is a stable equilibrium within tolerance, or t_max is reached.  The
+    trajectory contains the initial state and every accepted step (a
+    Newton final replaces the sample it started from).
 
-    The stability gate and the Newton finish are tried at a sampled state
+    The stability gate and the Newton finish are tried at an accepted state
     with residual <= sqrt(equilibrium_tol) and under half the residual of
     the previous try; tries re-arm once the residual climbs above
-    sqrt(equilibrium_tol) again, and the last step is always tried.
+    sqrt(equilibrium_tol) again, and the state at t_max is always tried.
 
-    Only the shape of Z0 is validated here; a non-finite state (initial or
-    encountered mid-run) is reported as divergence with the blow-up time,
-    never raised, so sweeps survive unstable parameter regions.  When a
-    field evaluation cannot be summed (math.fsum overflows, or meets +inf
-    and -inf in one column), the run is reported diverged at the current t
-    with the state the step started from.
+    Only the shape of Z0 is validated here.  A start whose field is not
+    finite or cannot be summed (math.fsum overflows, or meets +inf and -inf
+    in one column), and a step whose stages or new field are not finite or
+    cannot be summed, end the run diverged at the current t with the last
+    accepted state, never raised, so sweeps survive.  A step whose error
+    estimate alone overflows is rejected.
 
     This is integrate_batch on a batch of one."""
     return integrate_batch([Z0], cfg, icfg)[0]
@@ -289,100 +349,154 @@ def integrate(Z0, cfg: ModelConfig,
 def integrate_batch(Z0s, cfg: ModelConfig,
                     icfg: IntegratorConfig) -> list[tuple[Trajectory, EquilibriumResult]]:
     """integrate for every start of Z0s (a sequence of m x n states), in
-    one RK4 loop: (trajectory, result) per start, in the order of Z0s.
+    one RKC loop: (trajectory, result) per start, in the order of Z0s.
 
-    The members share the step and t.  Each RK4 stage evaluates the field
-    of the whole (B, m, n) stack in one call, and the update is elementwise,
-    so every member's trajectory and result are bitwise those of integrate
-    on its start alone.  Sampling, the stability gate, the Newton finish and
-    the stop are per member, and a member that stops leaves the stack.  When
-    a stage cannot be summed, the step is evaluated for each member alone:
-    the members whose sums raise end diverged, the others go on."""
+    Each member has its own t, h and stage count.  Each stage evaluates the
+    field of the members still in their stages in one call, the updates are
+    elementwise, and a member past its own stage count keeps its stage
+    value through np.where, so every member's trajectory and result are
+    bitwise those of integrate on its start alone.  Acceptance, sampling,
+    the stability gate, the Newton finish and the stop are per member, and
+    a member that stops leaves the stack."""
     Z = np.array(Z0s, dtype=float)
     m, n = cfg.shape.m, cfg.shape.n
     if Z.ndim != 3 or Z.shape[1:] != (m, n):
         raise ValueError(f"state shape {Z.shape[1:]} does not match network {m}x{n}")
     f = _compiled_model(cfg)[0]
-    h = icfg.step
+    rho = spectral_bound(cfg)
     tol = icfg.equilibrium_tol
-    stride = RECORD_STRIDE
-    nstep = int(round(icfg.t_max / h))
-    # 0-d arrays multiply an array faster than Python floats, with the same
-    # IEEE products
-    half_h, full_h, sixth_h = np.array(0.5 * h), np.array(h), np.array(h / 6.0)
-    two = np.array(2.0)
-
-    def stages(Z, k1):
-        # Z + h/6 (k1 + 2 k2 + 2 k3 + k4) with the same IEEE operations,
-        # reordered only where they commute, in place on the stages
-        k2 = half_h * k1
-        k2 += Z
-        k2 = f(k2)
-        k3 = half_h * k2
-        k3 += Z
-        k3 = f(k3)
-        k4 = full_h * k3
-        k4 += Z
-        k4 = f(k4)
-        k2 *= two
-        k2 += k1
-        k3 *= two
-        k2 += k3
-        k2 += k4
-        k2 *= sixth_h
-        k2 += Z
-        return k2
-
+    t_max = icfg.t_max
     members = [_Member() for _ in Z]
     live = members          # live[i] is the member whose state is Z[i]
-    t = 0.0
-    k = 0
+    t = np.zeros((len(Z), 1, 1))
+    h = np.full((len(Z), 1, 1), icfg.step)
     with np.errstate(over="ignore", invalid="ignore"):
-        while live:
-            try:
-                k1 = f(Z)
-            except (OverflowError, ValueError):
-                # raised by math.fsum for some member
-                keep, k1 = _each(f, Z)
-                live, Z = _diverge(live, keep, Z, t, k), Z[keep]
-            # a non-finite Z gives a non-finite k1 through the -Z term; a
-            # non-finite entry makes k1 . k1 non-finite
-            if not math.isfinite(np.vdot(k1, k1)) and not np.isfinite(k1).all():
-                keep = np.isfinite(k1).all(axis=(1, 2))
-                live, Z, k1 = _diverge(live, keep, Z, t, k), Z[keep], k1[keep]
-            last = k >= nstep
-            if last or k % stride == 0:
-                residuals = np.abs(k1).max(axis=(1, 2)).tolist()
-                keep = [not member.sample(t, k, Zi, Fi, residual, last, cfg, tol)
-                        for member, Zi, Fi, residual in zip(live, Z, k1, residuals)]
-                if not all(keep):
-                    live = [member for member, kept in zip(live, keep) if kept]
-                    Z, k1 = Z[keep], k1[keep]
+        F = _field(f, Z)
+        moved = _finite(F)
+        for member, finite, Zi in zip(live, moved, Z):
+            member.n_evals = 1
+            if not finite:
+                member.diverge(0.0, Zi)
+        while True:
+            # sample the members that have just reached a new state
+            residuals = np.abs(F).max(axis=(1, 2)).tolist()
+            keep = [member.run is None and not (
+                        new and member.sample(ti, Zi, Fi, residual, ti >= t_max, cfg, tol))
+                    for member, new, ti, Zi, Fi, residual
+                    in zip(live, moved, t.ravel().tolist(), Z, F, residuals)]
+            if not all(keep):
+                live = [member for member, kept in zip(live, keep) if kept]
+                Z, F, t, h = Z[keep], F[keep], t[keep], h[keep]
             if not live:
                 break
-            try:
-                Z = stages(Z, k1)
-            except (OverflowError, ValueError):
-                keep, stepped = _each(stages, Z, k1)
-                live, Z = _diverge(live, keep, Z, t, k), stepped
-            t += h
-            k += 1
+            s = [_stage_count(hi, rho) for hi in h.ravel().tolist()]
+            Y, FY = _rkc_step(f, Z, F, h, s)
+            errs = _error_norms(Z, Y, F, FY, h)
+            moved = [err <= 1.0 for err in errs]
+            for member, si, moves, finite, ti, Zi in zip(live, s, moved, _finite(FY),
+                                                        t.ravel().tolist(), Z):
+                member.n_evals += si
+                member.n_steps += moves
+                if not finite:
+                    member.diverge(ti, Zi)
+            acc = np.array(moved)[:, None, None]
+            Z, F = np.where(acc, Y, Z), np.where(acc, FY, F)
+            t = np.where(acc, np.where(h == t_max - t, t_max, t + h), t)
+            h *= np.array([_step_factor(err) for err in errs])[:, None, None]
+            np.minimum(h, t_max - t, out=h)
     return [member.run for member in members]
+
+
+def _finite(F) -> list[bool]:
+    """Per member of the stack F, whether all its entries are finite."""
+    # a non-finite entry makes F . F non-finite
+    if math.isfinite(np.vdot(F, F)) or np.isfinite(F).all():
+        return [True] * len(F)
+    return np.isfinite(F).all(axis=(1, 2)).tolist()
+
+
+def _error_norms(Z, Y, F, FY, h) -> list[float]:
+    """Per member, the max-norm of Verwer's estimate 0.8 (Z - Y) + 0.4 h
+    (F + FY) of a step from Z (field F) to Y (field FY), each entry over
+    ERROR_ATOL + ERROR_RTOL max(|Z|, |Y|); inf or NaN when the estimate
+    overflows, which rejects the step."""
+    est = Z - Y
+    est *= 0.8
+    G = F + FY
+    G *= 0.4 * h
+    est += G
+    W = np.maximum(np.abs(Z), np.abs(Y))
+    W *= ERROR_RTOL
+    W += ERROR_ATOL
+    est /= W
+    return np.abs(est).max(axis=(1, 2)).tolist()
+
+
+def _step_factor(err: float) -> float:
+    """Factor of the next step after a step with error norm err."""
+    if not math.isfinite(err):
+        return 0.1
+    return min(10.0, max(0.1, 0.8 * err ** (-1 / 3))) if err > 0.0 else 10.0
+
+
+def _rkc_step(f, Z, F, h, s):
+    """One RKC step of each member of the stack Z, whose fields are F, with
+    its step in h (B, 1, 1) and its stage count in s: the stack of the
+    last stages Y_s and the stack of their fields.  A member whose sums
+    raise in a stage gets NaN from there on."""
+    S = max(s)
+    coef = np.zeros((S + 1, 5, len(Z), 1, 1))
+    for i, si in enumerate(s):
+        coef[:si + 1, :, i, 0, 0] = _rkc_coefficients(si)
+    hcoef = coef[:, 3:] * h    # mu~_j h and gamma~_j h
+    prev2, prev = Z, Z + hcoef[1, 0] * F
+    for j in range(2, S + 1):
+        c0, mu, nu = coef[j, :3]
+        active = [si >= j for si in s]
+        everyone = all(active)
+        if everyone:
+            FY = _field(f, prev)
+        else:
+            FY = np.zeros_like(prev)
+            FY[active] = _field(f, prev[active])
+        Y = c0 * Z
+        Y += mu * prev
+        Y += nu * prev2
+        Y += hcoef[j, 0] * FY
+        Y += hcoef[j, 1] * F
+        if not everyone:
+            Y = np.where(np.array(active)[:, None, None], Y, prev)
+        prev2, prev = prev, Y
+    return prev, _field(f, prev)
+
+
+def _field(f, Z):
+    """f on the stack Z, with NaN for each member whose own sums cannot be
+    taken (math.fsum raises)."""
+    try:
+        return f(Z)
+    except (OverflowError, ValueError):
+        if len(Z) == 1:
+            return np.full_like(Z, np.nan)
+        return np.concatenate([_field(f, Zi[None]) for Zi in Z])
 
 
 @dataclass
 class _Member:
-    """One start of integrate_batch: its trajectory, the residual and
-    spectral abscissa of its last sample, the residual of its last
-    stability try, and its (trajectory, result) once it has stopped."""
+    """One start of integrate_batch: its trajectory, its counts of accepted
+    steps and field evaluations, the residual and spectral abscissa of its
+    last sample, the residual of its last stability try, and its
+    (trajectory, result) once it has stopped."""
 
     traj: Trajectory = field(default_factory=Trajectory)
+    n_steps: int = 0
+    n_evals: int = 0
     residual: float = math.inf
     abscissa: float | None = None
     last_try: float = math.inf
     run: tuple[Trajectory, EquilibriumResult] | None = None
 
-    def sample(self, t, k, Z, FZ, residual, last, cfg, tol) -> bool:
+    def sample(self, t, Z, FZ, residual, last, cfg, tol) -> bool:
         """Record the sample (t, Z), whose field FZ has max-norm residual,
         and try the stability gate and the Newton finish where integrate
         says; True when the member stopped here."""
@@ -406,44 +520,22 @@ class _Member:
             # under sqrt(tol) the gate has just computed it at Z
             self.abscissa = _spectral_abscissa(jacobian(Z, cfg))
         if stop is not None:
-            self._end(stop, t, k)
+            self._end(stop, t)
         return stop is not None
 
-    def diverge(self, t, k, Z):
+    def diverge(self, t, Z):
         """End diverged at t with the state Z."""
         if not self.traj.times or self.traj.times[-1] != t:
             self.traj.append(t, Z.copy())
         self.residual, self.abscissa = math.inf, None
-        self._end("diverged", t, k)
+        self._end("diverged", t)
 
-    def _end(self, stop, t, k):
+    def _end(self, stop, t):
         self.run = self.traj, EquilibriumResult(
             final=self.traj.final, converged=stop in ("tolerance", "newton"),
-            residual=self.residual, elapsed_time=t, n_steps=k,
-            diverged=stop == "diverged", stop_reason=stop, spectral_abscissa=self.abscissa)
-
-
-def _each(fn, *stacks):
-    """fn on each member of the stacks alone: the mask of the members for
-    which no math.fsum inside raised, and their results stacked."""
-    keep, out = [], []
-    for args in zip(*stacks):
-        try:
-            out.append(fn(*(a[None] for a in args)))
-        except (OverflowError, ValueError):
-            keep.append(False)
-        else:
-            keep.append(True)
-    return keep, np.concatenate(out) if out else np.empty((0,) + stacks[0].shape[1:])
-
-
-def _diverge(live, keep, Z, t, k):
-    """End the members of live whose keep is false as diverged at t, each
-    with its state in Z; return the others."""
-    for member, kept, Zi in zip(live, keep, Z):
-        if not kept:
-            member.diverge(t, k, Zi)
-    return [member for member, kept in zip(live, keep) if kept]
+            residual=self.residual, elapsed_time=t, n_steps=self.n_steps,
+            n_evals=self.n_evals, diverged=stop == "diverged", stop_reason=stop,
+            spectral_abscissa=self.abscissa)
 
 
 def _spectral_abscissa(J: np.ndarray) -> float:

@@ -17,10 +17,11 @@ from indecision import (
     dim_Vd_intersection,
     dissensus_intersection_basis,
     is_balanced,
+    spectral_bound,
     tiling_decomposition,
     vector_field,
 )
-from indecision.integrate import RECORD_STRIDE, RK4_RADIUS
+from indecision.integrate import ERROR_ATOL, ERROR_RTOL, RKC_DAMPING
 
 # the known exotic 4x6 two-color pattern (columns: one complementary pair
 # once, another pair twice) and the generators of its symmetry group
@@ -342,16 +343,15 @@ def reference_field(cfg):
     return field
 
 
-def gershgorin_step(cfg):
-    """Row-sum step: RK4_RADIUS / rho with the Gershgorin bound
+def gershgorin_bound(cfg):
+    """The Gershgorin bound
     rho = 1 + |lam| (D1 (|alpha| + (m-1)|gamma|) + D2 (n-1) (|beta| + (m-1)|delta|))
     on every absolute row sum of the Jacobian, Dk = 1 / (1 - tanh(sk)^2)
     the largest slope of saturation k."""
     m, n = cfg.shape.m, cfg.shape.n
     a, b, g, d = (abs(x) for x in cfg.gains.as_tuple())
     D1, D2 = (1.0 / (1.0 - math.tanh(s) ** 2) for s in (cfg.sigmoids.s1, cfg.sigmoids.s2))
-    rho = 1.0 + abs(cfg.lam) * (D1 * (a + (m - 1) * g) + D2 * (n - 1) * (b + (m - 1) * d))
-    return RK4_RADIUS / rho
+    return 1.0 + abs(cfg.lam) * (D1 * (a + (m - 1) * g) + D2 * (n - 1) * (b + (m - 1) * d))
 
 
 def uniform_slope_jacobian(cfg, d1, d2):
@@ -372,53 +372,96 @@ def uniform_slope_jacobian(cfg, d1, d2):
     return J.reshape(m * n, m * n)
 
 
+def reference_rkc_coefficients(s):
+    """Per stage j = 1..s, (c0, mu, nu, mut, gt) of an s-stage RKC step
+    with damping RKC_DAMPING, as Python floats: Y_1 = Y_0 + mut_1 h F(Y_0)
+    and Y_j = c0 Y_0 + mu Y_j-1 + nu Y_j-2 + mut h F(Y_j-1) + gt h F(Y_0),
+    from the Chebyshev polynomials T_j at w0 and their first two
+    derivatives (Sommeijer, Shampine & Verwer 1997)."""
+    w0 = 1.0 + RKC_DAMPING / (s * s)
+    T, dT, d2T = [1.0, w0], [0.0, 1.0], [0.0, 0.0]
+    for j in range(2, s + 1):
+        T.append(2.0 * w0 * T[-1] - T[-2])
+        dT.append(2.0 * w0 * dT[-1] + 2.0 * T[-2] - dT[-2])
+        d2T.append(2.0 * w0 * d2T[-1] + 4.0 * dT[-2] - d2T[-2])
+    w1 = dT[s] / d2T[s]
+    b = [d2T[max(j, 2)] / dT[max(j, 2)] ** 2 for j in range(s + 1)]
+    stages = {1: (0.0, 0.0, 0.0, b[1] * w1, 0.0)}
+    for j in range(2, s + 1):
+        mu = 2.0 * w0 * b[j] / b[j - 1]
+        nu = -b[j] / b[j - 2]
+        mut = 2.0 * w1 * b[j] / b[j - 1]
+        stages[j] = (1.0 - mu - nu, mu, nu, mut, -(1.0 - b[j - 1] * T[j - 1]) * mut)
+    return stages
+
+
 def reference_integrate(Z0, cfg, icfg):
-    """Reference RK4 loop: Python-float step constants, a finiteness check
-    on both k1 and Z, and a copy of every recorded state."""
+    """Reference RKC loop for one start: Python-float coefficients, step,
+    time and error norm, the two-pass reference field, a copy of every
+    accepted state, and a run that stops at the first residual within
+    tolerance (no stability gate, no Newton finish)."""
     Z = np.asarray(Z0, dtype=float)
     f = reference_field(cfg)
-    h = icfg.step
-    tol = icfg.equilibrium_tol
-    stride = RECORD_STRIDE
-    nstep = int(round(icfg.t_max / h))
+    rho = spectral_bound(cfg)
+    tol, t_max = icfg.equilibrium_tol, icfg.t_max
     traj = Trajectory()
-    t = 0.0
-    converged = False
-    diverged = False
-    residual = float("inf")
-    k = 0
-    while True:
-        k1 = f(Z)
-        if not np.isfinite(k1).all() or not np.isfinite(Z).all():
-            diverged = True
-            residual = float("inf")
-            if not traj.times or traj.times[-1] != t:
-                traj.append(t, Z.copy())
-            break
-        sampled = (k % stride == 0)
-        if sampled:
+    t, h = 0.0, icfg.step
+    n_steps = n_evals = 0
+    stop = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            F = f(Z)
+        except (OverflowError, ValueError):
+            F = np.full_like(Z, np.nan)
+        n_evals += 1
+        if not np.isfinite(F).all():
             traj.append(t, Z.copy())
-            residual = float(np.abs(k1).max())
+            stop, residual = "diverged", float("inf")
+        while stop is None:
+            traj.append(t, Z.copy())
+            residual = float(np.abs(F).max())
             if residual <= tol:
-                converged = True
+                stop = "tolerance"
                 break
-        if k >= nstep:
-            if not sampled:
-                traj.append(t, Z.copy())
-                residual = float(np.abs(k1).max())
-            converged = residual <= tol
-            break
-        k2 = f(Z + 0.5 * h * k1)
-        k3 = f(Z + 0.5 * h * k2)
-        k4 = f(Z + h * k3)
-        Z = Z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
-        k += 1
-    stop = "diverged" if diverged else "tolerance" if converged else "t_max"
-    return traj, EquilibriumResult(final=traj.final, converged=converged,
-                                   residual=residual, elapsed_time=t, n_steps=k,
-                                   diverged=diverged, stop_reason=stop,
-                                   spectral_abscissa=None)
+            if t >= t_max:
+                stop = "t_max"
+                break
+            while True:
+                s = 1 + int(math.sqrt(1.0 + 1.54 * h * rho))
+                coef = reference_rkc_coefficients(s)
+                Y2, Y1 = Z, Z + (coef[1][3] * h) * F
+                try:
+                    for j in range(2, s + 1):
+                        c0, mu, nu, mut, gt = coef[j]
+                        Y = c0 * Z + mu * Y1 + nu * Y2 + (mut * h) * f(Y1) + (gt * h) * F
+                        Y2, Y1 = Y1, Y
+                    FY = f(Y1)
+                except (OverflowError, ValueError):
+                    Y1 = FY = np.full_like(Z, np.nan)
+                n_evals += s
+                if not np.isfinite(FY).all():
+                    stop, residual = "diverged", float("inf")
+                    break
+                W = ERROR_ATOL + ERROR_RTOL * np.maximum(np.abs(Z), np.abs(Y1))
+                err = float(np.abs((0.8 * (Z - Y1) + (0.4 * h) * (F + FY)) / W).max())
+                accepted = err <= 1.0
+                if accepted:
+                    Z, F = Y1, FY
+                    t = t_max if h == t_max - t else t + h
+                    n_steps += 1
+                if not math.isfinite(err):
+                    factor = 0.1
+                elif err == 0.0:
+                    factor = 10.0
+                else:
+                    factor = min(10.0, max(0.1, 0.8 * err ** (-1 / 3)))
+                h = min(h * factor, t_max - t)
+                if accepted:
+                    break
+    return traj, EquilibriumResult(final=traj.final, converged=stop in ("tolerance", "newton"),
+                                   residual=residual, elapsed_time=t, n_steps=n_steps,
+                                   n_evals=n_evals, diverged=stop == "diverged",
+                                   stop_reason=stop, spectral_abscissa=None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 import dataclasses
+import math
+import sys
 
 import numpy as np
 import pytest
 
-from helpers import (gershgorin_step, numerical_jacobian, reference_integrate,
-                     uniform_slope_jacobian)
+from helpers import (gershgorin_bound, numerical_jacobian, reference_integrate,
+                     reference_rkc_coefficients, uniform_slope_jacobian)
 from indecision import (
     BUILTIN_SCENARIOS,
-    RK4_RADIUS,
     GainParams,
     IntegratorConfig,
     ModelConfig,
@@ -22,10 +23,13 @@ from indecision import (
     integrate_batch,
     jacobian,
     random_near_origin,
-    stable_step,
+    spectral_bound,
     trajectory_to_csv,
 )
-from indecision.integrate import _centre_spectrum
+from indecision.integrate import _centre_spectrum, _rkc_coefficients, _stage_count
+
+# the module, which the package's integrate function shadows as an attribute
+integrate_module = sys.modules["indecision.integrate"]
 
 
 def stable_config(shape=NetworkShape(3, 4)):
@@ -193,11 +197,12 @@ def test_newton_finish_keeps_exotic_synchrony_exact():
 
 
 def test_unstable_equilibrium_is_not_convergence():
-    # a start of radius 1e-8 has residual below tolerance at t = 1.5, next
-    # to the unstable origin; the run escapes and settles on a stable state
+    # a start of radius 1e-9 has residual below tolerance from its first
+    # step on (t = 0.33), next to the unstable origin; the run escapes and
+    # settles on a stable state
     sc = get_scenario("dissensus-exotic-4x6")
     cfg = sc.model_config()
-    Z0 = random_near_origin(sc.shape, 1e-8, 0)
+    Z0 = random_near_origin(sc.shape, 1e-9, 0)
     _, early = integrate(Z0, cfg, IntegratorConfig(step=sc.integrator_config().step, t_max=10.0))
     assert not early.converged and early.stop_reason == "t_max"
     assert early.residual <= IntegratorConfig.equilibrium_tol and early.spectral_abscissa > 0
@@ -225,16 +230,55 @@ def test_stability_gate_tries_a_resting_start_once_before_t_max(monkeypatch):
 
 @pytest.mark.parametrize("stop,lam,step,radius,t_max", [
     # at lam = 0 the field is -Z: a start with residual over sqrt(tol)
-    # falls below tol in the ten steps to the next sample
-    ("tolerance", 0.0, 1.3, 4e-5, 100.0),
+    # decays to the Newton finish, which solves the linear field at once
+    ("newton", 0.0, 1.3, 4e-5, 100.0),
     ("t_max", 0.5, 0.01, 1e-2, 5.0)])
-def test_n_steps_counts_the_rk4_steps(stop, lam, step, radius, t_max):
+def test_n_steps_counts_the_accepted_steps(stop, lam, step, radius, t_max):
     cfg = dataclasses.replace(stable_config(), lam=lam)
-    _, res = integrate(random_near_origin(cfg.shape, radius, 0), cfg,
-                       IntegratorConfig(step=step, t_max=t_max))
+    Z0 = random_near_origin(cfg.shape, radius, 0)
+    icfg = IntegratorConfig(step=step, t_max=t_max)
+    traj, res = integrate(Z0, cfg, icfg)
     assert res.stop_reason == stop
     assert res.n_steps > 0
-    assert res.n_steps == round(res.elapsed_time / step)
+    # every accepted step is sampled once after the start, rejected ones never
+    assert res.n_steps == len(traj.times) - 1
+    ref_traj, ref = reference_integrate(Z0, cfg, icfg)
+    assert traj.times == ref_traj.times[:len(traj.times)]
+    if stop == "t_max":
+        assert res.n_steps == ref.n_steps and res.elapsed_time == t_max
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_n_evals_counts_the_field_evaluations(name, monkeypatch):
+    # n_evals is the count of a wrapped field, each member of a stack
+    # counted once, with the evaluations of the Newton finish left out; a
+    # member's count in a batch is its count alone
+    sc = get_scenario(name)
+    cfg, icfg = sc.model_config(), sc.integrator_config()
+    field, slopes, jvp = integrate_module._compiled_model(cfg)
+    newton = integrate_module._newton_finish
+    counts, phase = {"run": 0, "newton": 0}, ["run"]
+
+    def counted_field(Z):
+        counts[phase[0]] += len(Z)
+        return field(Z)
+
+    def counted_newton(*args):
+        phase[0] = "newton"
+        try:
+            return newton(*args)
+        finally:
+            phase[0] = "run"
+    monkeypatch.setattr(integrate_module, "_compiled_model", lambda c: (counted_field, slopes, jvp))
+    monkeypatch.setattr(integrate_module, "_newton_finish", counted_newton)
+    starts = [random_near_origin(sc.shape, sc.radius, seed) for seed in range(3)]
+    runs = integrate_batch(starts, cfg, icfg)
+    assert counts["run"] == sum(res.n_evals for _, res in runs)
+    assert counts["newton"] > 0 and all(res.stop_reason == "newton" for _, res in runs)
+    for Z0, (_, res) in zip(starts, runs):
+        counts["run"] = 0
+        _, alone = integrate(Z0, cfg, icfg)
+        assert counts["run"] == alone.n_evals == res.n_evals > 2 * res.n_steps
 
 
 def test_integrate_reports_divergence():
@@ -255,9 +299,10 @@ def assert_same_run(got, want):
     for A, B in zip(traj.states, ref_traj.states):
         assert np.array_equal(A, B, equal_nan=True)
     assert np.array_equal(res.final, ref_res.final, equal_nan=True)
-    assert (res.residual, res.elapsed_time, res.n_steps, res.converged, res.diverged) == \
-        (ref_res.residual, ref_res.elapsed_time, ref_res.n_steps, ref_res.converged,
-         ref_res.diverged)
+    assert (res.residual, res.elapsed_time, res.n_steps, res.n_evals, res.converged,
+            res.diverged) == \
+        (ref_res.residual, ref_res.elapsed_time, ref_res.n_steps, ref_res.n_evals,
+         ref_res.converged, ref_res.diverged)
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
@@ -284,7 +329,8 @@ def test_integrate_matches_reference_bitwise_on_stable_config(nan_start):
         return
     # the Newton finish stops the run at an earlier sample: every sample
     # before it is the reference's at the same t, and the final lies
-    # within 1e-8 of the reference final
+    # within 1e-8 of the origin, the stable equilibrium the reference
+    # approaches too
     (traj, res), (ref_traj, ref_res) = got, want
     assert res.stop_reason == "newton"
     n = len(traj.times)
@@ -293,7 +339,8 @@ def test_integrate_matches_reference_bitwise_on_stable_config(nan_start):
     for A, B in zip(traj.states[:-1], ref_traj.states):
         assert np.array_equal(A, B)
     assert res.residual <= icfg.equilibrium_tol
-    assert np.abs(res.final - ref_res.final).max() <= 1e-8
+    assert np.abs(res.final).max() <= 1e-8
+    assert np.abs(ref_res.final).max() < 1e-3 * np.abs(Z0).max()
 
 
 def test_trajectory_does_not_alias_the_start():
@@ -314,19 +361,61 @@ def assert_reported_divergence(traj, res, t):
     assert res.final is traj.final
 
 
+def overflowing_columns():
+    # rows alternate +-1e308: every column sums to 0, but the second stage
+    # doubles an entry past the float limit, in both signs in each column
+    return np.array([[1e308] * 6, [-1e308] * 6] * 2)
+
+
+def overflowing_column():
+    # one column sums to 0; the second stage takes its 1e308 entry to +inf
+    # and leaves the others finite, so the sums go through and the field
+    # turns NaN
+    Z0 = np.zeros((4, 6))
+    Z0[:, 2] = [1e308, -5e307, -5e307, 0.0]
+    return Z0
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("step,t_max,t_blowup", [
-    (3.0, 10000.0, 6633.0), (5.0, 3000.0, 1355.0),
-    (10.0, 3000.0, 1250.0), (50.0, 3000.0, 2850.0)])
-def test_integrate_reports_fsum_overflow_as_divergence(step, t_max, t_blowup):
-    # with oversized steps the state blows up until math.fsum inside the
-    # field raises (intermediate overflow, or -inf + inf in one column);
-    # the run ends diverged at that t with the last finite state
+@pytest.mark.parametrize("Z0", [overflowing_columns(), overflowing_column()],
+                         ids=["alternating-rows", "one-column"])
+@pytest.mark.parametrize("step", [0.3, 50.0])
+def test_integrate_reports_overflowing_step_as_divergence(Z0, step):
+    # a start whose field is finite, but whose first step overflows at any
+    # step size (at 0.3, math.fsum raises inside the step from the first
+    # start and the field turns NaN from the second): the run ends
+    # diverged at t = 0 with its start
     sc = get_scenario("consensus-4x6")
+    traj, res = integrate(Z0, sc.model_config(), IntegratorConfig(step=step, t_max=3000.0))
+    assert_reported_divergence(traj, res, 0.0)
+    assert traj.times == [0.0] and res.n_steps == 0
+    assert np.array_equal(res.final, Z0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("step", [5.0, 50.0, 1000.0])
+def test_oversized_first_step_is_rejected_not_diverged(step):
+    # a first trial step far past 1 / rho is rejected and shrunk, so the
+    # run reaches the final it reaches from 1 / rho
+    sc = get_scenario("consensus-4x6")
+    cfg, icfg = sc.model_config(), sc.integrator_config()
     Z0 = random_near_origin(sc.shape, sc.radius, 0)
-    traj, res = integrate(Z0, sc.model_config(), IntegratorConfig(step=step, t_max=t_max))
-    assert_reported_divergence(traj, res, t_blowup)
-    assert np.isfinite(res.final).all()
+    _, want = integrate(Z0, cfg, icfg)
+    _, got = integrate(Z0, cfg, IntegratorConfig(step=step, t_max=icfg.t_max))
+    assert got.converged and not got.diverged
+    assert np.abs(got.final - want.final).max() <= 1e-6
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_error_estimate_rejects_the_step():
+    # from 2e307 in every cell a first step of 50 overflows the error
+    # estimate (0.4 h (F_n + F_n+1)) but not its stages: the step is
+    # rejected, not diverged, and the state decays as exp(-t)
+    sc = get_scenario("consensus-4x6")
+    _, res = integrate(np.full((4, 6), 2e307), sc.model_config(),
+                       IntegratorConfig(step=50.0, t_max=100.0))
+    assert res.stop_reason == "t_max" and res.n_steps > 0
+    assert np.isfinite(res.final).all() and np.abs(res.final).max() < 2e307 * math.exp(-90)
 
 
 def opposite_infinities_in_one_column():
@@ -371,25 +460,28 @@ def test_integrate_batch_members_match_one_seed_runs_bitwise(name):
 
 @pytest.mark.filterwarnings("error")
 def test_integrate_batch_isolates_diverging_members():
-    # at step 5 on consensus-4x6: a NaN start (non-finite field at t = 0),
-    # an unsummable start (math.fsum raises at t = 0), seed 0 (math.fsum
-    # raises inside the step from t = 1355), the zero state (an unstable
-    # equilibrium, run to t_max) and a converged final (a stable
-    # equilibrium, stopped at once); in either order each member ends as
-    # it does alone
+    # at first trial step 5 on consensus-4x6: a NaN start (non-finite field
+    # at t = 0), an unsummable start (math.fsum raises at t = 0), two starts
+    # whose first step overflows (math.fsum raises inside it, or its field
+    # turns NaN), seed 0 (its oversized first step rejected, converged
+    # through the Newton finish), the zero state (an unstable equilibrium,
+    # run to t_max) and a converged final (a stable equilibrium, stopped at
+    # once); in either order each member ends as it does alone
     sc = get_scenario("consensus-4x6")
     cfg = sc.model_config()
     nan_start = np.zeros((4, 6))
     nan_start[1, 2] = np.nan
     _, settled = integrate(random_near_origin(sc.shape, sc.radius, 1), cfg,
                            sc.integrator_config())
-    starts = [nan_start, np.full((4, 6), 1e308), random_near_origin(sc.shape, sc.radius, 0),
-              np.zeros((4, 6)), settled.final]
+    starts = [nan_start, np.full((4, 6), 1e308), overflowing_columns(), overflowing_column(),
+              random_near_origin(sc.shape, sc.radius, 0), np.zeros((4, 6)), settled.final]
     icfg = IntegratorConfig(step=5.0, t_max=3000.0)
     alone = [integrate(Z0, cfg, icfg) for Z0 in starts]
-    assert [(res.stop_reason, res.elapsed_time) for _, res in alone] == [
-        ("diverged", 0.0), ("diverged", 0.0), ("diverged", 1355.0), ("t_max", 3000.0),
-        ("tolerance", 0.0)]
+    assert [(res.stop_reason, res.elapsed_time) for _, res in alone[:4]] == \
+        [("diverged", 0.0)] * 4
+    assert alone[4][1].stop_reason == "newton" and alone[4][1].elapsed_time > 0
+    assert [(res.stop_reason, res.elapsed_time) for _, res in alone[5:]] == [
+        ("t_max", 3000.0), ("tolerance", 0.0)]
     for got, want in [(integrate_batch(starts, cfg, icfg), alone),
                       (integrate_batch(starts[::-1], cfg, icfg), alone[::-1])]:
         for run, ref in zip(got, want):
@@ -411,16 +503,21 @@ def test_integrate_batch_members_do_not_alias():
         assert all(np.array_equal(A, B) for A, B in zip(states, kept[member]))
 
 
-def test_step_halving_consistency_on_scenario():
-    # RK4 order check: halving the step moves the converged final < 1e-6
-    sc = get_scenario("consensus-4x6").replace(seeds=(0,))
-    cfg = sc.model_config()
-    Z0 = random_near_origin(sc.shape, sc.radius, 0)
-    icfg = sc.integrator_config()
-    _, res_h = integrate(Z0, cfg, icfg)
-    _, res_h2 = integrate(Z0, cfg, IntegratorConfig(step=icfg.step / 2, t_max=icfg.t_max))
-    assert res_h.converged and res_h2.converged
-    assert np.abs(res_h.final - res_h2.final).max() <= 1e-6
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_tighter_tolerance_consistency_on_scenario(name, monkeypatch):
+    # accuracy check: at a tenth of the step tolerances, each of three seeds
+    # takes more steps and ends on the same final within 1e-6
+    sc = get_scenario(name)
+    cfg, icfg = sc.model_config(), sc.integrator_config()
+    starts = [random_near_origin(sc.shape, sc.radius, seed) for seed in range(3)]
+    loose = integrate_batch(starts, cfg, icfg)
+    monkeypatch.setattr(integrate_module, "ERROR_RTOL", integrate_module.ERROR_RTOL / 10)
+    monkeypatch.setattr(integrate_module, "ERROR_ATOL", integrate_module.ERROR_ATOL / 10)
+    tight = integrate_batch(starts, cfg, icfg)
+    for (_, a), (_, b) in zip(loose, tight):
+        assert a.converged and b.converged
+        assert b.n_steps > a.n_steps
+        assert np.abs(a.final - b.final).max() <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -430,17 +527,34 @@ def test_step_halving_consistency_on_scenario():
 SWEEP_LAMBDAS = (0.0, 0.5, 0.9, 0.97, 1.03, 1.1, 1.5)
 
 
-def test_rk4_stability_region_holds_the_left_half_disk():
-    # |R(z)| <= 1 on the boundary of the closed left half-disk of radius
-    # RK4_RADIUS, so on all of it (R is a polynomial: maximum modulus)
-    theta = np.linspace(np.pi / 2, 3 * np.pi / 2, 20001)
-    z = np.concatenate([RK4_RADIUS * np.exp(1j * theta),
-                        1j * np.linspace(-RK4_RADIUS, RK4_RADIUS, 20001)])
-    R = 1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24
-    assert np.abs(R).max() <= 1 + 1e-12
-    # and the radius is not loose: just past 2.6156 the arc leaves the region
-    z = 2.62 * np.exp(1j * theta)
-    assert np.abs(1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24).max() > 1
+def rkc_polynomial(s, z):
+    # the stability polynomial P_s(z) of an s-stage step: the stages of the
+    # step applied to y' = mu y, y_0 = 1, with z = h mu, coefficients and
+    # all, as the integrator runs them
+    coef = _rkc_coefficients(s)
+    prev2, prev = np.ones_like(z), 1.0 + coef[1, 3] * z
+    for j in range(2, s + 1):
+        c0, mu, nu, mut, gt = coef[j]
+        prev2, prev = prev, c0 + mu * prev + nu * prev2 + mut * z * prev + gt * z
+    return prev
+
+
+def test_rkc_stability_polynomial_is_bounded_on_its_interval():
+    # every stage count s of a step with h rho <= 40,000 (the built-ins'
+    # whole horizon spans t_max rho < 10,000): s is chosen for h rho below
+    # (s^2 - 1) / 1.54, and the step's polynomial is bounded by 1 on
+    # [-(s^2 - 1) / 1.54, 0], so no real eigenvalue in [-rho, 0] is
+    # amplified; it agrees with exp(z) to second order, and the
+    # coefficients are those of the reference
+    z = np.linspace(-1.0, 0.0, 4001)
+    for s in range(2, _stage_count(40_000.0, 1.0) + 1):
+        assert _stage_count((s * s - 1) / 1.54 * (1 - 1e-12), 1.0) == s
+        assert _rkc_coefficients(s)[1:].tolist() == \
+            [list(c) for c in reference_rkc_coefficients(s).values()]
+        assert np.abs(rkc_polynomial(s, z * (s * s - 1) / 1.54)).max() <= 1 + 1e-12
+        small = np.array([-1e-3, -1e-4])
+        taylor = 1 + small + small ** 2 / 2
+        assert np.all(np.abs(rkc_polynomial(s, small) - taylor) <= np.abs(small) ** 3)
 
 
 def centre_slopes(cfg):
@@ -479,7 +593,7 @@ def step_test_configs(rng):
 def test_step_bound_covers_the_spectrum_at_random_states():
     rng = np.random.default_rng(3)
     for cfg in step_test_configs(np.random.default_rng(13)):
-        rho = RK4_RADIUS / stable_step(cfg)
+        rho = spectral_bound(cfg)
         for scale in (1e-3, 0.3, 1.0, 3.0):
             Z = rng.uniform(-scale, scale, size=(cfg.shape.m, cfg.shape.n))
             assert_bounded_spectrum(Z, cfg, rho)
@@ -489,7 +603,7 @@ def test_step_bound_covers_the_spectrum_at_random_states():
 def test_step_bound_covers_the_spectrum_along_a_scenario_run(name):
     sc = get_scenario(name)
     cfg = sc.model_config()
-    rho = RK4_RADIUS / stable_step(cfg)
+    rho = spectral_bound(cfg)
     traj, res = integrate(random_near_origin(sc.shape, sc.radius, 0), cfg,
                           sc.integrator_config())
     assert res.converged
@@ -512,15 +626,19 @@ def test_centre_eigenvalues_are_the_uniform_slope_spectrum():
         assert np.allclose(np.linalg.eigvalsh(Jc), want, rtol=0, atol=1e-12)
 
 
-def test_stable_step_is_never_below_the_gershgorin_step():
+def test_spectral_bound_is_never_above_the_gershgorin_bound():
     for cfg in step_test_configs(np.random.default_rng(12)):
-        assert stable_step(cfg) >= gershgorin_step(cfg)
+        assert spectral_bound(cfg) <= gershgorin_bound(cfg)
 
 
 def test_integrator_config_takes_the_derived_step():
+    # the first trial step is 1 / rho: a step of two stages, whatever the
+    # config
     sc = get_scenario("consensus-4x6")
     for lam in (None,) + SWEEP_LAMBDAS:
-        assert sc.integrator_config(lam).step == stable_step(sc.model_config(lam))
+        rho = spectral_bound(sc.model_config(lam))
+        assert sc.integrator_config(lam).step == 1.0 / rho
+        assert _stage_count(1.0 / rho, rho) == 2
 
 
 # ---------------------------------------------------------------------------

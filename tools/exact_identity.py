@@ -18,11 +18,22 @@ items are:
 * with --simulate, `indecision simulate` on every built-in scenario: the
   standard output and the SHA-256 of every file written.
 
+With --outcomes, the items are instead the outcomes of seeded runs, for a
+change to the integrator, which moves the bits of every final but should
+move no outcome.  The runs are the four built-in scenarios (their 20
+seeds), dissensus-exotic-4x6 on seeds 0-39, and consensus-4x6 on seeds
+0-39 at each lambda of SWEEP_LAMBDAS.  Per run, the stop reason, the
+coloring its final quantizes to (at the scenario's quantize_tol), the
+pattern class, the axial catalog index and verdict must be equal, and the
+finals may differ by at most FINAL_TOL in any entry; the largest
+difference is reported.
+
 The exit status is 0 when every item matches and 1 otherwise.
 
 Usage:
     python tools/exact_identity.py [--random 1500] [--seed 0] [--simulate] \\
         parent=/path/to/parent/src change=src
+    python tools/exact_identity.py --outcomes parent=/path/to/parent/src change=src
 """
 
 from __future__ import annotations
@@ -112,7 +123,70 @@ def simulate_items() -> dict:
     return items
 
 
+SWEEP_LAMBDAS = (0.5, 0.9, 0.97, 1.03, 1.1, 1.5)
+FINAL_TOL = 1e-6
+
+
+def outcome_items() -> dict:
+    """Per run, (stop reason, coloring, class, axial index, verdict,
+    final), keyed by scenario, lambda and seed."""
+    from indecision import (AmbiguousQuantizationError, classify_orbital_exotic,
+                            classify_state, enumerate_axial, get_scenario, integrate_batch,
+                            quantize_to_coloring, random_near_origin)
+    from indecision.experiments import BUILTIN_SCENARIOS
+
+    runs = [(get_scenario(name), None) for name in sorted(BUILTIN_SCENARIOS)]
+    runs.append((get_scenario("dissensus-exotic-4x6").replace(seeds=tuple(range(40))), None))
+    sweep = get_scenario("consensus-4x6").replace(seeds=tuple(range(40)))
+    runs += [(sweep, lam) for lam in SWEEP_LAMBDAS]
+    items = {}
+    for sc, lam in runs:
+        catalog = enumerate_axial(sc.shape)
+        starts = [random_near_origin(sc.shape, sc.radius, seed) for seed in sc.seeds]
+        results = integrate_batch(starts, sc.model_config(lam), sc.integrator_config(lam))
+        for seed, (_, res) in zip(sc.seeds, results):
+            coloring = cls = index = verdict = None
+            if res.converged:
+                try:
+                    c = quantize_to_coloring(res.final, sc.quantize_tol)
+                except AmbiguousQuantizationError:
+                    pass
+                else:
+                    coloring = c.to_text().replace("\n", "/")
+                    cls = classify_state(c, res.final).pattern_class.value
+                    entry = catalog.match(c)
+                    if entry is not None:
+                        index = catalog.index_of(entry)
+                        verdict = classify_orbital_exotic(entry.coloring)
+            key = f"{sc.name}/lambda={'default' if lam is None else lam}/seed{seed}"
+            items[key] = [res.stop_reason, coloring, cls, index, verdict, res.final.tolist()]
+    return items
+
+
+def compare_outcomes(found) -> int:
+    """Print every run whose outcome differs and a summary; the number of
+    mismatches."""
+    (a, items_a), (b, items_b) = found.items()
+    mismatches, largest = 0, 0.0
+    for key in sorted(set(items_a) | set(items_b)):
+        if key not in items_a or key not in items_b:
+            mismatches += 1
+            print(f"MISMATCH {key}: only in {a if key in items_a else b}")
+            continue
+        (*head_a, final_a), (*head_b, final_b) = items_a[key], items_b[key]
+        diff = max(abs(x - y) for row_a, row_b in zip(final_a, final_b)
+                   for x, y in zip(row_a, row_b))
+        largest = max(largest, diff)
+        if head_a != head_b or not diff <= FINAL_TOL:
+            mismatches += 1
+            print(f"MISMATCH {key}: {a}={head_a} {b}={head_b} max |final diff| {diff:.3g}")
+    print(f"{len(items_a)} runs; largest |final diff| {largest:.3g}; {mismatches} mismatches")
+    return mismatches
+
+
 def child(args):
+    if args.outcomes:
+        return json.dump(outcome_items(), sys.stdout)
     items = exact_items(args.random, args.seed)
     if args.simulate:
         items.update(simulate_items())
@@ -126,6 +200,8 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--simulate", action="store_true",
                     help="also compare `indecision simulate` on the built-in scenarios")
+    ap.add_argument("--outcomes", action="store_true",
+                    help="compare the outcomes of seeded runs instead (see above)")
     ap.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.child:
@@ -137,9 +213,12 @@ def main():
     for label, src in trees.items():
         env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
         cmd = [sys.executable, __file__, "--child", "--random", str(args.random),
-               "--seed", str(args.seed)] + ["--simulate"] * args.simulate
+               "--seed", str(args.seed)] + ["--simulate"] * args.simulate \
+            + ["--outcomes"] * args.outcomes
         found[label] = json.loads(subprocess.run(cmd, env=env, capture_output=True, text=True,
                                                  check=True).stdout)
+    if args.outcomes:
+        return 1 if compare_outcomes(found) else 0
     (a, items_a), (b, items_b) = found.items()
     mismatches = 0
     for key in sorted(set(items_a) | set(items_b)):
