@@ -40,10 +40,10 @@ on from its own state, untouched.  The gate sits at sqrt(tol), not at the
 first stable Jacobian: from further out most Newton attempts fail or leave
 the state's neighbourhood, while at sqrt(tol) the correction is of order
 sqrt(tol) / |abscissa|.  Each correction is solved matrix-free by GMRES on
-the field's Jacobian-vector product, with every inner product and norm a
-math.fsum: LAPACK (used only for the eigenvalues of the gate) pivots
-differently on a permuted system, while these scalars do not depend on the
-order of the cells.
+the field's Jacobian-vector product, with every inner product and norm the
+sum of the sorted elementwise products: LAPACK (used only for the
+eigenvalues of the gate) pivots differently on a permuted system, while
+these scalars do not depend on the order of the cells.
 
 A trajectory is a pure function of (Z0, model config, integrator config):
 identical inputs give bitwise-identical output on one platform.  Because
@@ -54,10 +54,10 @@ state yields the permuted trajectory and final bitwise, and a start inside
 a synchrony subspace stays in it bitwise, through the Newton finish too.
 
 Batches.  integrate_batch runs the starts of one config together: each
-member has its own t, h and stage count, held as (B, 1, 1) arrays, each
-stage evaluates the field of the members still in their stages in one
-call, and a member that stops leaves the stack.  The stages run to the largest stage count of the
-batch; a member past its own keeps its stage value, exactly.  The field of
+member has its own t, h and stage count, each stage evaluates the field
+of the members still in their stages in one call, and a member that stops
+leaves the stack.  The stages run to the largest stage count of the batch;
+a member past its own keeps its stage value, exactly.  The field of
 a stack is the field of each of its states (the sums are per state, the
 rest is elementwise), so a start's trajectory and result are the same,
 bitwise, whatever batch it runs in and in whatever order; integrate is the
@@ -68,8 +68,8 @@ np.random.default_rng(seed).uniform (SeedSequence into PCG64), bit for
 bit, computed in pure Python: the start of a seed is what it was, without
 the import time and memory of numpy.random.
 
-Divergence (a start whose field is not finite or cannot be summed, or a
-step whose stages overflow) is reported in the result, not raised, so
+Divergence (a start whose field is not finite, or a step whose last stage
+or its field is not finite) is reported in the result, not raised, so
 parameter sweeps survive unstable regions; in a batch it ends only the
 starts it occurs in.  The field is -Z plus a bounded term, so an exact
 run decays into a bounded set; only a start near the float limit
@@ -86,7 +86,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .model import ModelConfig, NetworkShape, _compiled_model, jacobian
+from .model import ModelConfig, NetworkShape, _compiled_model, _line_sums, jacobian
 
 __all__ = [
     "IntegratorConfig",
@@ -336,11 +336,10 @@ def integrate(Z0, cfg: ModelConfig,
     sqrt(equilibrium_tol) again, and the state at t_max is always tried.
 
     Only the shape of Z0 is validated here.  A start whose field is not
-    finite or cannot be summed (math.fsum overflows, or meets +inf and -inf
-    in one column), and a step whose stages or new field are not finite or
-    cannot be summed, end the run diverged at the current t with the last
-    accepted state, never raised, so sweeps survive.  A step whose error
-    estimate alone overflows is rejected.
+    finite (a line sum overflows, or meets +inf and -inf), and a step whose
+    last stage or new field is not finite, end the run diverged at the
+    current t with the last accepted state, never raised, so sweeps
+    survive.  A step whose error estimate alone overflows is rejected.
 
     This is integrate_batch on a batch of one."""
     return integrate_batch([Z0], cfg, icfg)[0]
@@ -351,13 +350,14 @@ def integrate_batch(Z0s, cfg: ModelConfig,
     """integrate for every start of Z0s (a sequence of m x n states), in
     one RKC loop: (trajectory, result) per start, in the order of Z0s.
 
-    Each member has its own t, h and stage count.  Each stage evaluates the
-    field of the members still in their stages in one call, the updates are
-    elementwise, and a member past its own stage count keeps its stage
-    value through np.where, so every member's trajectory and result are
-    bitwise those of integrate on its start alone.  Acceptance, sampling,
-    the stability gate, the Newton finish and the stop are per member, and
-    a member that stops leaves the stack."""
+    Each member has its own t, h and stage count, kept as Python numbers;
+    h becomes a (B, 1, 1) array once per step, where it multiplies.  Each
+    stage evaluates the field of the members still in their stages in one
+    call, the updates are elementwise, and a member past its own stage
+    count keeps its stage value through np.where, so every member's
+    trajectory and result are bitwise those of integrate on its start
+    alone.  Acceptance, sampling, the stability gate, the Newton finish and
+    the stop are per member, and a member that stops leaves the stack."""
     Z = np.array(Z0s, dtype=float)
     m, n = cfg.shape.m, cfg.shape.n
     if Z.ndim != 3 or Z.shape[1:] != (m, n):
@@ -368,10 +368,10 @@ def integrate_batch(Z0s, cfg: ModelConfig,
     t_max = icfg.t_max
     members = [_Member() for _ in Z]
     live = members          # live[i] is the member whose state is Z[i]
-    t = np.zeros((len(Z), 1, 1))
-    h = np.full((len(Z), 1, 1), icfg.step)
+    t = [0.0] * len(Z)      # t[i] and h[i] are live[i]'s time and next step
+    h = [icfg.step] * len(Z)
     with np.errstate(over="ignore", invalid="ignore"):
-        F = _field(f, Z)
+        F = f(Z)
         moved = _finite(F)
         for member, finite, Zi in zip(live, moved, Z):
             member.n_evals = 1
@@ -383,27 +383,28 @@ def integrate_batch(Z0s, cfg: ModelConfig,
             keep = [member.run is None and not (
                         new and member.sample(ti, Zi, Fi, residual, ti >= t_max, cfg, tol))
                     for member, new, ti, Zi, Fi, residual
-                    in zip(live, moved, t.ravel().tolist(), Z, F, residuals)]
+                    in zip(live, moved, t, Z, F, residuals)]
             if not all(keep):
-                live = [member for member, kept in zip(live, keep) if kept]
-                Z, F, t, h = Z[keep], F[keep], t[keep], h[keep]
+                live, t, h = ([x for x, kept in zip(xs, keep) if kept] for xs in (live, t, h))
+                Z, F = Z[keep], F[keep]
             if not live:
                 break
-            s = [_stage_count(hi, rho) for hi in h.ravel().tolist()]
-            Y, FY = _rkc_step(f, Z, F, h, s)
-            errs = _error_norms(Z, Y, F, FY, h)
+            s = [_stage_count(hi, rho) for hi in h]
+            hs = np.array(h)[:, None, None]
+            Y, FY = _rkc_step(f, Z, F, hs, s)
+            errs = _error_norms(Z, Y, F, FY, hs)
             moved = [err <= 1.0 for err in errs]
-            for member, si, moves, finite, ti, Zi in zip(live, s, moved, _finite(FY),
-                                                        t.ravel().tolist(), Z):
+            for i, (member, si, moves, finite, err) in enumerate(
+                    zip(live, s, moved, _finite(FY), errs)):
                 member.n_evals += si
-                member.n_steps += moves
                 if not finite:
-                    member.diverge(ti, Zi)
+                    member.diverge(t[i], Z[i])
+                elif moves:
+                    member.n_steps += 1
+                    t[i] = t_max if h[i] == t_max - t[i] else t[i] + h[i]
+                h[i] = min(h[i] * _step_factor(err), t_max - t[i])
             acc = np.array(moved)[:, None, None]
             Z, F = np.where(acc, Y, Z), np.where(acc, FY, F)
-            t = np.where(acc, np.where(h == t_max - t, t_max, t + h), t)
-            h *= np.array([_step_factor(err) for err in errs])[:, None, None]
-            np.minimum(h, t_max - t, out=h)
     return [member.run for member in members]
 
 
@@ -442,8 +443,8 @@ def _step_factor(err: float) -> float:
 def _rkc_step(f, Z, F, h, s):
     """One RKC step of each member of the stack Z, whose fields are F, with
     its step in h (B, 1, 1) and its stage count in s: the stack of the
-    last stages Y_s and the stack of their fields.  A member whose sums
-    raise in a stage gets NaN from there on."""
+    last stages Y_s and the stack of their fields.  A stage that overflows
+    stays non-finite, and so does every stage after it."""
     S = max(s)
     coef = np.zeros((S + 1, 5, len(Z), 1, 1))
     for i, si in enumerate(s):
@@ -455,10 +456,10 @@ def _rkc_step(f, Z, F, h, s):
         active = [si >= j for si in s]
         everyone = all(active)
         if everyone:
-            FY = _field(f, prev)
+            FY = f(prev)
         else:
             FY = np.zeros_like(prev)
-            FY[active] = _field(f, prev[active])
+            FY[active] = f(prev[active])
         Y = c0 * Z
         Y += mu * prev
         Y += nu * prev2
@@ -467,18 +468,7 @@ def _rkc_step(f, Z, F, h, s):
         if not everyone:
             Y = np.where(np.array(active)[:, None, None], Y, prev)
         prev2, prev = prev, Y
-    return prev, _field(f, prev)
-
-
-def _field(f, Z):
-    """f on the stack Z, with NaN for each member whose own sums cannot be
-    taken (math.fsum raises)."""
-    try:
-        return f(Z)
-    except (OverflowError, ValueError):
-        if len(Z) == 1:
-            return np.full_like(Z, np.nan)
-        return np.concatenate([_field(f, Zi[None]) for Zi in Z])
+    return prev, f(prev)
 
 
 @dataclass
@@ -548,62 +538,66 @@ def _newton_finish(Z, FZ, cfg: ModelConfig, tol: float):
 
     Returns (W, residual, abscissa) for the first iterate W whose residual
     is <= tol, provided the Jacobian at W is stable; None when no iterate
-    gets there, one is not finite or cannot be summed, or the one that does
-    is unstable.  The iterates are stacks of one, as the compiled model
+    gets there, one's field is not finite, or the one that does is
+    unstable.  The iterates are stacks of one, as the compiled model
     takes them, and each correction is solved by _gmres on its
     Jacobian-vector product, so W is bitwise equivariant and stays bitwise
     in every synchrony subspace that contains Z."""
     f, slopes, jvp = _compiled_model(cfg)
     W, FW = Z[None], FZ[None]
-    try:
-        for _ in range(NEWTON_STEPS):
-            D = slopes(W)
-            step = _gmres(lambda V: jvp(D, V), FW)
-            if step is None:
-                return None
-            W = W - step
-            FW = f(W)
-            if not np.isfinite(FW).all():
-                return None
-            residual = float(np.abs(FW).max())
-            if residual <= tol:
-                abscissa = _spectral_abscissa(jacobian(W[0], cfg))
-                return (W[0], residual, abscissa) if abscissa < 0.0 else None
-    except (OverflowError, ValueError):
-        # math.fsum met an unsummable iterate
-        return None
+    for _ in range(NEWTON_STEPS):
+        D = slopes(W)
+        step = _gmres(lambda V: jvp(D, V), FW)
+        if step is None:
+            return None
+        W = W - step
+        FW = f(W)
+        if not np.isfinite(FW).all():
+            return None
+        residual = float(np.abs(FW).max())
+        if residual <= tol:
+            abscissa = _spectral_abscissa(jacobian(W[0], cfg))
+            return (W[0], residual, abscissa) if abscissa < 0.0 else None
     return None
 
 
 def _gmres(A, b: np.ndarray):
     """Solve A x = b for a linear map A on arrays shaped like b by GMRES
-    (Saad & Schultz 1986): at most b.size Arnoldi steps with modified
-    Gram-Schmidt, stopping once the least-squares residual is below
-    KRYLOV_RTOL |b|; the small least-squares problem on the Hessenberg
-    matrix is solved by Givens rotations.  None when that matrix is
-    singular.
+    (Saad & Schultz 1986): at most b.size Arnoldi steps, each new vector
+    orthogonalized against the basis by classical Gram-Schmidt applied
+    twice, stopping once the least-squares residual is below KRYLOV_RTOL
+    |b|; the small least-squares problem on the Hessenberg matrix is solved
+    by Givens rotations.  None when that matrix is singular.
 
-    Every inner product and norm is a math.fsum of elementwise products,
-    so each scalar is independent of the order of the elements, and each
-    Krylov vector is an elementwise combination of A's outputs: permuting b
-    (with A equivariant) permutes x bitwise, and x stays bitwise in any
-    synchrony subspace that holds b and is invariant under A."""
-    def dot(u, v):
-        return math.fsum((u * v).ravel().tolist())
+    Every inner product and norm is the _line_sums of the elementwise
+    products, so each scalar is independent of the order of the elements,
+    and each Krylov vector is an elementwise combination of A's outputs,
+    added in basis order: permuting b (with A equivariant) permutes x
+    bitwise, and x stays bitwise in any synchrony subspace that holds b and
+    is invariant under A."""
+    def dots(V, w):
+        # the inner product of each vector of the stack V with w
+        return _line_sums((V * w).reshape(len(V), -1), 1).ravel()
 
-    beta = math.sqrt(dot(b, b))
-    basis = [b / beta]
+    def combine(coefs, V):
+        # sum over k of coefs[k] V[k], elementwise and in basis order
+        return (np.reshape(coefs, (-1,) + (1,) * b.ndim) * V).sum(axis=0)
+
+    beta = math.sqrt(dots(b[None], b)[0])
+    basis = np.empty((b.size + 1,) + b.shape)
+    basis[0] = b / beta
     rhs = [beta]          # Q^T beta e1, rotated along with the columns
     columns = []          # upper-triangular R, column by column
     rotations = []
     for j in range(b.size):
         w = A(basis[j])
-        col = []
-        for v in basis:
-            coef = dot(w, v)
-            w = w - coef * v
-            col.append(coef)
-        below = math.sqrt(dot(w, w))
+        V, col = basis[:j + 1], 0.0
+        for _ in range(2):
+            coefs = dots(V, w)
+            w = w - combine(coefs, V)
+            col = col + coefs
+        col = col.tolist()
+        below = math.sqrt(dots(w[None], w)[0])
         for i, (c, s) in enumerate(rotations):
             col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
         rho = math.hypot(col[j], below)
@@ -617,15 +611,12 @@ def _gmres(A, b: np.ndarray):
         columns.append(col)
         if abs(rhs[j + 1]) <= KRYLOV_RTOL * beta:
             break
-        basis.append(w / below)
+        basis[j + 1] = w / below
     y = [0.0] * len(columns)
     for i in reversed(range(len(columns))):
         y[i] = (rhs[i] - sum(columns[l][i] * y[l] for l in range(i + 1, len(columns)))) \
             / columns[i][i]
-    x = y[0] * basis[0]
-    for coef, v in zip(y[1:], basis[1:]):
-        x = x + coef * v
-    return x
+    return combine(y, basis[:len(y)])
 
 
 def trajectory_to_csv(traj: Trajectory, path):

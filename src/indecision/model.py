@@ -19,13 +19,15 @@ One compiled model per config gives the field, its saturation slopes and
 its Jacobian-vector product (the field with each saturation replaced by
 its slope) on stacks of states.
 
-Exactness conventions: the multiset reductions of the model use
-``math.fsum``, which is correctly rounded and therefore independent of
-summand order.  Everything else is elementwise: both saturations of a whole
-stack of states are evaluated in one numpy pass whose elements see exactly
-the IEEE operations of a per-saturation evaluation of one state, which
-relies on ``np.tanh`` returning the same bits for a value wherever it sits
-in an array (a test pins this).  As a consequence equivariance and the
+Exactness conventions: every line sum (a column or a row of a state, and
+the inner products of the Newton finish) is _line_sums, which sorts the
+line and adds it in a fixed order, so the sum is a function of the line's
+multiset, whatever the order or memory layout, and never raises.
+Everything else is elementwise: both saturations of a whole stack of
+states are evaluated in one numpy pass whose elements see exactly the IEEE
+operations of a per-saturation evaluation of one state, which relies on
+``np.tanh`` returning the same bits for a value wherever it sits in an
+array (a test pins this).  As a consequence equivariance and the
 invariance of synchrony subspaces hold *bitwise*, not merely to rounding
 tolerance, for the field and the Jacobian-vector product alike, and a
 state's result does not depend on the stack it is in.
@@ -177,6 +179,16 @@ def as_state(values, shape: NetworkShape) -> np.ndarray:
     return Z
 
 
+def _line_sums(X: np.ndarray, axis: int) -> np.ndarray:
+    """The sums of X along axis (keepdims), each a function of its line's
+    multiset: a C-ordered copy of X is sorted along axis and added along it
+    (numpy adds pairwise along the contiguous last axis and in sequence
+    along any other, so the copy's layout fixes the order)."""
+    S = X.copy()
+    S.sort(axis=axis)
+    return np.add.reduce(S, axis=axis, keepdims=True)
+
+
 @lru_cache(maxsize=64)
 def _compiled_model(cfg: ModelConfig):
     """Closures (field, slopes, jvp) for a fixed config on (B, m, n) stacks
@@ -195,33 +207,27 @@ def _compiled_model(cfg: ModelConfig):
     saturations of every state run in one pass, each element by the same
     IEEE operations as one saturation of one state alone (np.tanh gives a
     value the same bits at any offset and array length; a test pins this).
-    Column and row sums are math.fsum over the B*n columns and B*m rows, so
-    each state's result is a function of its own input *multisets*: this
-    makes equivariance and synchrony invariance exact, and keeps a state's
-    result independent of the rest of the stack.  The closures hold no
-    scratch buffers and are re-entrant.
+    Column and row sums are _line_sums over the B*n columns and B*m rows,
+    so each state's result is a function of its own input *multisets*:
+    this makes equivariance and synchrony invariance exact, and keeps a
+    state's result independent of the rest of the stack and of its memory
+    layout.  The closures hold no scratch buffers and are re-entrant.
     """
-    m, n = cfg.shape.m, cfg.shape.n
     t1, t2 = math.tanh(cfg.sigmoids.s1), math.tanh(cfg.sigmoids.s2)
     A, G, S, T0, DEN = (np.array(pair).reshape(2, 1, 1, 1) for pair in (
         (cfg.gains.alpha, cfg.gains.beta), (cfg.gains.gamma, cfg.gains.delta),
         (cfg.sigmoids.s1, cfg.sigmoids.s2), (t1, t2), (1.0 - t1 * t1, 1.0 - t2 * t2)))
     lam = np.array(cfg.lam)
-    fsum = math.fsum
 
     def mix(Z):
-        B = len(Z)
-        C = np.fromiter(map(fsum, Z.transpose(0, 2, 1).reshape(B * n, m).tolist()),
-                        float, B * n).reshape(B, 1, n)
+        C = _line_sums(Z, 1)
         X = A * Z
         X += G * (C - Z)
         return X
 
     def close(X, Z):
-        B = len(Z)
         X2 = X[1]
-        T = np.fromiter(map(fsum, X2.reshape(B * m, n).tolist()),
-                        float, B * m).reshape(B, m, 1)
+        T = _line_sums(X2, 2)
         F = X[0] + T
         F -= X2
         F *= lam

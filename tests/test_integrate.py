@@ -362,15 +362,15 @@ def assert_reported_divergence(traj, res, t):
 
 
 def overflowing_columns():
-    # rows alternate +-1e308: every column sums to 0, but the second stage
-    # doubles an entry past the float limit, in both signs in each column
+    # rows alternate +-1e308: every column sums to 0, but the first stage
+    # update takes entries past the float limit, in both signs in each
+    # column
     return np.array([[1e308] * 6, [-1e308] * 6] * 2)
 
 
 def overflowing_column():
-    # one column sums to 0; the second stage takes its 1e308 entry to +inf
-    # and leaves the others finite, so the sums go through and the field
-    # turns NaN
+    # one column sums to 0; the first stage update takes its 1e308 entry to
+    # +inf and leaves the others finite
     Z0 = np.zeros((4, 6))
     Z0[:, 2] = [1e308, -5e307, -5e307, 0.0]
     return Z0
@@ -382,9 +382,9 @@ def overflowing_column():
 @pytest.mark.parametrize("step", [0.3, 50.0])
 def test_integrate_reports_overflowing_step_as_divergence(Z0, step):
     # a start whose field is finite, but whose first step overflows at any
-    # step size (at 0.3, math.fsum raises inside the step from the first
-    # start and the field turns NaN from the second): the run ends
-    # diverged at t = 0 with its start
+    # step size (at 0.3 its two-stage step is not finite; at 50 its
+    # 16-stage step is not finite either): the run ends diverged at t = 0
+    # with its start
     sc = get_scenario("consensus-4x6")
     traj, res = integrate(Z0, sc.model_config(), IntegratorConfig(step=step, t_max=3000.0))
     assert_reported_divergence(traj, res, 0.0)
@@ -427,8 +427,11 @@ def opposite_infinities_in_one_column():
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("Z0", [np.full((4, 6), 1e308), opposite_infinities_in_one_column()],
                          ids=["overflowing", "opposite-infinities"])
-def test_integrate_reports_unsummable_start_as_divergence(Z0):
-    # math.fsum raises on the first column sum: the run ends at t = 0
+def test_integrate_reports_float_limit_start_as_divergence(Z0):
+    # 1e308 everywhere: the column sums overflow to +inf, the saturations
+    # keep the field finite, and the first step's stage is not finite;
+    # +inf and -inf in one column: the column sum and the field are NaN.
+    # Either way the run ends at t = 0
     sc = get_scenario("consensus-4x6")
     traj, res = integrate(Z0, sc.model_config(), IntegratorConfig())
     assert_reported_divergence(traj, res, 0.0)
@@ -461,12 +464,13 @@ def test_integrate_batch_members_match_one_seed_runs_bitwise(name):
 @pytest.mark.filterwarnings("error")
 def test_integrate_batch_isolates_diverging_members():
     # at first trial step 5 on consensus-4x6: a NaN start (non-finite field
-    # at t = 0), an unsummable start (math.fsum raises at t = 0), two starts
-    # whose first step overflows (math.fsum raises inside it, or its field
-    # turns NaN), seed 0 (its oversized first step rejected, converged
-    # through the Newton finish), the zero state (an unstable equilibrium,
-    # run to t_max) and a converged final (a stable equilibrium, stopped at
-    # once); in either order each member ends as it does alone
+    # at t = 0), three starts at the float limit (1e308 everywhere and the
+    # two above: a finite field, a first step of 5 rejected, and a step of
+    # 0.5 whose stage is not finite), seed 0 (its oversized first step
+    # rejected, converged through the Newton finish), the zero state (an
+    # unstable equilibrium, run to t_max) and a converged final (a stable
+    # equilibrium, stopped at once); in either order each member ends as it
+    # does alone
     sc = get_scenario("consensus-4x6")
     cfg = sc.model_config()
     nan_start = np.zeros((4, 6))

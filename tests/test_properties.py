@@ -24,11 +24,16 @@ PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=
 
 gain = st.floats(-2.0, 2.0)
 offset = st.floats(0.05, 1.5).flatmap(lambda x: st.sampled_from([x, -x]))
+small_shapes = st.builds(NetworkShape, st.integers(2, 6), st.integers(2, 6))
+# a side of 9 or 10: numpy adds a line of 8 or more entries pairwise along a
+# contiguous axis and in sequence along a strided one
+long_line_shapes = st.one_of(st.builds(NetworkShape, st.integers(9, 10), st.integers(2, 10)),
+                             st.builds(NetworkShape, st.integers(2, 10), st.integers(9, 10)))
 
 
 @st.composite
-def configs(draw, max_side=6):
-    shape = NetworkShape(draw(st.integers(2, max_side)), draw(st.integers(2, max_side)))
+def configs(draw, shapes=small_shapes):
+    shape = draw(shapes)
     return ModelConfig(shape=shape, gains=GainParams(*(draw(gain) for _ in range(4))),
                        sigmoids=SigmoidParams(draw(offset), draw(offset)),
                        lam=draw(st.floats(-2.0, 2.0)))
@@ -45,12 +50,18 @@ def bits(a):
     return np.where(np.isnan(a), np.nan, a).view(np.int64)
 
 
-def or_none(fn, *stacks):
-    try:
-        return fn(*stacks)
-    except (OverflowError, ValueError):
-        # math.fsum cannot sum a column or row of this stack
-        return None
+def tied_values(draw):
+    # entries drawn from a pool of at most four values and both zeros, so
+    # lines hold ties and zeros of either sign
+    pool = draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=4))
+    return st.sampled_from(pool + [0.0, -0.0])
+
+
+def other_layouts(a):
+    # copies of the array a in layouts other than C order: Fortran order,
+    # each state column-major, and a strided view
+    return [np.asfortranarray(a), np.swapaxes(np.swapaxes(a, -1, -2).copy(), -1, -2),
+            np.repeat(a, 2, axis=-1)[..., ::2]]
 
 
 def member(a, i):
@@ -63,8 +74,7 @@ def member(a, i):
 @given(st.data())
 def test_stacked_field_equals_each_member_alone_bitwise(data):
     # any stack size and any values, non-finite and huge ones included: a
-    # stack's field, slopes and Jacobian-vector product are its members',
-    # and cannot be summed exactly when one member's cannot
+    # stack's field, slopes and Jacobian-vector product are its members'
     cfg = data.draw(configs())
     size = data.draw(st.integers(1, 5))
     values = st.floats(allow_nan=True, allow_infinity=True) | st.floats(-10.0, 10.0)
@@ -73,12 +83,9 @@ def test_stacked_field_equals_each_member_alone_bitwise(data):
     field, slopes, jvp = _compiled_model(cfg)
     for fn, args in ((field, (Z,)), (slopes, (Z,)), (jvp, (D, V))):
         with np.errstate(all="ignore"):
-            stacked = or_none(fn, *args)
-            alone = [or_none(fn, *(member(a, i) for a in args)) for i in range(size)]
-        if any(F is None for F in alone):
-            assert stacked is None
-            continue
-        assert stacked is not None and stacked.shape[-3:] == Z.shape
+            stacked = fn(*args)
+            alone = [fn(*(member(a, i) for a in args)) for i in range(size)]
+        assert stacked.shape[-3:] == Z.shape
         for i, F in enumerate(alone):
             assert np.array_equal(bits(member(stacked, i)), bits(F))
 
@@ -96,6 +103,42 @@ def test_field_and_jvp_are_bitwise_equivariant(data):
     assert np.array_equal(bits(f(Z[perm][None])[0]), bits(f(Z[None])[0][perm]))
     assert np.array_equal(bits(jvp(slopes(Z[perm][None]), V[perm][None])[0]),
                           bits(jvp(slopes(Z[None]), V[None])[0][perm]))
+
+
+@PROPERTY
+@given(st.data())
+def test_long_line_sums_are_bitwise_in_any_stack_order_and_layout(data):
+    # lines of 9 or 10 entries with ties and zeros of both signs: the
+    # field, slopes and Jacobian-vector product of a stack are its members'
+    # alone, a permuted stack (fancy-indexed, so not C-ordered) gives the
+    # permuted result, and a copy in another layout gives the same bits
+    cfg = data.draw(configs(long_line_shapes))
+    m, n = cfg.shape.m, cfg.shape.n
+    size = data.draw(st.integers(1, 4))
+    values = tied_values(data.draw)
+    Z, V = (states(data.draw, cfg.shape, (size,), values) for _ in range(2))
+    sigma = data.draw(st.permutations(range(m)))
+    tau = data.draw(st.permutations(range(n)))
+    field, slopes, jvp = _compiled_model(cfg)
+    F, D = field(Z), slopes(Z)
+    JV = jvp(D, V)
+
+    def permuted(a):
+        return a[..., sigma, :][..., tau]
+
+    Zp, Vp = permuted(Z), permuted(V)
+    Dp = slopes(Zp)
+    for got, want in ((field(Zp), permuted(F)), (Dp, permuted(D)),
+                      (jvp(Dp, Vp), permuted(JV))):
+        assert np.array_equal(bits(got), bits(want))
+    for i in range(size):
+        Zi = member(Z, i)
+        for got, want in ((field(Zi), member(F, i)), (slopes(Zi), member(D, i)),
+                          (jvp(member(D, i), member(V, i)), member(JV, i))):
+            assert np.array_equal(bits(got), bits(want))
+    for Zl, Vl, Dl in zip(other_layouts(Z), other_layouts(V), other_layouts(D)):
+        for got, want in ((field(Zl), F), (slopes(Zl), D), (jvp(Dl, Vl), JV)):
+            assert np.array_equal(bits(got), bits(want))
 
 
 @st.composite

@@ -1,9 +1,17 @@
-"""L2 and L3 timings (the integrator) of one or more source trees, as JSON.
+"""L0-L3 timings (the field and the integrator) of one or more source
+trees, as JSON.
 
 Every round starts one fresh interpreter per tree, in alternating order
 (the rounds of tools/bench_l4.py), so the trees share the host's drift.
 Each interpreter first integrates one short run (warm-up), then records:
 
+* L0, one call of the compiled field on a stack of B copies of the t = 60
+  state of dissensus-exotic-4x6 seed 0, for B = 1, 20 and 200
+  (L0.field_us.BB, microseconds, the median over REPEATS timings of a
+  batch of calls);
+* L1, one RKC step (`_rkc_step` and `_error_norms`) at the first trial
+  step of dissensus-exotic-4x6 from seed 0 (B = 1) and from seeds 0-19
+  (B = 20) (L1.step_us.BB, microseconds, timed the same way);
 * L2, for seed 0 of each built-in scenario integrated alone to its stop:
   the wall time of `integrate` (L2.wall_s.NAME, the median of CALLS
   calls), its steps (L2.steps.NAME, the result's n_steps) and its field
@@ -32,9 +40,48 @@ import platform
 import statistics
 import sys
 import time
+import timeit
 
 SWEEP_LAMBDAS = (0.5, 0.9, 0.97, 1.03, 1.1, 1.5)
 CALLS = 3     # L2 calls per scenario in one interpreter; the figure is their median
+REPEATS = 7   # L0 and L1 timings per figure in one interpreter; the figure is their median
+L0_SIZES = (1, 20, 200)
+L1_SIZES = (1, 20)
+
+
+def per_call_us(call, number) -> float:
+    """Median over REPEATS timings of number calls of call(), per call, in
+    microseconds."""
+    return statistics.median(timeit.repeat(call, number=number, repeat=REPEATS)) / number * 1e6
+
+
+def l0_l1_figures(integ) -> dict:
+    """The L0 and L1 figures of the module docstring."""
+    import numpy as np
+
+    from indecision import IntegratorConfig, get_scenario, random_near_origin
+
+    sc = get_scenario("dissensus-exotic-4x6")
+    cfg, icfg = sc.model_config(), sc.integrator_config()
+    f = integ._compiled_model(cfg)[0]
+    out = {}
+    _, res = integ.integrate(random_near_origin(sc.shape, sc.radius, 0), cfg,
+                             IntegratorConfig(step=icfg.step, t_max=60.0))
+    for size in L0_SIZES:
+        Z = np.repeat(res.final[None], size, axis=0)
+        out[f"L0.field_us.B{size}"] = per_call_us(lambda: f(Z), max(20, 4000 // size))
+    rho = integ.spectral_bound(cfg)
+    for size in L1_SIZES:
+        Z = np.array([random_near_origin(sc.shape, sc.radius, seed) for seed in range(size)])
+        F = f(Z)
+        h = np.full((size, 1, 1), icfg.step)
+        s = [integ._stage_count(icfg.step, rho)] * size
+
+        def step():
+            Y, FY = integ._rkc_step(f, Z, F, h, s)
+            integ._error_norms(Z, Y, F, FY, h)
+        out[f"L1.step_us.B{size}"] = per_call_us(step, max(20, 400 // size))
+    return out
 
 
 def counted_evals(integ, Z0, cfg, icfg) -> int:
@@ -75,7 +122,7 @@ def child():
     warm = get_scenario(names[0])
     integrate(random_near_origin(warm.shape, warm.radius, 0), warm.model_config(),
               IntegratorConfig(t_max=5.0))
-    out = {}
+    out = l0_l1_figures(integ)
     for name in names:
         sc = get_scenario(name)
         cfg, icfg = sc.model_config(), sc.integrator_config()
@@ -109,7 +156,8 @@ def main():
     args = ap.parse_args()
     trees = dict(t.split("=", 1) for t in args.trees)
     runs = run_rounds(__file__, trees, args.rounds)
-    write_summary(args.out, __doc__, trees, runs, rounds=args.rounds, calls=CALLS)
+    write_summary(args.out, __doc__, trees, runs, rounds=args.rounds, calls=CALLS,
+                  repeats=REPEATS)
 
 
 if __name__ == "__main__":
