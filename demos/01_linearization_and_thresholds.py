@@ -3,8 +3,9 @@
 The linearization of the value dynamics at the undecided state (all values
 zero) block-diagonalizes over four invariant subspaces.  This script builds
 a configuration from prescribed per-subspace growth coefficients, checks the
-per-subspace eigenvalues against the spectrum of the closed-form Jacobian
-matrix, and reads off which synchrony-breaking bifurcation comes first.
+per-subspace eigenvalues against the spectrum of the dense Jacobian matrix
+(the field's Jacobian-vector product on the unit states), and reads off
+which synchrony-breaking bifurcation comes first.
 """
 
 import numpy as np
@@ -49,8 +50,8 @@ for val, mult in analytic_eigenvalues(coeffs, lam, shape):
     print(f"  eigenvalue {val:+.4f} with multiplicity {mult}")
 
 J = jacobian(np.zeros((shape.m, shape.n)), cfg)
-closed = np.sort(np.linalg.eigvals(J).real)
+dense = np.sort(np.linalg.eigvals(J).real)
 ana = np.sort([v for v, mult in analytic_eigenvalues(coeffs, lam, shape)
                for _ in range(mult)])
-print(f"\nmax |closed-form Jacobian - analytic| over all {len(closed)} eigenvalues: "
-      f"{np.abs(closed - ana).max():.2e}")
+print(f"\nmax |Jacobian - analytic| over all {len(dense)} eigenvalues: "
+      f"{np.abs(dense - ana).max():.2e}")

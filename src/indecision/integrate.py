@@ -12,8 +12,9 @@ s-stage step is stable for every h mu with mu in [-beta(s), 0], beta(s) ~
 size h takes s = 1 + floor(sqrt(1 + 1.54 h rho)) stages, where rho =
 spectral_bound(cfg) bounds the spectral radius of the Jacobian at every
 state: the Jacobian at any state is within a closed-form distance of the
-symmetric Jacobian at the centre of the slope ranges, whose four isotypic
-eigenvalues are closed-form too, so Bauer-Fike bounds its spectrum.
+symmetric Jacobian at the centre of the slope ranges, which is the origin
+Jacobian of the slope-weighted gains, so its four isotypic eigenvalues are
+the model's analytic_eigenvalues and Bauer-Fike bounds its spectrum.
 
 Steps are error-controlled.  Verwer's estimate 0.8 (y_n - y_n+1) + 0.4 h
 (F_n + F_n+1), with the field at the new state reused as the next step's
@@ -28,9 +29,9 @@ Equilibrium is detected from the vector-field residual at every accepted
 state rather than from state differences; near a bifurcation the
 transients are slow (growth rates of order epsilon) and state-difference
 tests give false positives there.  A residual within tolerance counts as
-convergence only where the closed-form Jacobian of the field is stable
-(spectral abscissa < 0), so a run that passes close to an unstable
-equilibrium keeps going.
+convergence only where the Jacobian of the field (model.jacobian, the
+Jacobian-vector product on the unit states) is stable (spectral abscissa
+< 0), so a run that passes close to an unstable equilibrium keeps going.
 
 Newton finish.  Once a sampled residual is at most sqrt(equilibrium_tol)
 and the Jacobian there is stable, up to NEWTON_STEPS Newton steps start
@@ -86,7 +87,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .model import ModelConfig, NetworkShape, _compiled_model, _line_sums, jacobian
+from .model import (GainParams, ModelConfig, NetworkShape, _compiled_model, _line_sums,
+                    analytic_eigenvalues, coefficients_from_gains, jacobian)
 
 __all__ = [
     "IntegratorConfig",
@@ -171,10 +173,12 @@ def spectral_bound(cfg: ModelConfig) -> float:
 
     The slopes Dk of saturation k lie in (0, 2 dk], dk = 1 / (2 (1 -
     tanh(sk)^2)).  With every slope at that centre the Jacobian J(d) is
-    symmetric, with the four closed-form eigenvalues of _centre_spectrum,
-    and J(Z) is within eps of J(d) in the 2-norm.  By Bauer-Fike for normal
-    matrices (Bauer & Fike, Numer. Math. 1960) every eigenvalue of J(Z) lies
-    within eps of a centre eigenvalue, so rho = max |centre| + eps.
+    the Jacobian at the origin of the slope-weighted gains (d1 alpha, d2
+    beta, d1 gamma, d2 delta): it is symmetric, with the four analytic
+    eigenvalues of those gains (_centre_spectrum), and J(Z) is within eps
+    of J(d) in the 2-norm.  By Bauer-Fike for normal matrices (Bauer &
+    Fike, Numer. Math. 1960) every eigenvalue of J(Z) lies within eps of a
+    centre eigenvalue, so rho = max |centre| + eps.
 
     Since rho <= 1 + 2 eps, this bound is never above the Gershgorin
     row-sum bound 1 + |lam| (2 d1 (|alpha| + (m-1)|gamma|) + 2 d2 (n-1)
@@ -230,18 +234,19 @@ def _centre_spectrum(cfg: ModelConfig) -> tuple[tuple[float, ...], float]:
     columns, b1 = alpha + (m-1) gamma on constant ones; K2 likewise with
     (beta, delta), giving a2 and b2; and R sums along each row, so R - I is
     -1 on zero-sum rows and n - 1 on constant ones.  K1, K2 and R are
-    symmetric and commute, so J(d) is symmetric with those products as
-    eigenvalues (at d = (1, 1) the nu are c_d, c_c, c_dl and c_s), and
+    symmetric and commute, so J(d) is symmetric.  With every slope at its
+    centre, J(d) is the Jacobian at the origin of the slope-weighted gains
+    (d1 alpha, d2 beta, d1 gamma, d2 delta), so the nu are their
+    coefficients L @ gains and the eigenvalues their analytic_eigenvalues;
     |Dk - dk| <= dk gives eps = |lam| (d1 ||K1|| + (n-1) d2 ||K2||)."""
     m, n = cfg.shape.m, cfg.shape.n
     alpha, beta, gamma, delta = cfg.gains.as_tuple()
-    a1, b1 = alpha - gamma, alpha + (m - 1) * gamma
-    a2, b2 = beta - delta, beta + (m - 1) * delta
     d1, d2 = (0.5 / (1.0 - math.tanh(s) ** 2) for s in (cfg.sigmoids.s1, cfg.sigmoids.s2))
-    nus = (d1 * a1 - d2 * a2, d1 * b1 - d2 * b2,
-           d1 * a1 + (n - 1) * d2 * a2, d1 * b1 + (n - 1) * d2 * b2)
-    eps = abs(cfg.lam) * (d1 * max(abs(a1), abs(b1)) + (n - 1) * d2 * max(abs(a2), abs(b2)))
-    return tuple(-1.0 + cfg.lam * nu for nu in nus), eps
+    centre = coefficients_from_gains(
+        GainParams(d1 * alpha, d2 * beta, d1 * gamma, d2 * delta), cfg.shape)
+    eps = abs(cfg.lam) * (d1 * max(abs(alpha - gamma), abs(alpha + (m - 1) * gamma))
+                          + (n - 1) * d2 * max(abs(beta - delta), abs(beta + (m - 1) * delta)))
+    return tuple(mu for mu, _ in analytic_eigenvalues(centre, cfg.lam, cfg.shape)), eps
 
 
 def random_near_origin(shape: NetworkShape, radius: float, seed: int) -> np.ndarray:
@@ -497,7 +502,7 @@ class _Member:
             self.last_try = math.inf
         elif last or residual < 0.5 * self.last_try:
             self.last_try = residual
-            self.abscissa = _spectral_abscissa(jacobian(Z, cfg))
+            self.abscissa = _spectral_abscissa(Z, cfg)
             if self.abscissa < 0.0:
                 if residual <= tol:
                     stop = "tolerance"
@@ -508,7 +513,7 @@ class _Member:
                         stop = "newton"
         if stop == "t_max" and residual > math.sqrt(tol):
             # under sqrt(tol) the gate has just computed it at Z
-            self.abscissa = _spectral_abscissa(jacobian(Z, cfg))
+            self.abscissa = _spectral_abscissa(Z, cfg)
         if stop is not None:
             self._end(stop, t)
         return stop is not None
@@ -528,9 +533,9 @@ class _Member:
             spectral_abscissa=self.abscissa)
 
 
-def _spectral_abscissa(J: np.ndarray) -> float:
-    """Largest real part of the eigenvalues of a square matrix."""
-    return float(np.linalg.eigvals(J).real.max())
+def _spectral_abscissa(Z, cfg: ModelConfig) -> float:
+    """Largest real part of the eigenvalues of jacobian(Z, cfg)."""
+    return float(np.linalg.eigvals(jacobian(Z, cfg)).real.max())
 
 
 def _newton_finish(Z, FZ, cfg: ModelConfig, tol: float):
@@ -556,7 +561,7 @@ def _newton_finish(Z, FZ, cfg: ModelConfig, tol: float):
             return None
         residual = float(np.abs(FW).max())
         if residual <= tol:
-            abscissa = _spectral_abscissa(jacobian(W[0], cfg))
+            abscissa = _spectral_abscissa(W[0], cfg)
             return (W[0], residual, abscissa) if abscissa < 0.0 else None
     return None
 

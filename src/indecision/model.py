@@ -10,14 +10,17 @@ equivariant under S_m x S_n).
 The linearization at the origin block-diagonalizes over four invariant
 subspaces (synchronous / consensus / deadlock / dissensus), giving four
 closed-form eigenvalues.  This module provides the field itself, its
-closed-form Jacobian at any state, plus all of that linear algebra: the 4x4
-conversion between interaction gains and the per-subspace growth
-coefficients, analytic eigenvalues with multiplicities, bifurcation
-thresholds, and the orthogonal projections onto the four subspaces.
+Jacobian at any state, plus all of that linear algebra: the 4x4 conversion
+between interaction gains and the per-subspace growth coefficients,
+analytic eigenvalues with multiplicities, bifurcation thresholds, and the
+orthogonal projections onto the four subspaces.
 
+Each linear map has one encoding.  The integer interaction matrix L gives
+the growth coefficients and, through them, every closed-form eigenvalue.
 One compiled model per config gives the field, its saturation slopes and
 its Jacobian-vector product (the field with each saturation replaced by
-its slope) on stacks of states.
+its slope) on stacks of states; the dense Jacobian at a state is that
+product applied to the stack of unit states.
 
 Exactness conventions: every line sum (a column or a row of a state, and
 the inner products of the Newton finish) is _line_sums, which sorts the
@@ -29,8 +32,9 @@ operations of a per-saturation evaluation of one state, which relies on
 ``np.tanh`` returning the same bits for a value wherever it sits in an
 array (a test pins this).  As a consequence equivariance and the
 invariance of synchrony subspaces hold *bitwise*, not merely to rounding
-tolerance, for the field and the Jacobian-vector product alike, and a
-state's result does not depend on the stack it is in.
+tolerance, for the field, the Jacobian-vector product and so the dense
+Jacobian alike, and a state's result does not depend on the stack it is
+in.
 """
 
 from __future__ import annotations
@@ -263,25 +267,21 @@ def vector_field(Z, cfg: ModelConfig) -> np.ndarray:
 
 
 def jacobian(Z, cfg: ModelConfig) -> np.ndarray:
-    """Closed-form Jacobian of the field at Z (mn x mn, row-major cell
-    order), from the slopes D1, D2 of the two saturations:
+    """Jacobian of the field at Z (mn x mn, row-major cell order), from
+    the slopes D1, D2 of the two saturations:
 
     dF_ij/dz_kl = lam * ( D1_ij [j=l] (gamma + (alpha - gamma) [i=k])
                           + (D2_il - D2_ij [j=l]) (delta + (beta - delta) [i=k]) )
                   - [i=k][j=l]
-    """
+
+    Column k is the compiled Jacobian-vector product at slopes(Z) applied
+    to the k-th unit state, all mn of them in one stack, so J is the map
+    the Newton finish solves with and inherits its bitwise equivariance."""
     Z = as_state(Z, cfg.shape)
-    m, n = cfg.shape.m, cfg.shape.n
-    a, b, g, d = cfg.gains.as_tuple()
-    D1, D2 = _compiled_model(cfg)[1](Z[None])[:, 0]
-    same_row = np.eye(m)[:, None, :, None]   # [i=k], axes (i, j, k, l)
-    same_col = np.eye(n)[None, :, None, :]   # [j=l]
-    w1 = g + (a - g) * same_row
-    w2 = d + (b - d) * same_row
-    J = cfg.lam * (D1[:, :, None, None] * same_col * w1
-                   + (D2[:, None, None, :] - D2[:, :, None, None] * same_col) * w2) \
-        - same_row * same_col
-    return J.reshape(m * n, m * n)
+    _, slopes, jvp = _compiled_model(cfg)
+    cells = cfg.shape.cells
+    units = np.eye(cells).reshape(cells, cfg.shape.m, cfg.shape.n)
+    return jvp(slopes(Z[None]), units).reshape(cells, cells).T
 
 
 def interaction_matrix(shape: NetworkShape) -> list[list[int]]:
@@ -309,14 +309,8 @@ def interaction_matrix_det(shape: NetworkShape) -> Fraction:
 
 def coefficients_from_gains(g: GainParams, shape: NetworkShape) -> CriticalCoefficients:
     """Growth coefficients of the four invariant subspaces, c = L @ gains."""
-    m, n = shape.m, shape.n
-    a, b, gm, d = g.as_tuple()
-    return CriticalCoefficients(
-        c_d=a - b - gm + d,
-        c_c=a - b + (m - 1) * (gm - d),
-        c_dl=a - gm + (n - 1) * (b - d),
-        c_s=a + (n - 1) * b + (m - 1) * gm + (m - 1) * (n - 1) * d,
-    )
+    return CriticalCoefficients(*(sum(x * y for x, y in zip(row, g.as_tuple()))
+                                  for row in interaction_matrix(shape)))
 
 
 def gains_from_coefficients(c: CriticalCoefficients, shape: NetworkShape) -> GainParams:

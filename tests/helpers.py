@@ -22,6 +22,7 @@ from indecision import (
     vector_field,
 )
 from indecision.integrate import ERROR_ATOL, ERROR_RTOL, RKC_DAMPING
+from indecision.model import _compiled_model
 
 # the known exotic 4x6 two-color pattern (columns: one complementary pair
 # once, another pair twice) and the generators of its symmetry group
@@ -318,6 +319,28 @@ def numerical_jacobian(Z, cfg, h_fd: float) -> np.ndarray:
             raise ValueError("non-finite entries in finite-difference column")
         J[:, k] = col.ravel()
     return J
+
+
+def reference_jacobian(Z, cfg) -> np.ndarray:
+    """Closed-form Jacobian of the field at Z (mn x mn, row-major cell
+    order), from the slopes D1, D2 of the two saturations:
+
+    dF_ij/dz_kl = lam * ( D1_ij [j=l] (gamma + (alpha - gamma) [i=k])
+                          + (D2_il - D2_ij [j=l]) (delta + (beta - delta) [i=k]) )
+                  - [i=k][j=l]
+    """
+    Z = as_state(Z, cfg.shape)
+    m, n = cfg.shape.m, cfg.shape.n
+    a, b, g, d = cfg.gains.as_tuple()
+    D1, D2 = _compiled_model(cfg)[1](Z[None])[:, 0]
+    same_row = np.eye(m)[:, None, :, None]   # [i=k], axes (i, j, k, l)
+    same_col = np.eye(n)[None, :, None, :]   # [j=l]
+    w1 = g + (a - g) * same_row
+    w2 = d + (b - d) * same_row
+    J = cfg.lam * (D1[:, :, None, None] * same_col * w1
+                   + (D2[:, None, None, :] - D2[:, :, None, None] * same_col) * w2) \
+        - same_row * same_col
+    return J.reshape(m * n, m * n)
 
 
 def reference_field(cfg):

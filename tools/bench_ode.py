@@ -11,7 +11,9 @@ Each interpreter first integrates one short run (warm-up), then records:
   batch of calls);
 * L1, one RKC step (`_rkc_step` and `_error_norms`) at the first trial
   step of dissensus-exotic-4x6 from seed 0 (B = 1) and from seeds 0-19
-  (B = 20) (L1.step_us.BB, microseconds, timed the same way);
+  (B = 20) (L1.step_us.BB, microseconds, timed the same way), and one
+  stability gate, `jacobian` plus `eigvals` at the t = 60 state of L0
+  (L1.gate_us, timed the same way);
 * L2, for seed 0 of each built-in scenario integrated alone to its stop:
   the wall time of `integrate` (L2.wall_s.NAME, the median of CALLS
   calls), its steps (L2.steps.NAME, the result's n_steps) and its field
@@ -59,7 +61,7 @@ def l0_l1_figures(integ) -> dict:
     """The L0 and L1 figures of the module docstring."""
     import numpy as np
 
-    from indecision import IntegratorConfig, get_scenario, random_near_origin
+    from indecision import IntegratorConfig, get_scenario, jacobian, random_near_origin
 
     sc = get_scenario("dissensus-exotic-4x6")
     cfg, icfg = sc.model_config(), sc.integrator_config()
@@ -81,6 +83,7 @@ def l0_l1_figures(integ) -> dict:
             Y, FY = integ._rkc_step(f, Z, F, h, s)
             integ._error_norms(Z, Y, F, FY, h)
         out[f"L1.step_us.B{size}"] = per_call_us(step, max(20, 400 // size))
+    out["L1.gate_us"] = per_call_us(lambda: np.linalg.eigvals(jacobian(res.final, cfg)), 200)
     return out
 
 

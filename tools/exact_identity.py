@@ -29,7 +29,9 @@ finals may differ by at most FINAL_TOL in any entry; the largest
 difference is reported.  The runs whose accepted steps (n_steps) or field
 evaluations (n_evals) differ are counted, with the largest difference of
 each; that is a report, not a mismatch, since a change of tolerance moves
-these counts legitimately.
+these counts legitimately.  So are the runs whose spectral_abscissa
+differs, with the largest |difference|: a change to how the Jacobian is
+computed moves its eigenvalues by rounding.
 
 The exit status is 0 when every item matches and 1 otherwise.
 
@@ -46,6 +48,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -132,7 +135,8 @@ FINAL_TOL = 1e-6
 
 def outcome_items() -> dict:
     """Per run, [(stop reason, coloring, class, axial index, verdict),
-    (n_steps, n_evals), final], keyed by scenario, lambda and seed."""
+    (n_steps, n_evals), final, spectral_abscissa], keyed by scenario,
+    lambda and seed."""
     from indecision import (AmbiguousQuantizationError, classify_orbital_exotic,
                             classify_state, enumerate_axial, get_scenario, integrate_batch,
                             quantize_to_coloring, random_near_origin)
@@ -163,31 +167,37 @@ def outcome_items() -> dict:
                         verdict = classify_orbital_exotic(entry.coloring)
             key = f"{sc.name}/lambda={'default' if lam is None else lam}/seed{seed}"
             items[key] = [[res.stop_reason, coloring, cls, index, verdict],
-                          [res.n_steps, res.n_evals], res.final.tolist()]
+                          [res.n_steps, res.n_evals], res.final.tolist(),
+                          res.spectral_abscissa]
     return items
 
 
 def compare_outcomes(found) -> int:
     """Print every run whose outcome differs and a summary, with the runs
-    whose step and evaluation counts differ; the number of mismatches."""
+    whose step and evaluation counts and spectral abscissa differ; the
+    number of mismatches."""
     (a, items_a), (b, items_b) = found.items()
     mismatches, largest = 0, 0.0
-    counts = {"n_steps": [0, 0], "n_evals": [0, 0]}    # runs differing, largest difference
+    # runs differing, largest difference
+    counts = {"n_steps": [0, 0], "n_evals": [0, 0], "spectral_abscissa": [0, 0.0]}
     for key in sorted(set(items_a) | set(items_b)):
         if key not in items_a or key not in items_b:
             mismatches += 1
             print(f"MISMATCH {key}: only in {a if key in items_a else b}")
             continue
-        (head_a, counts_a, final_a), (head_b, counts_b, final_b) = items_a[key], items_b[key]
+        (head_a, counts_a, final_a, abscissa_a), (head_b, counts_b, final_b, abscissa_b) = \
+            items_a[key], items_b[key]
         diff = max(abs(x - y) for row_a, row_b in zip(final_a, final_b)
                    for x, y in zip(row_a, row_b))
         largest = max(largest, diff)
         if head_a != head_b or not diff <= FINAL_TOL:
             mismatches += 1
             print(f"MISMATCH {key}: {a}={head_a} {b}={head_b} max |final diff| {diff:.3g}")
-        for tally, x, y in zip(counts.values(), counts_a, counts_b):
+        for tally, x, y in zip(counts.values(), counts_a + [abscissa_a],
+                               counts_b + [abscissa_b]):
             tally[0] += x != y
-            tally[1] = max(tally[1], abs(x - y))
+            if x != y:   # None (diverged) against a number is an infinite difference
+                tally[1] = max(tally[1], math.inf if None in (x, y) else abs(x - y))
     print(f"{len(items_a)} runs; largest |final diff| {largest:.3g}; {mismatches} mismatches")
     print("; ".join(f"{name} differs on {runs} runs (largest difference {most})"
                     for name, (runs, most) in counts.items()))
