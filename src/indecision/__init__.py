@@ -30,7 +30,7 @@ from .colorings import (
     dim_Vd_intersection, dissensus_intersection_basis, is_axial_Vd,
     canonical_form, enumerate_axial, isotropy_subgroup,
     classify_orbital_exotic, column_pair_multiplicities, column_type_counts,
-    exotic_sufficient_4xn, axial_values, axial_value_matrix,
+    exotic_sufficient_4xn, axial_values,
     synthesize_stable_admissible, all_colorings,
 )
 from .experiments import (

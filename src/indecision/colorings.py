@@ -35,7 +35,9 @@ Contents:
 * exact value assignments spanning each axial pattern's line;
 * synthesis of an admissible map with a prescribed linearly stable
   equilibrium on any balanced coloring (Hermite interpolation in the node's
-  own variable).
+  own variable);
+* every coloring of a grid (all_colorings), the generator of the
+  exhaustive oracles the tests compare against.
 """
 
 from __future__ import annotations
@@ -76,7 +78,6 @@ __all__ = [
     "column_type_counts",
     "exotic_sufficient_4xn",
     "axial_values",
-    "axial_value_matrix",
     "synthesize_stable_admissible",
     "all_colorings",
 ]
@@ -179,72 +180,40 @@ class RectangleTiling:
     row_groups: tuple[tuple[int, ...], ...]
     col_groups: tuple[tuple[int, ...], ...]
 
-    @property
-    def color_counts(self) -> tuple[int, ...]:
-        return tuple(len(b.color_set) for b in self.blocks)
-
     def axial_dimension_count(self) -> int:
         """sum of per-block color counts - (#row groups) - (#col groups) + 1."""
-        return sum(self.color_counts) - len(self.row_groups) - len(self.col_groups) + 1
+        return (sum(len(b.color_set) for b in self.blocks)
+                - len(self.row_groups) - len(self.col_groups) + 1)
 
 
 def tiling_decomposition(c: Coloring) -> RectangleTiling:
     """Decompose a balanced coloring into its grid of Latin rectangles.
 
     Row groups are the distinct row supports of the colors, column groups
-    the distinct column supports; each (row group, column group) block must
-    be a Latin rectangle and distinct blocks automatically use disjoint
-    colors.  Raises NotBalancedError (with witness) when any of this fails.
+    the distinct column supports, each sorted, and the groups are sorted.
+    Every line holds some color, so the groups cover the lines; they
+    partition them exactly when their sizes sum to m (rows) and n
+    (columns), and then disjoint groups sort by their first line.  The
+    coloring tiles when both partition and each (row group, column group)
+    block is a Latin rectangle; distinct blocks then use disjoint colors.
+    Raises NotBalancedError, with the witness of balance_witness, when
+    either fails.
     """
-    m, n = c.m, c.n
-    rows_of: dict[int, frozenset] = {}
-    cols_of: dict[int, frozenset] = {}
-    for col in range(c.num_colors):
-        rows_of[col] = frozenset(i for i in range(m)
-                                 if any(x == col for x in c.cells[i]))
-        cols_of[col] = frozenset(j for j in range(n)
-                                 if any(c.cells[i][j] == col for i in range(m)))
-
-    def fail():
-        witness = balance_witness(c)
-        assert witness is not None, "tiling failed on a balanced coloring"
-        raise NotBalancedError(witness)
-
-    row_sets = set(rows_of.values())
-    col_sets = set(cols_of.values())
-    # every cell's color must live exactly on (row group of i) x (col group of j),
-    # which also fails when two row (or column) groups overlap
-    row_group_of = {}
-    for rs in row_sets:
-        for i in rs:
-            row_group_of[i] = rs
-    col_group_of = {}
-    for cs in col_sets:
-        for j in cs:
-            col_group_of[j] = cs
-    for i in range(m):
-        for j in range(n):
-            col = c.cells[i][j]
-            if rows_of[col] != row_group_of[i] or cols_of[col] != col_group_of[j]:
-                fail()
-
-    row_groups = sorted(row_sets, key=min)
-    col_groups = sorted(col_sets, key=min)
-    blocks = []
-    for rs in row_groups:
-        for cs in col_groups:
-            rr, cc = sorted(rs), sorted(cs)
-            sub = tuple(tuple(c.cells[i][j] for j in cc) for i in rr)
-            if not is_latin_rectangle(sub):
-                fail()
-            blocks.append(LatinRectangleBlock(rows=tuple(rr), cols=tuple(cc),
-                                              colors=sub))
-    row_perm = tuple(i for rs in row_groups for i in sorted(rs))
-    col_perm = tuple(j for cs in col_groups for j in sorted(cs))
-    return RectangleTiling(blocks=tuple(blocks),
-                           conjugation=(row_perm, col_perm),
-                           row_groups=tuple(tuple(sorted(rs)) for rs in row_groups),
-                           col_groups=tuple(tuple(sorted(cs)) for cs in col_groups))
+    classes = c.color_classes()
+    row_groups = sorted({tuple(sorted({i for i, _ in cls})) for cls in classes})
+    col_groups = sorted({tuple(sorted({j for _, j in cls})) for cls in classes})
+    if sum(map(len, row_groups)) == c.m and sum(map(len, col_groups)) == c.n:
+        blocks = tuple(
+            LatinRectangleBlock(rows=rs, cols=cs,
+                                colors=tuple(tuple(c.cells[i][j] for j in cs) for i in rs))
+            for rs in row_groups for cs in col_groups)
+        if all(is_latin_rectangle(b.colors) for b in blocks):
+            return RectangleTiling(blocks=blocks,
+                                   conjugation=(sum(row_groups, ()), sum(col_groups, ())),
+                                   row_groups=tuple(row_groups), col_groups=tuple(col_groups))
+    witness = balance_witness(c)
+    assert witness is not None, "tiling failed on a balanced coloring"
+    raise NotBalancedError(witness)
 
 
 # ---------------------------------------------------------------------------
@@ -834,12 +803,11 @@ def column_pair_multiplicities(c: Coloring) -> dict[frozenset, int]:
     if not is_latin_rectangle(c.cells):
         raise ValueError("coloring is not a Latin rectangle")
     mu: dict[frozenset, int] = {}
-    for j in range(c.n):
-        rows0 = frozenset(i for i in range(4) if c.cells[i][j] == 0)
+    for rows0, count in column_type_counts(c).items():
         if len(rows0) != 2:
             raise ValueError("columns must split 2+2 (equal color proportions)")
         key = frozenset({rows0, frozenset(range(4)) - rows0})
-        mu[key] = mu.get(key, 0) + 1
+        mu[key] = mu.get(key, 0) + count
     return mu
 
 
@@ -885,12 +853,6 @@ def axial_values(a: AxialColoring, amplitude) -> list[list[Fraction]]:
     (line,) = dissensus_intersection_basis(a.coloring)
     scale = amp / next(v for v in line if v)
     return [[line[col] * scale for col in row] for row in a.coloring.cells]
-
-
-def axial_value_matrix(a: AxialColoring, amplitude: float) -> np.ndarray:
-    """Float view of axial_values, for simulation and matching."""
-    return np.array([[float(x) for x in row]
-                     for row in axial_values(a, Fraction(amplitude))])
 
 
 # ---------------------------------------------------------------------------
@@ -990,16 +952,10 @@ def synthesize_stable_admissible(c: Coloring, y) -> tuple[StablePolynomialMap, S
              (y.tolist() if isinstance(y, np.ndarray) else y)]
     if len(y_arr) != c.m or any(len(r) != c.n for r in y_arr):
         raise ValueError("state shape does not match coloring")
-    level_of: dict[int, Fraction] = {}
-    for i in range(c.m):
-        for j in range(c.n):
-            col = c.cells[i][j]
-            if col in level_of:
-                if level_of[col] != y_arr[i][j]:
-                    raise ValueError("y is not generic: unequal values on one color")
-            else:
-                level_of[col] = y_arr[i][j]
-    levels = [level_of[k] for k in range(c.num_colors)]
+    values = [{y_arr[i][j] for i, j in cls} for cls in c.color_classes()]
+    if any(len(v) > 1 for v in values):
+        raise ValueError("y is not generic: unequal values on one color")
+    levels = [level for (level,) in values]
     if len(set(levels)) != len(levels):
         raise ValueError("y is not generic: two colors share a value")
 

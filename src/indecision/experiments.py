@@ -292,14 +292,14 @@ def _classified(scenario: Scenario, lam: float, runs):
     result) per seed in seed order, yielding (trajectory, report, coloring)
     per seed.
 
-    Only a run that converged without diverging is quantized and classified;
-    any other run, and a converged one whose quantization is ambiguous,
-    keeps pattern = None and coloring = None.
+    Only a run that converged is quantized and classified; any other run,
+    and a converged one whose quantization is ambiguous, keeps pattern =
+    None and coloring = None.
     """
     for seed, (traj, res) in zip(scenario.seeds, runs):
         report = RunReport(**vars(res), scenario=scenario.name, seed=seed, lam=lam)
         coloring = None
-        if res.converged and not res.diverged:
+        if res.converged:
             try:
                 coloring = quantize_to_coloring(res.final, scenario.quantize_tol)
             except AmbiguousQuantizationError:

@@ -291,18 +291,6 @@ def sample_balanced_coloring(rng, max_colors=5, max_cells=12):
             return c
 
 
-def clustered_spectrum(eigs, tol=1e-6):
-    """Sort real parts and merge within tol: [(mean, count), ...]."""
-    vals = sorted(float(np.real(v)) for v in eigs)
-    groups = [[vals[0]]]
-    for v in vals[1:]:
-        if v - groups[-1][-1] <= tol:
-            groups[-1].append(v)
-        else:
-            groups.append([v])
-    return [(sum(g) / len(g), len(g)) for g in groups]
-
-
 def numerical_jacobian(Z, cfg, h_fd: float) -> np.ndarray:
     """Central-difference Jacobian of the model field at Z (mn x mn,
     row-major cell order)."""
@@ -378,7 +366,7 @@ def gershgorin_bound(cfg):
 
 
 def uniform_slope_jacobian(cfg, d1, d2):
-    """The closed-form Jacobian of model.jacobian with every slope of
+    """The closed form of reference_jacobian with every slope of
     saturation 1 equal to d1 and every slope of saturation 2 equal to d2:
 
     dF_ij/dz_kl = lam * ( d1 [j=l] (gamma + (alpha - gamma) [i=k])

@@ -12,7 +12,6 @@ from indecision import (
     NetworkShape,
     NotBalancedError,
     all_colorings,
-    axial_value_matrix,
     axial_values,
     canonical_form,
     classify_orbital_exotic,

@@ -15,7 +15,7 @@ from indecision import (
     NetworkShape,
     SigmoidParams,
     analytic_eigenvalues,
-    axial_value_matrix,
+    axial_values,
     coefficients_from_gains,
     enumerate_axial,
     get_scenario,
@@ -187,7 +187,7 @@ def test_newton_finish_keeps_exotic_synchrony_exact():
     # color class bitwise
     sc = get_scenario("dissensus-exotic-4x6")
     entry = enumerate_axial(sc.shape)[8]
-    traj, res = integrate(axial_value_matrix(entry, 0.3), sc.model_config(),
+    traj, res = integrate(np.array(axial_values(entry, 0.3), dtype=float), sc.model_config(),
                           sc.integrator_config())
     assert res.converged and res.stop_reason == "newton"
     assert res.spectral_abscissa < 0
@@ -616,7 +616,7 @@ def test_step_bound_covers_the_spectrum_along_a_scenario_run(name):
 
 
 def test_centre_eigenvalues_are_the_uniform_slope_spectrum():
-    # the helper's formula is model.jacobian's: at the origin every slope is 1
+    # the helper's formula is reference_jacobian's: at the origin every slope is 1
     cfg = stable_config()
     assert np.allclose(uniform_slope_jacobian(cfg, 1.0, 1.0),
                        jacobian(np.zeros((3, 4)), cfg), rtol=0, atol=1e-15)

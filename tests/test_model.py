@@ -11,7 +11,7 @@ from indecision import (
     NetworkShape,
     SigmoidParams,
     analytic_eigenvalues,
-    axial_value_matrix,
+    axial_values,
     bifurcation_threshold,
     coefficients_from_gains,
     enumerate_axial,
@@ -179,7 +179,7 @@ def test_field_jacobian_matches_analytic_eigenvalues():
 def exotic_final():
     # the stable equilibrium on the line of 4x6 catalog entry #8 (Exotic)
     sc = get_scenario("dissensus-exotic-4x6")
-    Z0 = axial_value_matrix(enumerate_axial(sc.shape)[8], 0.3)
+    Z0 = np.array(axial_values(enumerate_axial(sc.shape)[8], 0.3), dtype=float)
     _, res = integrate(Z0, sc.model_config(), sc.integrator_config())
     assert res.converged
     return res.final

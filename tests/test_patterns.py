@@ -8,7 +8,7 @@ from indecision import (
     Coloring,
     NetworkShape,
     PatternClass,
-    axial_value_matrix,
+    axial_values,
     classify_state,
     enumerate_axial,
     match_axial,
@@ -155,7 +155,7 @@ def test_match_axial_round_trip():
     shape = NetworkShape(3, 4)
     catalog = enumerate_axial(shape)
     for entry in catalog:
-        Z = axial_value_matrix(entry, 0.8)
+        Z = np.array(axial_values(entry, 0.8), dtype=float)
         got = match_axial(Z, catalog, tol=1e-9)
         assert got is entry
 
@@ -170,7 +170,7 @@ def test_match_axial_invariant_under_conjugation():
     shape = NetworkShape(3, 4)
     catalog = enumerate_axial(shape)
     for entry in catalog:
-        Z = axial_value_matrix(entry, 1.3)
+        Z = np.array(axial_values(entry, 1.3), dtype=float)
         Zp = Z[np.ix_(rng.permutation(3), rng.permutation(4))]
         assert match_axial(Zp, catalog, tol=1e-9) is entry
 
@@ -178,6 +178,6 @@ def test_match_axial_invariant_under_conjugation():
 def test_axial_value_colorings_classify_dissensus():
     for m, n in ((2, 2), (2, 4), (3, 4), (4, 6)):
         for entry in enumerate_axial(NetworkShape(m, n)):
-            Z = axial_value_matrix(entry, 1.0)
+            Z = np.array(axial_values(entry, 1.0), dtype=float)
             rep = classify_state(quantize_to_coloring(Z, 1e-9), Z)
             assert rep.pattern_class is PatternClass.DISSENSUS

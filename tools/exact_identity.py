@@ -13,10 +13,19 @@ items are:
   seeded random set of colorings (1 to m * n colors, up to 6 x 6) and a
   random conjugate of each: `canonical_form`, the whole `isotropy_subgroup`
   report (order, generator list in order, orbits, verdict),
-  `balance_witness`, `dim_Vd_intersection` and
-  `dissensus_intersection_basis`;
+  `balance_witness`, `dim_Vd_intersection`,
+  `dissensus_intersection_basis`, `tiling_decomposition` (blocks,
+  conjugation and groups, or the witness of its NotBalancedError) and
+  `column_pair_multiplicities` (the pairs sorted, or the error message);
+* for every catalog entry and its conjugate, `synthesize_stable_admissible`
+  at the generic levels `indecision synthesize` uses: coefficients, levels
+  and report;
 * with --simulate, `indecision simulate` on every built-in scenario: the
-  standard output and the SHA-256 of every file written.
+  standard output, each per-seed JSON run report field by field, and the
+  SHA-256 of every other file written (CSV, SVG and the summary).  The
+  reports whose spectral_abscissa differs are counted, with the largest
+  |difference|, as a report, not a mismatch, as with --outcomes below;
+  every other field must be equal.
 
 With --outcomes, the items are instead the outcomes of seeded runs, for a
 change to the integrator, which moves the bits of every final but should
@@ -91,8 +100,10 @@ def exact_items(n_random: int, seed: int) -> dict:
             for k, e in enumerate(cat):
                 items[f"entry/{m}x{n}#{k}"] = digest((e.case, e.coloring, e.split, e.rho,
                                                       C.axial_values(e, Fraction(5, 3))))
-                subjects.append((f"{m}x{n}#{k}", e.coloring))
-                subjects.append((f"{m}x{n}#{k}~", conjugate(rng, e.coloring)))
+                for name, c in ((f"{m}x{n}#{k}", e.coloring),
+                                (f"{m}x{n}#{k}~", conjugate(rng, e.coloring))):
+                    subjects.append((name, c))
+                    items[f"synthesis/{name}"] = digest(synthesis(C, c))
     for k in range(n_random):
         c = random_coloring(rng, Coloring)
         subjects += [(f"random#{k}", c), (f"random#{k}~", conjugate(rng, c))]
@@ -106,7 +117,29 @@ def exact_items(n_random: int, seed: int) -> dict:
         items[f"balance_witness/{name}"] = digest(C.balance_witness(c))
         items[f"dim_Vd/{name}"] = C.dim_Vd_intersection(c)
         items[f"basis/{name}"] = digest(C.dissensus_intersection_basis(c))
+        try:
+            t = C.tiling_decomposition(c)
+            tiling = (t.blocks, t.conjugation, t.row_groups, t.col_groups)
+        except C.NotBalancedError as err:
+            tiling = err.witness
+        items[f"tiling/{name}"] = digest(tiling)
+        try:
+            pairs = sorted((sorted(map(sorted, pair)), count)
+                           for pair, count in C.column_pair_multiplicities(c).items())
+        except ValueError as err:
+            pairs = str(err)
+        items[f"pairs/{name}"] = digest(pairs)
     return items
+
+
+def synthesis(C, c):
+    """The synthesized map and report at the levels of `indecision
+    synthesize`: distinct values centred on zero, one per color."""
+    K = c.num_colors
+    levels = [k - (K - 1) / 2 for k in range(K)]
+    fmap, report = C.synthesize_stable_admissible(c, [[levels[x] for x in row]
+                                                      for row in c.cells])
+    return fmap.coeffs, fmap.levels, report
 
 
 def simulate_items() -> dict:
@@ -124,8 +157,11 @@ def simulate_items() -> dict:
                     path = os.path.join(root, f)
                     with open(path, "rb") as fh:
                         data = fh.read().replace(out.encode(), b"<out>")
-                    items[f"simulate/{name}/{os.path.relpath(path, out)}"] = \
-                        hashlib.sha256(data).hexdigest()[:16]
+                    rel = os.path.relpath(path, out)
+                    if f.endswith(".json") and not f.endswith("_summary.json"):
+                        items[f"report/{name}/{rel}"] = json.loads(data)
+                    else:
+                        items[f"simulate/{name}/{rel}"] = hashlib.sha256(data).hexdigest()[:16]
     return items
 
 
@@ -172,6 +208,13 @@ def outcome_items() -> dict:
     return items
 
 
+def count_difference(tally, x, y):
+    """Add a difference between x and y to tally, [runs, largest |x - y|]."""
+    tally[0] += x != y
+    if x != y:   # None (diverged) against a number is an infinite difference
+        tally[1] = max(tally[1], math.inf if None in (x, y) else abs(x - y))
+
+
 def compare_outcomes(found) -> int:
     """Print every run whose outcome differs and a summary, with the runs
     whose step and evaluation counts and spectral abscissa differ; the
@@ -195,9 +238,7 @@ def compare_outcomes(found) -> int:
             print(f"MISMATCH {key}: {a}={head_a} {b}={head_b} max |final diff| {diff:.3g}")
         for tally, x, y in zip(counts.values(), counts_a + [abscissa_a],
                                counts_b + [abscissa_b]):
-            tally[0] += x != y
-            if x != y:   # None (diverged) against a number is an infinite difference
-                tally[1] = max(tally[1], math.inf if None in (x, y) else abs(x - y))
+            count_difference(tally, x, y)
     print(f"{len(items_a)} runs; largest |final diff| {largest:.3g}; {mismatches} mismatches")
     print("; ".join(f"{name} differs on {runs} runs (largest difference {most})"
                     for name, (runs, most) in counts.items()))
@@ -240,9 +281,17 @@ def main():
     if args.outcomes:
         return 1 if compare_outcomes(found) else 0
     (a, items_a), (b, items_b) = found.items()
-    mismatches = 0
+    mismatches, abscissa = 0, [0, 0.0]
     for key in sorted(set(items_a) | set(items_b)):
-        if items_a.get(key) != items_b.get(key):
+        if key.startswith("report/") and key in items_a and key in items_b:
+            rep_a, rep_b = items_a[key], items_b[key]
+            count_difference(abscissa, rep_a.pop("spectral_abscissa", None),
+                             rep_b.pop("spectral_abscissa", None))
+            fields = sorted(k for k in rep_a.keys() | rep_b.keys() if rep_a.get(k) != rep_b.get(k))
+            if fields:
+                mismatches += 1
+                print(f"MISMATCH {key}: fields {', '.join(fields)} differ")
+        elif items_a.get(key) != items_b.get(key):
             mismatches += 1
             subject = items_a.get("coloring/" + key.split("/", 1)[-1], "")
             print(f"MISMATCH {key}: {a}={items_a.get(key)} {b}={items_b.get(key)} {subject}")
@@ -252,6 +301,9 @@ def main():
         kinds[kind] = kinds.get(kind, 0) + 1
     print(f"{len(items_a)} items ({', '.join(f'{k} {v}' for k, v in sorted(kinds.items()))}); "
           f"{mismatches} mismatches")
+    if args.simulate:
+        print(f"spectral_abscissa differs on {abscissa[0]} reports "
+              f"(largest difference {abscissa[1]})")
     return 1 if mismatches else 0
 
 
