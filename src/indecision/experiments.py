@@ -159,6 +159,15 @@ class Scenario:
         return cls(**{"name": "custom", "shape": NetworkShape(4, 6),
                       "sigmoids": SigmoidParams(0.5, 0.3), **kw})
 
+    def to_dict(self) -> dict:
+        """The JSON config of this scenario, which from_dict reads back to it."""
+        integrator = {} if self.t_max is None else {"integrator": {"t_max": self.t_max}}
+        return {"name": self.name, "shape": [self.shape.m, self.shape.n],
+                "coefficients": vars(self.coefficients).copy(),
+                "sigmoids": [self.sigmoids.s1, self.sigmoids.s2], "epsilon": self.epsilon,
+                "seeds": list(self.seeds), "radius": self.radius,
+                "quantize_tol": self.quantize_tol, **integrator}
+
     def first_threshold(self):
         infos = [bifurcation_threshold(self.coefficients, w)
                  for w in ("dissensus", "consensus", "deadlock", "sync")

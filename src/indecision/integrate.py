@@ -58,11 +58,12 @@ Batches.  integrate_batch runs the starts of one config together: each
 member has its own t, h and stage count, each stage evaluates the field
 of the members still in their stages in one call, and a member that stops
 leaves the stack.  The stages run to the largest stage count of the batch;
-a member past its own keeps its stage value, exactly.  The field of
-a stack is the field of each of its states (the sums are per state, the
-rest is elementwise), so a start's trajectory and result are the same,
-bitwise, whatever batch it runs in and in whatever order; integrate is the
-batch of one.
+a member past its own keeps its stage value, exactly.  A step or stage
+coefficient that all members share is a float, else a (B, 1, 1) array:
+the same products either way.  The field of a stack is the field of each
+of its states (the sums are per state, the rest is elementwise), so a
+start's trajectory and result are the same, bitwise, whatever batch it
+runs in and in whatever order; integrate is the batch of one.
 
 Starts.  random_near_origin draws a seeded start from numpy's stream,
 np.random.default_rng(seed).uniform (SeedSequence into PCG64), bit for
@@ -220,6 +221,12 @@ def _rkc_coefficients(s: int) -> np.ndarray:
     return rows
 
 
+@lru_cache(maxsize=64)
+def _rkc_rows(s: int) -> list[list[float]]:
+    """_rkc_coefficients(s) as Python floats, row by row."""
+    return _rkc_coefficients(s).tolist()
+
+
 def _stage_count(h: float, rho: float) -> int:
     """Stages of an RKC step of size h under the spectral bound rho."""
     return 1 + int(math.sqrt(1.0 + 1.54 * h * rho))
@@ -356,13 +363,14 @@ def integrate_batch(Z0s, cfg: ModelConfig,
     one RKC loop: (trajectory, result) per start, in the order of Z0s.
 
     Each member has its own t, h and stage count, kept as Python numbers;
-    h becomes a (B, 1, 1) array once per step, where it multiplies.  Each
-    stage evaluates the field of the members still in their stages in one
-    call, the updates are elementwise, and a member past its own stage
-    count keeps its stage value through np.where, so every member's
-    trajectory and result are bitwise those of integrate on its start
-    alone.  Acceptance, sampling, the stability gate, the Newton finish and
-    the stop are per member, and a member that stops leaves the stack."""
+    a step is a float when every member has the same h (a batch of one,
+    and every first step), else a (B, 1, 1) array.  Each stage evaluates
+    the field of the members still in their stages in one call, the
+    updates are elementwise, and a member past its own stage count keeps
+    its stage value through np.where, so every member's trajectory and
+    result are bitwise those of integrate on its start alone.  Acceptance,
+    sampling, the stability gate, the Newton finish and the stop are per
+    member, and a member that stops leaves the stack."""
     Z = np.array(Z0s, dtype=float)
     m, n = cfg.shape.m, cfg.shape.n
     if Z.ndim != 3 or Z.shape[1:] != (m, n):
@@ -395,37 +403,39 @@ def integrate_batch(Z0s, cfg: ModelConfig,
             if not live:
                 break
             s = [_stage_count(hi, rho) for hi in h]
-            hs = np.array(h)[:, None, None]
+            hs = h[0] if h.count(h[0]) == len(h) else np.array(h)[:, None, None]
             Y, FY = _rkc_step(f, Z, F, hs, s)
             errs = _error_norms(Z, Y, F, FY, hs)
             moved = [err <= 1.0 for err in errs]
-            for i, (member, si, moves, finite, err) in enumerate(
-                    zip(live, s, moved, _finite(FY), errs)):
+            # a finite norm implies a finite last stage and field
+            finite = [True] * len(errs) if all(map(math.isfinite, errs)) else _finite(FY)
+            for i, (member, si, moves, fin, err) in enumerate(
+                    zip(live, s, moved, finite, errs)):
                 member.n_evals += si
-                if not finite:
+                if not fin:
                     member.diverge(t[i], Z[i])
                 elif moves:
                     member.n_steps += 1
                     t[i] = t_max if h[i] == t_max - t[i] else t[i] + h[i]
                 h[i] = min(h[i] * _step_factor(err), t_max - t[i])
-            acc = np.array(moved)[:, None, None]
-            Z, F = np.where(acc, Y, Z), np.where(acc, FY, F)
+            if all(moved):
+                Z, F = Y, FY
+            elif any(moved):
+                acc = np.array(moved)[:, None, None]
+                Z, F = np.where(acc, Y, Z), np.where(acc, FY, F)
     return [member.run for member in members]
 
 
 def _finite(F) -> list[bool]:
     """Per member of the stack F, whether all its entries are finite."""
-    # a non-finite entry makes F . F non-finite
-    if math.isfinite(np.vdot(F, F)) or np.isfinite(F).all():
-        return [True] * len(F)
     return np.isfinite(F).all(axis=(1, 2)).tolist()
 
 
 def _error_norms(Z, Y, F, FY, h) -> list[float]:
     """Per member, the max-norm of Verwer's estimate 0.8 (Z - Y) + 0.4 h
-    (F + FY) of a step from Z (field F) to Y (field FY), each entry over
-    ERROR_ATOL + ERROR_RTOL max(|Z|, |Y|); inf or NaN when the estimate
-    overflows, which rejects the step."""
+    (F + FY) of a step h (float or (B, 1, 1)) from Z (field F) to Y (field
+    FY), each entry over ERROR_ATOL + ERROR_RTOL max(|Z|, |Y|); inf or NaN,
+    rejecting the step, when Y, FY or the estimate is not finite."""
     est = Z - Y
     est *= 0.8
     G = F + FY
@@ -447,30 +457,32 @@ def _step_factor(err: float) -> float:
 
 def _rkc_step(f, Z, F, h, s):
     """One RKC step of each member of the stack Z, whose fields are F, with
-    its step in h (B, 1, 1) and its stage count in s: the stack of the
-    last stages Y_s and the stack of their fields.  A stage that overflows
-    stays non-finite, and so does every stage after it."""
-    S = max(s)
-    coef = np.zeros((S + 1, 5, len(Z), 1, 1))
-    for i, si in enumerate(s):
-        coef[:si + 1, :, i, 0, 0] = _rkc_coefficients(si)
-    hcoef = coef[:, 3:] * h    # mu~_j h and gamma~_j h
-    prev2, prev = Z, Z + hcoef[1, 0] * F
+    its step in h and stage count in s: the stack of the last stages Y_s and
+    the stack of their fields.  h and the stage coefficients are floats when
+    the members share them, else (B, 1, 1).  A stage that overflows stays
+    non-finite, and so does every stage after it."""
+    S, low = max(s), min(s)
+    if S == low:
+        rows = _rkc_rows(S)
+    else:
+        rows = np.zeros((S + 1, 5, len(Z), 1, 1))
+        for i, si in enumerate(s):
+            rows[:si + 1, :, i, 0, 0] = _rkc_coefficients(si)
+    prev2, prev = Z, Z + (rows[1][3] * h) * F
     for j in range(2, S + 1):
-        c0, mu, nu = coef[j, :3]
-        active = [si >= j for si in s]
-        everyone = all(active)
-        if everyone:
+        c0, mu, nu, mut, gt = rows[j]
+        if j <= low:
             FY = f(prev)
         else:
+            active = [si >= j for si in s]
             FY = np.zeros_like(prev)
             FY[active] = f(prev[active])
         Y = c0 * Z
         Y += mu * prev
         Y += nu * prev2
-        Y += hcoef[j, 0] * FY
-        Y += hcoef[j, 1] * F
-        if not everyone:
+        Y += (mut * h) * FY
+        Y += (gt * h) * F
+        if j > low:
             Y = np.where(np.array(active)[:, None, None], Y, prev)
         prev2, prev = prev, Y
     return prev, f(prev)

@@ -211,6 +211,8 @@ def _compiled_model(cfg: ModelConfig):
     saturations of every state run in one pass, each element by the same
     IEEE operations as one saturation of one state alone (np.tanh gives a
     value the same bits at any offset and array length; a test pins this).
+    A stack of one state takes a copy spread over it, contiguous (2, 1, m,
+    n) arrays: the same products, without a broadcast operand's cost.
     Column and row sums are _line_sums over the B*n columns and B*m rows,
     so each state's result is a function of its own input *multisets*:
     this makes equivariance and synchrony invariance exact, and keeps a
@@ -218,12 +220,13 @@ def _compiled_model(cfg: ModelConfig):
     layout.  The closures hold no scratch buffers and are re-entrant.
     """
     t1, t2 = math.tanh(cfg.sigmoids.s1), math.tanh(cfg.sigmoids.s2)
-    A, G, S, T0, DEN = (np.array(pair).reshape(2, 1, 1, 1) for pair in (
+    many = [np.array(pair).reshape(2, 1, 1, 1) for pair in (
         (cfg.gains.alpha, cfg.gains.beta), (cfg.gains.gamma, cfg.gains.delta),
-        (cfg.sigmoids.s1, cfg.sigmoids.s2), (t1, t2), (1.0 - t1 * t1, 1.0 - t2 * t2)))
+        (cfg.sigmoids.s1, cfg.sigmoids.s2), (t1, t2), (1.0 - t1 * t1, 1.0 - t2 * t2))]
+    one = [np.broadcast_to(c, (2, 1, cfg.shape.m, cfg.shape.n)).copy() for c in many]
     lam = np.array(cfg.lam)
 
-    def mix(Z):
+    def mix(Z, A, G):
         C = _line_sums(Z, 1)
         X = A * Z
         X += G * (C - Z)
@@ -239,7 +242,8 @@ def _compiled_model(cfg: ModelConfig):
         return F
 
     def field(Z: np.ndarray) -> np.ndarray:
-        X = mix(Z)
+        A, G, S, T0, DEN = one if len(Z) == 1 else many
+        X = mix(Z, A, G)
         X -= S
         np.tanh(X, out=X)
         X += T0
@@ -247,11 +251,13 @@ def _compiled_model(cfg: ModelConfig):
         return close(X, Z)
 
     def slopes(Z: np.ndarray) -> np.ndarray:
-        th = np.tanh(mix(Z) - S)
+        A, G, S, _, DEN = one if len(Z) == 1 else many
+        th = np.tanh(mix(Z, A, G) - S)
         return (1.0 - th * th) / DEN
 
     def jvp(D: np.ndarray, V: np.ndarray) -> np.ndarray:
-        return close(D * mix(V), V)
+        A, G, *_ = one if len(V) == 1 else many
+        return close(D * mix(V, A, G), V)
 
     return field, slopes, jvp
 

@@ -117,6 +117,22 @@ def test_integrator_config_sizes_horizon_from_lambda():
     assert sc.replace(t_max=50.0).integrator_config(1.5).t_max == 50.0
 
 
+@pytest.mark.parametrize("name", sorted(experiments.BUILTIN_SCENARIOS) + ["custom"])
+def test_scenario_to_dict_round_trips(name):
+    # through JSON too; the custom config sets every key, t_max included
+    if name == "custom":
+        sc = Scenario.from_dict({
+            "name": "custom-3x5", "shape": [3, 5], "sigmoids": [-0.4, 0.7], "epsilon": 0.03,
+            "coefficients": {"c_d": 0.5, "c_c": -1.0, "c_dl": -0.25, "c_s": -2.0},
+            "seeds": [7, 2, 9], "radius": 0.002, "quantize_tol": 1e-5,
+            "integrator": {"t_max": 1234.5}})
+    else:
+        sc = get_scenario(name)
+    assert Scenario.from_dict(sc.to_dict()) == sc
+    assert Scenario.from_dict(json.loads(json.dumps(sc.to_dict()))) == sc
+    assert ("integrator" in sc.to_dict()) == (sc.t_max is not None)
+
+
 def test_scenario_from_dict_overrides_base():
     sc = get_scenario("dissensus-exotic-4x6")
     raw = {"epsilon": 0.02, "integrator": {"t_max": 50.0}}

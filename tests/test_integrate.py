@@ -507,6 +507,59 @@ def test_integrate_batch_members_do_not_alias():
         assert all(np.array_equal(A, B) for A, B in zip(states, kept[member]))
 
 
+def test_rkc_step_takes_a_shared_step_as_a_float_bitwise():
+    # stacks of one and of three whose members share the step and so the
+    # stage count: the step as a float gives the stages, fields and error
+    # norms of the step as a (B, 1, 1) array, bit for bit
+    sc = get_scenario("dissensus-exotic-4x6")
+    cfg = sc.model_config()
+    f = integrate_module._compiled_model(cfg)[0]
+    rho = spectral_bound(cfg)
+    for size in (1, 3):
+        Z = np.array([random_near_origin(sc.shape, 0.5, seed) for seed in range(size)])
+        F = f(Z)
+        for h in (0.3, 2.0, 7.5):
+            s = [_stage_count(h, rho)] * size
+            results = []
+            for hs in (h, np.full((size, 1, 1), h)):
+                Y, FY = integrate_module._rkc_step(f, Z, F, hs, s)
+                results.append((Y, FY, integrate_module._error_norms(Z, Y, F, FY, hs)))
+            (Y, FY, errs), (Y_ref, FY_ref, errs_ref) = results
+            assert np.array_equal(Y, Y_ref) and np.array_equal(FY, FY_ref)
+            assert errs == errs_ref
+
+
+def test_integrate_batch_mixed_stages_and_acceptance_match_alone_runs(monkeypatch):
+    # starts of amplitudes 1e-3 to 3 at a first trial step of 4: the batch
+    # takes steps with shared and with mixed stage counts, with shared and
+    # per-member h, in which some members accept and others reject, and
+    # steps that all reject; each member still runs as it does alone
+    sc = get_scenario("consensus-4x6")
+    cfg, icfg = sc.model_config(), IntegratorConfig(step=4.0, t_max=100.0)
+    starts = [random_near_origin(sc.shape, radius, seed)
+              for seed, radius in enumerate((1e-3, 0.1, 0.3, 1.0, 3.0))]
+    step, norms = integrate_module._rkc_step, integrate_module._error_norms
+    seen, kind = set(), []
+
+    def rkc_step(f, Z, F, h, s):
+        kind[:] = [len(set(s)) > 1, isinstance(h, float)]
+        return step(f, Z, F, h, s)
+
+    def error_norms(*args):
+        errs = norms(*args)
+        seen.add((*kind, min(errs) <= 1.0, max(errs) <= 1.0))
+        return errs
+
+    monkeypatch.setattr(integrate_module, "_rkc_step", rkc_step)
+    monkeypatch.setattr(integrate_module, "_error_norms", error_norms)
+    runs = integrate_batch(starts, cfg, icfg)
+    # (mixed stage counts, float h, some accepted, all accepted)
+    assert {(True, False, True, False), (False, False, True, False),
+            (False, True, False, False), (False, True, True, True)} <= seen
+    for run, Z0 in zip(runs, starts):
+        assert_same_member(run, integrate(Z0, cfg, icfg))
+
+
 @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
 def test_tighter_tolerance_consistency_on_scenario(name, monkeypatch):
     # accuracy check: at a tenth of the step tolerances, each of three seeds

@@ -92,6 +92,27 @@ def test_stacked_field_equals_each_member_alone_bitwise(data):
 
 @PROPERTY
 @given(st.data())
+def test_stack_of_one_equals_its_state_in_a_stack_of_two_bitwise(data):
+    # a stack of one takes its own constants, spread over the state, and a
+    # larger stack the broadcast ones: a state's field, slopes and
+    # Jacobian-vector product alone, in any memory layout, are its bits in
+    # a stack of two
+    cfg = data.draw(configs())
+    values = st.floats(allow_nan=True, allow_infinity=True) | st.floats(-10.0, 10.0)
+    Z, V, W = (states(data.draw, cfg.shape, (1,), values) for _ in range(3))
+    D = np.stack([V[0], Z[0]])[:, None]
+    field, slopes, jvp = _compiled_model(cfg)
+    with np.errstate(all="ignore"):
+        pair = (field(np.concatenate([Z, W])), slopes(np.concatenate([Z, W])),
+                jvp(np.concatenate([D, D], axis=1), np.concatenate([V, W])))
+        for Zl, Vl, Dl in zip([Z] + other_layouts(Z), [V] + other_layouts(V),
+                              [D] + other_layouts(D)):
+            for got, want in zip((field(Zl), slopes(Zl), jvp(Dl, Vl)), pair):
+                assert np.array_equal(bits(got), bits(member(want, 0)))
+
+
+@PROPERTY
+@given(st.data())
 def test_field_and_jvp_are_bitwise_equivariant(data):
     cfg = data.draw(configs())
     m, n = cfg.shape.m, cfg.shape.n

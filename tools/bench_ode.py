@@ -11,7 +11,9 @@ Each interpreter first integrates one short run (warm-up), then records:
   batch of calls);
 * L1, one RKC step (`_rkc_step` and `_error_norms`) at the first trial
   step of dissensus-exotic-4x6 from seed 0 (B = 1) and from seeds 0-19
-  (B = 20) (L1.step_us.BB, microseconds, timed the same way), and one
+  (B = 20) (L1.step_us.BB, microseconds, timed the same way), the step
+  passed as integrate passes it at B = 1, a float, and as a (B, 1, 1)
+  array at B = 20, the form of a batch whose members' steps differ; and one
   stability gate, `jacobian` plus `eigvals` at the t = 60 state of L0
   (L1.gate_us, timed the same way);
 * L2, for seed 0 of each built-in scenario integrated alone to its stop:
@@ -76,7 +78,7 @@ def l0_l1_figures(integ) -> dict:
     for size in L1_SIZES:
         Z = np.array([random_near_origin(sc.shape, sc.radius, seed) for seed in range(size)])
         F = f(Z)
-        h = np.full((size, 1, 1), icfg.step)
+        h = icfg.step if size == 1 else np.full((size, 1, 1), icfg.step)
         s = [integ._stage_count(icfg.step, rho)] * size
 
         def step():

@@ -10,8 +10,11 @@ items are:
   `axial_values` at amplitude 5/3, which the export leaves out, so a
   change of the value line's scale shows as well as one of representative;
 * for every entry of those catalogs, a random conjugate of each entry, a
-  seeded random set of colorings (1 to m * n colors, up to 6 x 6) and a
-  random conjugate of each: `canonical_form`, the whole `isotropy_subgroup`
+  seeded random set of colorings (1 to m * n colors, up to 6 x 6), the
+  doubly sorted 4 x q two-color Latin blocks of the catalog's
+  `_two_color_latin_blocks` for q = 2..BLOCK_COLUMNS (so the pair counts
+  are checked on Orbital and Exotic rectangles alike), and a random
+  conjugate of each: `canonical_form`, the whole `isotropy_subgroup`
   report (order, generator list in order, orbits, verdict),
   `balance_witness`, `dim_Vd_intersection`,
   `dissensus_intersection_basis`, `tiling_decomposition` (blocks,
@@ -31,7 +34,9 @@ With --outcomes, the items are instead the outcomes of seeded runs, for a
 change to the integrator, which moves the bits of every final but should
 move no outcome.  The runs are the four built-in scenarios (their 20
 seeds), dissensus-exotic-4x6 on seeds 0-39, and consensus-4x6 on seeds
-0-39 at each lambda of SWEEP_LAMBDAS.  Per run, the stop reason, the
+0-39 at each lambda of SWEEP_LAMBDAS, all integrated as one batch per
+scenario and lambda, and the last again seed by seed through `integrate`,
+the path `sweep_lambda` takes.  Per run, the stop reason, the
 coloring its final quantizes to (at the scenario's quantize_tol), the
 pattern class, the axial catalog index and verdict must be equal, and the
 finals may differ by at most FINAL_TOL in any entry; the largest
@@ -40,7 +45,9 @@ evaluations (n_evals) differ are counted, with the largest difference of
 each; that is a report, not a mismatch, since a change of tolerance moves
 these counts legitimately.  So are the runs whose spectral_abscissa
 differs, with the largest |difference|: a change to how the Jacobian is
-computed moves its eigenvalues by rounding.
+computed moves its eigenvalues by rounding; and the runs whose trajectory
+digest (the SHA-256 of every sample's time and state bits) differs, which
+a change meant to keep every bit must report as 0.
 
 The exit status is 0 when every item matches and 1 otherwise.
 
@@ -86,6 +93,9 @@ def conjugate(rng, c):
     return type(c).from_rows([[c.cells[s][t] for t in tau] for s in sigma]).relabeled()
 
 
+BLOCK_COLUMNS = 16   # the 4 x q Latin blocks are subjects for q = 2..BLOCK_COLUMNS
+
+
 def exact_items(n_random: int, seed: int) -> dict:
     from indecision import Coloring, NetworkShape
     from indecision import colorings as C
@@ -107,6 +117,10 @@ def exact_items(n_random: int, seed: int) -> dict:
     for k in range(n_random):
         c = random_coloring(rng, Coloring)
         subjects += [(f"random#{k}", c), (f"random#{k}~", conjugate(rng, c))]
+    for q in range(2, BLOCK_COLUMNS + 1):
+        for k, block in enumerate(C._two_color_latin_blocks(4, q)):
+            c = Coloring.from_rows(block).relabeled()
+            subjects += [(f"latin4x{q}#{k}", c), (f"latin4x{q}#{k}~", conjugate(rng, c))]
     for name, c in subjects:
         rep = C.isotropy_subgroup(c)
         items[f"coloring/{name}"] = c.to_text().replace("\n", "/")
@@ -169,25 +183,35 @@ SWEEP_LAMBDAS = (0.5, 0.9, 0.97, 1.03, 1.1, 1.5)
 FINAL_TOL = 1e-6
 
 
+def trajectory_digest(traj) -> str:
+    return hashlib.sha256(repr(traj.times).encode()
+                          + b"".join(Z.tobytes() for Z in traj.states)).hexdigest()[:16]
+
+
 def outcome_items() -> dict:
     """Per run, [(stop reason, coloring, class, axial index, verdict),
-    (n_steps, n_evals), final, spectral_abscissa], keyed by scenario,
-    lambda and seed."""
+    (n_steps, n_evals), final, spectral_abscissa, trajectory digest], keyed
+    by scenario, lambda, path (batch or alone) and seed."""
     from indecision import (AmbiguousQuantizationError, classify_orbital_exotic,
-                            classify_state, enumerate_axial, get_scenario, integrate_batch,
-                            quantize_to_coloring, random_near_origin)
+                            classify_state, enumerate_axial, get_scenario, integrate,
+                            integrate_batch, quantize_to_coloring, random_near_origin)
     from indecision.experiments import BUILTIN_SCENARIOS
 
-    runs = [(get_scenario(name), None) for name in sorted(BUILTIN_SCENARIOS)]
-    runs.append((get_scenario("dissensus-exotic-4x6").replace(seeds=tuple(range(40))), None))
+    runs = [(get_scenario(name), None, "batch") for name in sorted(BUILTIN_SCENARIOS)]
+    runs.append((get_scenario("dissensus-exotic-4x6").replace(seeds=tuple(range(40))), None,
+                 "batch"))
     sweep = get_scenario("consensus-4x6").replace(seeds=tuple(range(40)))
-    runs += [(sweep, lam) for lam in SWEEP_LAMBDAS]
+    runs += [(sweep, lam, path) for path in ("batch", "alone") for lam in SWEEP_LAMBDAS]
     items = {}
-    for sc, lam in runs:
+    for sc, lam, path in runs:
         catalog = enumerate_axial(sc.shape)
         starts = [random_near_origin(sc.shape, sc.radius, seed) for seed in sc.seeds]
-        results = integrate_batch(starts, sc.model_config(lam), sc.integrator_config(lam))
-        for seed, (_, res) in zip(sc.seeds, results):
+        cfg, icfg = sc.model_config(lam), sc.integrator_config(lam)
+        if path == "batch":
+            results = integrate_batch(starts, cfg, icfg)
+        else:
+            results = [integrate(Z0, cfg, icfg) for Z0 in starts]
+        for seed, (traj, res) in zip(sc.seeds, results):
             coloring = cls = index = verdict = None
             if res.converged:
                 try:
@@ -201,10 +225,10 @@ def outcome_items() -> dict:
                     if entry is not None:
                         index = catalog.index_of(entry)
                         verdict = classify_orbital_exotic(entry.coloring)
-            key = f"{sc.name}/lambda={'default' if lam is None else lam}/seed{seed}"
+            key = f"{sc.name}/lambda={'default' if lam is None else lam}/{path}/seed{seed}"
             items[key] = [[res.stop_reason, coloring, cls, index, verdict],
                           [res.n_steps, res.n_evals], res.final.tolist(),
-                          res.spectral_abscissa]
+                          res.spectral_abscissa, trajectory_digest(traj)]
     return items
 
 
@@ -217,10 +241,10 @@ def count_difference(tally, x, y):
 
 def compare_outcomes(found) -> int:
     """Print every run whose outcome differs and a summary, with the runs
-    whose step and evaluation counts and spectral abscissa differ; the
-    number of mismatches."""
+    whose step and evaluation counts, spectral abscissa and trajectory
+    digest differ; the number of mismatches."""
     (a, items_a), (b, items_b) = found.items()
-    mismatches, largest = 0, 0.0
+    mismatches, largest, digests = 0, 0.0, 0
     # runs differing, largest difference
     counts = {"n_steps": [0, 0], "n_evals": [0, 0], "spectral_abscissa": [0, 0.0]}
     for key in sorted(set(items_a) | set(items_b)):
@@ -228,8 +252,9 @@ def compare_outcomes(found) -> int:
             mismatches += 1
             print(f"MISMATCH {key}: only in {a if key in items_a else b}")
             continue
-        (head_a, counts_a, final_a, abscissa_a), (head_b, counts_b, final_b, abscissa_b) = \
-            items_a[key], items_b[key]
+        (head_a, counts_a, final_a, abscissa_a, digest_a), \
+            (head_b, counts_b, final_b, abscissa_b, digest_b) = items_a[key], items_b[key]
+        digests += digest_a != digest_b
         diff = max(abs(x - y) for row_a, row_b in zip(final_a, final_b)
                    for x, y in zip(row_a, row_b))
         largest = max(largest, diff)
@@ -241,7 +266,8 @@ def compare_outcomes(found) -> int:
             count_difference(tally, x, y)
     print(f"{len(items_a)} runs; largest |final diff| {largest:.3g}; {mismatches} mismatches")
     print("; ".join(f"{name} differs on {runs} runs (largest difference {most})"
-                    for name, (runs, most) in counts.items()))
+                    for name, (runs, most) in counts.items())
+          + f"; trajectory digest differs on {digests} runs")
     return mismatches
 
 
