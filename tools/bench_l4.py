@@ -16,8 +16,10 @@ then times `canonical_form` CALLS times from a cold cache on the
 all-distinct 4x6 and 5x6 colorings (median), and last builds the 7x6
 catalog and times CALLS passes of `isotropy_subgroup` over its entries
 (isotropy_ms.7x6, the median pass).  The output holds, per tree, the
-median and quartiles over the rounds of each interpreter's figure, with
-the tree's git SHA, and the host, Python and numpy versions.
+median and quartiles over the rounds of each interpreter's figure, and
+after the first tree its pair fields against the first (see
+write_summary), with the tree's git SHA, and the host, Python and numpy
+versions.
 
 Usage:
     python tools/bench_l4.py --rounds 7 --out BENCH_L4.json \\
@@ -128,7 +130,7 @@ def run_rounds(script, trees, rounds, *child_args):
     """Run `script --child *child_args` once per tree and round in a fresh
     interpreter, with the tree on PYTHONPATH, alternating the order of the
     trees from round to round; per tree label, the parsed JSON output of
-    each run."""
+    each run, round by round."""
     runs = {label: [] for label in trees}
     for r in range(rounds):
         order = list(trees) if r % 2 == 0 else list(reversed(trees))
@@ -141,11 +143,22 @@ def run_rounds(script, trees, rounds, *child_args):
     return runs
 
 
+def quartiles(values):
+    """q1, median and q3 of values (each the value itself when there is one)."""
+    return statistics.quantiles(values, n=4) if len(values) > 1 else [values[0]] * 3
+
+
 def write_summary(out, doc, trees, runs, **fields):
     """Write to the file out (stdout when None) the JSON document of a
     benchmark tool whose module docstring is doc: host, method, the extra
     fields, and per tree its git SHA and the median and quartiles over the
-    runs of each figure."""
+    runs of each figure.  Every tree after the first also gets, per figure,
+    its pair fields against the first tree: ratio (its median over the first
+    tree's), lower_rounds (in how many rounds it read below the first tree)
+    and beyond_iqr (whether the two medians differ by more than the first
+    tree's q3 - q1).  A move is resolved only when one side reads lower in
+    at least nine tenths of the rounds and the gap is beyond_iqr; anything
+    less is within the host's noise."""
     sample = next(iter(runs.values()))[0]
     result = {"host": {"cpu": cpu_model(), "nproc": os.cpu_count(),
                        "machine": platform.machine(),
@@ -153,13 +166,19 @@ def write_summary(out, doc, trees, runs, **fields):
               **fields,
               "method": doc.split("\n\n", 1)[1].split("\n\nUsage")[0],
               "trees": {}}
+    first = next(iter(trees))
     for label, src in trees.items():
         figures = {}
         for key in runs[label][0]["figures"]:
             values = [run["figures"][key] for run in runs[label]]
-            q1, median, q3 = (statistics.quantiles(values, n=4) if len(values) > 1
-                              else [values[0]] * 3)
+            q1, median, q3 = quartiles(values)
             figures[key] = {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
+            if label != first:
+                base = [run["figures"][key] for run in runs[first]]
+                b1, b2, b3 = quartiles(base)
+                figures[key].update(ratio=round(median / b2, 4),
+                                    lower_rounds=sum(v < b for v, b in zip(values, base)),
+                                    beyond_iqr=abs(median - b2) > b3 - b1)
         result["trees"][label] = {"git_sha": git_sha(src), "figures": figures}
     text = json.dumps(result, indent=2, sort_keys=True)
     if out:
@@ -169,19 +188,30 @@ def write_summary(out, doc, trees, runs, **fields):
         print(text)
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+def main(script, doc, rounds, stages=((),), **fields):
+    """The command line of the benchmark tool script, whose module docstring
+    is doc: source trees as label=path, --rounds (default rounds) and --out.
+    Each stage of stages (a tuple of child arguments) runs over the rounds
+    in run_rounds; each round's figures are merged over the stages, and the
+    summary is written with the extra fields.  Take the trees the same way,
+    both `git archive` exports or both clones: a clone reads about 0.4 MB
+    less peak RSS than an export of the same commit."""
+    ap = argparse.ArgumentParser(description=doc.split("\n\n")[0])
     ap.add_argument("trees", nargs="+", help="label=path of a source tree's src directory")
-    ap.add_argument("--rounds", type=int, default=7)
+    ap.add_argument("--rounds", type=int, default=rounds)
     ap.add_argument("--out", default=None, help="JSON file to write (default: stdout)")
     args = ap.parse_args()
     trees = dict(t.split("=", 1) for t in args.trees)
-    runs = run_rounds(__file__, trees, args.rounds)
-    write_summary(args.out, __doc__, trees, runs, rounds=args.rounds, calls=CALLS)
+    runs = {label: [{"figures": {}} for _ in range(args.rounds)] for label in trees}
+    for stage in stages:
+        for label, stage_runs in run_rounds(script, trees, args.rounds, *stage).items():
+            for run, stage_run in zip(runs[label], stage_runs):
+                run.update(stage_run, figures={**run["figures"], **stage_run["figures"]})
+    write_summary(args.out, doc, trees, runs, rounds=args.rounds, **fields)
 
 
 if __name__ == "__main__":
     if sys.argv[1:] == ["--child"]:
         child()
     else:
-        main()
+        main(__file__, __doc__, 7, calls=CALLS)

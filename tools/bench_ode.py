@@ -13,23 +13,26 @@ Each interpreter first integrates one short run (warm-up), then records:
   step of dissensus-exotic-4x6 from seed 0 (B = 1) and from seeds 0-19
   (B = 20) (L1.step_us.BB, microseconds, timed the same way), the step
   passed as integrate passes it at B = 1, a float, and as a (B, 1, 1)
-  array at B = 20, the form of a batch whose members' steps differ; and one
-  stability gate, `jacobian` plus `eigvals` at the t = 60 state of L0
+  array at B = 20, the form of a batch whose members' steps differ; the
+  same step from seeds 0-19 with member k's step (1 + k/4) / rho, a
+  (B, 1, 1) array, so 4, 13 and 3 members take 2, 3 and 4 stages
+  (L1.step_us.B20mixed, the mixed-stage path most batch steps take); and
+  one stability gate, `jacobian` plus `eigvals` at the t = 60 state of L0
   (L1.gate_us, timed the same way);
 * L2, for seed 0 of each built-in scenario integrated alone to its stop:
   the wall time of `integrate` (L2.wall_s.NAME, the median of CALLS
   calls), its steps (L2.steps.NAME, the result's n_steps) and its field
-  evaluations (L2.evals.NAME: calls of the compiled field outside the
-  Newton finish, each member of a stack counted once, from one more run
-  with the field wrapped);
+  evaluations outside the Newton finish (L2.evals.NAME, the result's
+  n_evals);
 * L3, the wall time of each built-in's 20-seed `run_scenario`
   (L3.wall_s.NAME) and of `sweep_lambda` on consensus-4x6 over its 20
   seeds at the six lambdas of the benchmark (L3.wall_s.sweep), one call
   each.
 
 The output holds, per tree, the median and quartiles over the rounds of
-each figure, with the tree's git SHA, and the host, Python and numpy
-versions.
+each figure, and after the first tree its pair fields against the first
+(see write_summary), with the tree's git SHA, and the host, Python and
+numpy versions.
 
 Usage:
     python tools/bench_ode.py --rounds 5 --out BENCH_ODE.json \\
@@ -38,7 +41,6 @@ Usage:
 
 from __future__ import annotations
 
-import argparse
 import json
 import platform
 import statistics
@@ -50,7 +52,6 @@ SWEEP_LAMBDAS = (0.5, 0.9, 0.97, 1.03, 1.1, 1.5)
 CALLS = 3     # L2 calls per scenario in one interpreter; the figure is their median
 REPEATS = 7   # L0 and L1 timings per figure in one interpreter; the figure is their median
 L0_SIZES = (1, 20, 200)
-L1_SIZES = (1, 20)
 
 
 def per_call_us(call, number) -> float:
@@ -75,45 +76,20 @@ def l0_l1_figures(integ) -> dict:
         Z = np.repeat(res.final[None], size, axis=0)
         out[f"L0.field_us.B{size}"] = per_call_us(lambda: f(Z), max(20, 4000 // size))
     rho = integ.spectral_bound(cfg)
-    for size in L1_SIZES:
-        Z = np.array([random_near_origin(sc.shape, sc.radius, seed) for seed in range(size)])
+    steps = {"B1": [icfg.step], "B20": [icfg.step] * 20,
+             "B20mixed": [(1 + k / 4) / rho for k in range(20)]}
+    for name, hs in steps.items():
+        Z = np.array([random_near_origin(sc.shape, sc.radius, seed) for seed in range(len(hs))])
         F = f(Z)
-        h = icfg.step if size == 1 else np.full((size, 1, 1), icfg.step)
-        s = [integ._stage_count(icfg.step, rho)] * size
+        h = hs[0] if len(hs) == 1 else np.array(hs)[:, None, None]
+        s = [integ._stage_count(hi, rho) for hi in hs]
 
         def step():
             Y, FY = integ._rkc_step(f, Z, F, h, s)
             integ._error_norms(Z, Y, F, FY, h)
-        out[f"L1.step_us.B{size}"] = per_call_us(step, max(20, 400 // size))
+        out[f"L1.step_us.{name}"] = per_call_us(step, max(20, 400 // len(hs)))
     out["L1.gate_us"] = per_call_us(lambda: np.linalg.eigvals(jacobian(res.final, cfg)), 200)
     return out
-
-
-def counted_evals(integ, Z0, cfg, icfg) -> int:
-    """Field evaluations of integrate(Z0) outside the Newton finish."""
-    original, finish = integ._compiled_model, integ._newton_finish
-    count, in_finish = [0], [False]
-
-    def compiled(c):
-        field, *rest = original(c)
-
-        def counted(Z):
-            count[0] += 0 if in_finish[0] else len(Z)
-            return field(Z)
-        return (counted, *rest)
-
-    def newton(*args):
-        in_finish[0] = True
-        try:
-            return finish(*args)
-        finally:
-            in_finish[0] = False
-    integ._compiled_model, integ._newton_finish = compiled, newton
-    try:
-        integ.integrate(Z0, cfg, icfg)
-    finally:
-        integ._compiled_model, integ._newton_finish = original, finish
-    return count[0]
 
 
 def child():
@@ -139,7 +115,7 @@ def child():
             walls.append(time.perf_counter() - start)
         out[f"L2.wall_s.{name}"] = statistics.median(walls)
         out[f"L2.steps.{name}"] = res.n_steps
-        out[f"L2.evals.{name}"] = counted_evals(integ, Z0, cfg, icfg)
+        out[f"L2.evals.{name}"] = res.n_evals
     for name in names:
         start = time.perf_counter()
         run_scenario(get_scenario(name))
@@ -151,22 +127,9 @@ def child():
                       "numpy": np.__version__}))
 
 
-def main():
-    from bench_l4 import run_rounds, write_summary
-
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("trees", nargs="+", help="label=path of a source tree's src directory")
-    ap.add_argument("--rounds", type=int, default=5)
-    ap.add_argument("--out", default=None, help="JSON file to write (default: stdout)")
-    args = ap.parse_args()
-    trees = dict(t.split("=", 1) for t in args.trees)
-    runs = run_rounds(__file__, trees, args.rounds)
-    write_summary(args.out, __doc__, trees, runs, rounds=args.rounds, calls=CALLS,
-                  repeats=REPEATS)
-
-
 if __name__ == "__main__":
     if sys.argv[1:] == ["--child"]:
         child()
     else:
-        main()
+        from bench_l4 import main
+        main(__file__, __doc__, 5, calls=CALLS, repeats=REPEATS)

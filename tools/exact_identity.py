@@ -67,7 +67,6 @@ import json
 import math
 import os
 import random
-import subprocess
 import sys
 import tempfile
 from fractions import Fraction
@@ -295,15 +294,12 @@ def main():
         return child(args)
     if len(args.trees) != 2:
         ap.error("give exactly two trees, as label=path")
+    from bench_l4 import run_rounds
+
     trees = dict(t.split("=", 1) for t in args.trees)
-    found = {}
-    for label, src in trees.items():
-        env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
-        cmd = [sys.executable, __file__, "--child", "--random", str(args.random),
-               "--seed", str(args.seed)] + ["--simulate"] * args.simulate \
-            + ["--outcomes"] * args.outcomes
-        found[label] = json.loads(subprocess.run(cmd, env=env, capture_output=True, text=True,
-                                                 check=True).stdout)
+    found = {label: runs[0] for label, runs in run_rounds(
+        __file__, trees, 1, "--random", str(args.random), "--seed", str(args.seed),
+        *["--simulate"] * args.simulate, *["--outcomes"] * args.outcomes).items()}
     if args.outcomes:
         return 1 if compare_outcomes(found) else 0
     (a, items_a), (b, items_b) = found.items()
