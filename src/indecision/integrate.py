@@ -40,11 +40,16 @@ stable Jacobian ends the run and replaces that sample; otherwise RKC goes
 on from its own state, untouched.  The gate sits at sqrt(tol), not at the
 first stable Jacobian: from further out most Newton attempts fail or leave
 the state's neighbourhood, while at sqrt(tol) the correction is of order
-sqrt(tol) / |abscissa|.  Each correction is solved matrix-free by GMRES on
-the field's Jacobian-vector product, with every inner product and norm the
-sum of the sorted elementwise products: LAPACK (used only for the
-eigenvalues of the gate) pivots differently on a permuted system, while
-these scalars do not depend on the order of the cells.
+sqrt(tol) / |abscissa|.  Cells become bitwise equal during a run, and the
+steps keep the ties: they solve for the k class values of the coarsest
+balanced coloring C on which the sampled state is constant (Aldis, IJBC
+2008).  Fix(C) is invariant under the field (Golubitsky & Stewart, Bull.
+AMS 2006), so Newton from a state in it stays in it, and each correction is
+a dense k x k solve on the field's Jacobian-vector product of the class
+indicators.  C and the numbering of its classes depend only on the values
+and on the multisets of the lines, so a permuted state gives LAPACK the
+same system, bit for bit, where a solve on the mn cells would pivot
+differently.
 
 A trajectory is a pure function of (Z0, model config, integrator config):
 identical inputs give bitwise-identical output on one platform.  Because
@@ -88,7 +93,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .model import (GainParams, ModelConfig, NetworkShape, _compiled_model, _line_sums,
+from .model import (GainParams, ModelConfig, NetworkShape, _compiled_model,
                     analytic_eigenvalues, coefficients_from_gains, jacobian)
 
 __all__ = [
@@ -164,7 +169,6 @@ RKC_DAMPING = 2 / 13   # damping epsilon of the Chebyshev stages
 ERROR_RTOL = 1e-4      # a step's error estimate is measured against
 ERROR_ATOL = 1e-4      # ERROR_ATOL + ERROR_RTOL max(|y_n|, |y_n+1|)
 NEWTON_STEPS = 3       # Newton steps per attempt of the finish
-KRYLOV_RTOL = 1e-10    # GMRES stops below this residual relative to |b|
 
 
 def spectral_bound(cfg: ModelConfig) -> float:
@@ -551,23 +555,33 @@ def _spectral_abscissa(Z, cfg: ModelConfig) -> float:
 
 
 def _newton_finish(Z, FZ, cfg: ModelConfig, tol: float):
-    """Up to NEWTON_STEPS Newton steps from Z, whose field value is FZ.
+    """Up to NEWTON_STEPS Newton steps from Z, whose field value is FZ,
+    in the k class values of C, the coarsest balanced coloring on which Z
+    is constant (_balanced_classes).
 
     Returns (W, residual, abscissa) for the first iterate W whose residual
     is <= tol, provided the Jacobian at W is stable; None when no iterate
-    gets there, one's field is not finite, or the one that does is
-    unstable.  The iterates are stacks of one, as the compiled model
-    takes them, and each correction is solved by _gmres on its
-    Jacobian-vector product, so W is bitwise equivariant and stays bitwise
-    in every synchrony subspace that contains Z."""
+    gets there, one's field is not finite, the quotient Jacobian is
+    singular, or the one that does is unstable.  Fix(C) is invariant under
+    the field and its Jacobian, and each of their outputs on a state of
+    Fix(C) is constant on the classes bitwise, so column b of the k x k
+    quotient Jacobian is the Jacobian-vector product on the indicator of
+    class b, read at one cell per class, and the residual is the grid
+    field's.  The classes and that system are the same for a permuted Z,
+    so W is bitwise equivariant and stays bitwise in every synchrony
+    subspace that contains Z."""
     f, slopes, jvp = _compiled_model(cfg)
-    W, FW = Z[None], FZ[None]
+    labels, first = _balanced_classes(Z)
+    units = (labels == np.arange(len(first))[:, None, None]).astype(float)
+    # + 0.0 turns a -0.0 into the 0.0 that np.unique puts in its class
+    W, FW = Z[None] + 0.0, FZ[None]
     for _ in range(NEWTON_STEPS):
-        D = slopes(W)
-        step = _gmres(lambda V: jvp(D, V), FW)
-        if step is None:
+        Jq = jvp(slopes(W), units).reshape(len(first), -1)[:, first].T
+        try:
+            x = np.linalg.solve(Jq, FW.ravel()[first])
+        except np.linalg.LinAlgError:
             return None
-        W = W - step
+        W = W - x[labels]
         FW = f(W)
         if not np.isfinite(FW).all():
             return None
@@ -578,62 +592,27 @@ def _newton_finish(Z, FZ, cfg: ModelConfig, tol: float):
     return None
 
 
-def _gmres(A, b: np.ndarray):
-    """Solve A x = b for a linear map A on arrays shaped like b by GMRES
-    (Saad & Schultz 1986): at most b.size Arnoldi steps, each new vector
-    orthogonalized against the basis by classical Gram-Schmidt applied
-    twice, stopping once the least-squares residual is below KRYLOV_RTOL
-    |b|; the small least-squares problem on the Hessenberg matrix is solved
-    by Givens rotations.  None when that matrix is singular.
-
-    Every inner product and norm is the _line_sums of the elementwise
-    products, so each scalar is independent of the order of the elements,
-    and each Krylov vector is an elementwise combination of A's outputs,
-    added in basis order: permuting b (with A equivariant) permutes x
-    bitwise, and x stays bitwise in any synchrony subspace that holds b and
-    is invariant under A."""
-    def dots(V, w):
-        # the inner product of each vector of the stack V with w
-        return _line_sums((V * w).reshape(len(V), -1), 1).ravel()
-
-    def combine(coefs, V):
-        # sum over k of coefs[k] V[k], elementwise and in basis order
-        return (np.reshape(coefs, (-1,) + (1,) * b.ndim) * V).sum(axis=0)
-
-    beta = math.sqrt(dots(b[None], b)[0])
-    basis = np.empty((b.size + 1,) + b.shape)
-    basis[0] = b / beta
-    rhs = [beta]          # Q^T beta e1, rotated along with the columns
-    columns = []          # upper-triangular R, column by column
-    rotations = []
-    for j in range(b.size):
-        w = A(basis[j])
-        V, col = basis[:j + 1], 0.0
-        for _ in range(2):
-            coefs = dots(V, w)
-            w = w - combine(coefs, V)
-            col = col + coefs
-        col = col.tolist()
-        below = math.sqrt(dots(w[None], w)[0])
-        for i, (c, s) in enumerate(rotations):
-            col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
-        rho = math.hypot(col[j], below)
-        if rho == 0.0:
-            return None
-        c, s = col[j] / rho, below / rho
-        col[j] = rho
-        rotations.append((c, s))
-        rhs.append(-s * rhs[j])
-        rhs[j] *= c
-        columns.append(col)
-        if abs(rhs[j + 1]) <= KRYLOV_RTOL * beta:
-            break
-        basis[j + 1] = w / below
-    y = [0.0] * len(columns)
-    for i in reversed(range(len(columns))):
-        y[i] = (rhs[i] - sum(columns[l][i] * y[l] for l in range(i + 1, len(columns)))) \
-            / columns[i][i]
-    return combine(y, basis[:len(y)])
+def _balanced_classes(Z):
+    """The coarsest balanced coloring on which Z is constant (Aldis, IJBC
+    2008): labels, the (m, n) colors 0..k-1, and first, the row-major
+    index of each color's first cell.  The cells start colored by the rank
+    of their value; each pass splits every class by the key (color, sorted
+    colors of the cell's row, sorted colors of its column) and renumbers
+    by the rank of that key, until the count stops growing.  The numbering
+    depends only on the values and the multisets of the lines, so a
+    permuted Z gets the permuted labels."""
+    m, n = Z.shape
+    values, labels = np.unique(Z, return_inverse=True)
+    labels, k = labels.reshape(m, n), len(values)
+    while True:
+        keys = np.concatenate([labels.reshape(-1, 1),
+                               np.repeat(np.sort(labels, axis=1), n, axis=0),
+                               np.tile(np.sort(labels, axis=0).T, (m, 1))], axis=1)
+        _, first, labels = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        labels = labels.reshape(m, n)
+        if len(first) == k:
+            return labels, first
+        k = len(first)
 
 
 def trajectory_to_csv(traj: Trajectory, path):

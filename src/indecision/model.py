@@ -22,10 +22,10 @@ its Jacobian-vector product (the field with each saturation replaced by
 its slope) on stacks of states; the dense Jacobian at a state is that
 product applied to the stack of unit states.
 
-Exactness conventions: every line sum (a column or a row of a state, and
-the inner products of the Newton finish) is _line_sums, which sorts the
-line and adds it in a fixed order, so the sum is a function of the line's
-multiset, whatever the order or memory layout, and never raises.
+Exactness conventions: every line sum (a column or a row of a state) is
+_line_sums, which sorts the line and adds it in a fixed order, so the sum
+is a function of the line's multiset, whatever the order or memory layout,
+and never raises.
 Everything else is elementwise: both saturations of a whole stack of
 states are evaluated in one numpy pass whose elements see exactly the IEEE
 operations of a per-saturation evaluation of one state, which relies on
@@ -281,8 +281,9 @@ def jacobian(Z, cfg: ModelConfig) -> np.ndarray:
                   - [i=k][j=l]
 
     Column k is the compiled Jacobian-vector product at slopes(Z) applied
-    to the k-th unit state, all mn of them in one stack, so J is the map
-    the Newton finish solves with and inherits its bitwise equivariance."""
+    to the k-th unit state, all mn of them in one stack, the product the
+    Newton finish applies to its class indicators, so J inherits its
+    bitwise equivariance."""
     Z = as_state(Z, cfg.shape)
     _, slopes, jvp = _compiled_model(cfg)
     cells = cfg.shape.cells

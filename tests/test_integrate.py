@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import sys
 
@@ -14,6 +15,7 @@ from indecision import (
     ModelConfig,
     NetworkShape,
     SigmoidParams,
+    all_colorings,
     analytic_eigenvalues,
     axial_values,
     coefficients_from_gains,
@@ -21,12 +23,14 @@ from indecision import (
     get_scenario,
     integrate,
     integrate_batch,
+    is_balanced,
     jacobian,
     random_near_origin,
     spectral_bound,
     trajectory_to_csv,
 )
-from indecision.integrate import _centre_spectrum, _rkc_coefficients, _stage_count
+from indecision.integrate import (_balanced_classes, _centre_spectrum, _rkc_coefficients,
+                                  _stage_count)
 
 # the module, which the package's integrate function shadows as an attribute
 integrate_module = sys.modules["indecision.integrate"]
@@ -194,6 +198,69 @@ def test_newton_finish_keeps_exotic_synchrony_exact():
     for Z in traj.states:
         for cls in entry.coloring.color_classes():
             assert len({Z[i, j] for (i, j) in cls}) == 1
+
+
+def tied_pairs(cells):
+    # a partition of the grid's cells as the set of its same-colored pairs:
+    # one partition refines another exactly when its set is a subset
+    flat = np.ravel(cells).tolist()
+    return frozenset((p, q) for p, q in itertools.combinations(range(len(flat)), 2)
+                     if flat[p] == flat[q])
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_balanced_classes_are_the_coarsest_balanced_refinement(m, n):
+    # every coloring, its colors as float values: the classes are balanced,
+    # refine the input, are refined by every balanced refinement of it, and
+    # are the input's own classes when it is balanced; the colors run from
+    # 0, and first holds each color's first cell in row-major order
+    colorings = list(all_colorings(m, n))
+    balanced = {tied_pairs(c.cells) for c in colorings if is_balanced(c)}
+    for c in colorings:
+        labels, first = _balanced_classes(np.array(c.cells, dtype=float))
+        got, given = tied_pairs(labels), tied_pairs(c.cells)
+        assert got in balanced and got <= given
+        assert all(b <= got for b in balanced if b <= given)
+        assert (got == given) == (given in balanced)
+        assert np.array_equal(np.unique(labels, return_index=True)[1], first)
+        assert np.array_equal(labels.ravel()[first], np.arange(len(first)))
+
+
+def test_balanced_classes_follow_a_permutation_of_the_grid():
+    # a conjugate of the input gets the conjugate labels, numbered alike:
+    # every coloring of 2 x 2, 2 x 3 and 3 x 2, and every 25th of 3 x 3
+    rng = np.random.default_rng(3)
+    for m, n, stride in ((2, 2, 1), (2, 3, 1), (3, 2, 1), (3, 3, 25)):
+        for c in itertools.islice(all_colorings(m, n), 0, None, stride):
+            Z = np.array(c.cells, dtype=float)
+            perm = np.ix_(rng.permutation(m), rng.permutation(n))
+            assert np.array_equal(_balanced_classes(Z[perm])[0], _balanced_classes(Z)[0][perm])
+
+
+def test_singular_quotient_jacobian_leaves_the_run_to_rkc(monkeypatch):
+    # the config and the step are built first, since the gains come from
+    # np.linalg.solve; with every quotient solve singular, each finish
+    # returns None and RKC goes on past the sample at which the finish
+    # stopped the run, through the same samples up to there
+    sc = get_scenario("dissensus-exotic-4x6")
+    cfg, icfg = sc.model_config(), sc.integrator_config()
+    Z0 = random_near_origin(sc.shape, sc.radius, 0)
+    traj, res = integrate(Z0, cfg, icfg)
+    assert res.stop_reason == "newton"
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    newton, finishes = integrate_module._newton_finish, []
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    monkeypatch.setattr(integrate_module, "_newton_finish",
+                        lambda *args: finishes.append(newton(*args)) or finishes[-1])
+    rkc_traj, rkc = integrate(Z0, cfg, icfg)
+    assert finishes and all(finish is None for finish in finishes)
+    assert rkc.stop_reason in ("tolerance", "t_max") and rkc.n_steps > res.n_steps
+    assert rkc_traj.times[:len(traj.times)] == traj.times
+    for A, B in zip(traj.states[:-1], rkc_traj.states):
+        assert np.array_equal(A, B)
 
 
 def test_unstable_equilibrium_is_not_convergence():

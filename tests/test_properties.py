@@ -1,8 +1,12 @@
 """Property tests: the field's bitwise guarantees on generated configs,
-stacks and symmetries, and the exact layer (canonical form, isotropy,
+stacks and symmetries, the Newton finish's on permuted finish starts, and
+the exact layer (canonical form, isotropy,
 balance witness, dissensus basis) against its direct reference
 computations on generated colorings (hypothesis, derandomized so every run
 checks the same examples)."""
+
+import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -14,10 +18,12 @@ from hypothesis import strategies as st  # noqa: E402
 from helpers import (random_balanced_coloring, reference_balance_witness,  # noqa: E402
                      reference_canonical_form, reference_dissensus_basis,
                      reference_isotropy_subgroup)
-from indecision import (Coloring, GainParams, ModelConfig, NetworkShape,  # noqa: E402
-                        SigmoidParams, balance_witness, canonical_form, dim_Vd_intersection,
-                        dissensus_intersection_basis, enumerate_axial, is_axial_Vd,
-                        isotropy_subgroup)
+from indecision import (BUILTIN_SCENARIOS, Coloring, GainParams,  # noqa: E402
+                        IntegratorConfig, ModelConfig, NetworkShape, SigmoidParams,
+                        balance_witness, canonical_form, dim_Vd_intersection,
+                        dissensus_intersection_basis, enumerate_axial, get_scenario,
+                        integrate_batch, is_axial_Vd, isotropy_subgroup, random_near_origin)
+from indecision.integrate import _balanced_classes  # noqa: E402
 from indecision.model import _compiled_model  # noqa: E402
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -160,6 +166,55 @@ def test_long_line_sums_are_bitwise_in_any_stack_order_and_layout(data):
     for Zl, Vl, Dl in zip(other_layouts(Z), other_layouts(V), other_layouts(D)):
         for got, want in ((field(Zl), F), (slopes(Zl), D), (jvp(Dl, Vl), JV)):
             assert np.array_equal(bits(got), bits(want))
+
+
+@pytest.fixture(scope="module")
+def finish_starts():
+    # (Z, FZ, cfg) of every Newton finish that seeds 0-3 of each built-in
+    # try (consensus starts hold ties whose partition is not balanced), and
+    # a zero state holding both -0.0 and 0.0, in one class, under a linear
+    # config (lam = 0) whose field is -0.0 at some of its cells
+    module = sys.modules["indecision.integrate"]
+    newton, starts = module._newton_finish, []
+
+    def capture(Z, FZ, cfg, tol):
+        starts.append((Z.copy(), FZ.copy(), cfg))
+        return newton(Z, FZ, cfg, tol)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "_newton_finish", capture)
+        for name in sorted(BUILTIN_SCENARIOS):
+            sc = get_scenario(name)
+            integrate_batch([random_near_origin(sc.shape, sc.radius, seed) for seed in range(4)],
+                            sc.model_config(), sc.integrator_config())
+    cfg = dataclasses.replace(get_scenario("consensus-4x6").model_config(),
+                              sigmoids=SigmoidParams(1.5, 1.5), lam=0.0)
+    Z = np.where(np.arange(24).reshape(4, 6) % 5 == 0, -0.0, 0.0)
+    return starts + [(Z, _compiled_model(cfg)[0](Z[None])[0], cfg)]
+
+
+@PROPERTY
+@given(st.data())
+def test_newton_finish_is_bitwise_equivariant_and_keeps_its_classes(finish_starts, data):
+    # the finish of a permuted start is the permuted finish, bitwise, or
+    # None on both sides; its final is constant on every class of the
+    # start's coarsest balanced coloring, bitwise.  The abscissa is the
+    # gate's: LAPACK's eigenvalues of the permuted Jacobian, equal only to
+    # rounding
+    Z, FZ, cfg = data.draw(st.sampled_from(finish_starts))
+    sigma = data.draw(st.permutations(range(cfg.shape.m)))
+    tau = data.draw(st.permutations(range(cfg.shape.n)))
+    perm = np.ix_(sigma, tau)
+    tol = IntegratorConfig.equilibrium_tol
+    finish = sys.modules["indecision.integrate"]._newton_finish
+    want, got = finish(Z, FZ, cfg, tol), finish(Z[perm], FZ[perm], cfg, tol)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert np.array_equal(bits(got[0]), bits(want[0][perm]))
+        assert got[1] == want[1]
+        assert got[2] == pytest.approx(want[2], rel=0, abs=1e-12)
+        labels, first = _balanced_classes(Z)
+        assert np.array_equal(bits(want[0]), bits(want[0].ravel()[first][labels]))
 
 
 @st.composite

@@ -45,9 +45,13 @@ evaluations (n_evals) differ are counted, with the largest difference of
 each; that is a report, not a mismatch, since a change of tolerance moves
 these counts legitimately.  So are the runs whose spectral_abscissa
 differs, with the largest |difference|: a change to how the Jacobian is
-computed moves its eigenvalues by rounding; and the runs whose trajectory
-digest (the SHA-256 of every sample's time and state bits) differs, which
-a change meant to keep every bit must report as 0.
+computed moves its eigenvalues by rounding.  Each trajectory is digested
+in two parts, the SHA-256 of the time and state bits of every sample
+before the last, and that of the last sample (the final): the runs whose
+earlier samples differ and the runs whose final differs in any bit are
+counted apart, so a change to the Newton finish alone, which replaces the
+last sample, can show that no earlier sample moved, and a change meant to
+keep every bit must report both as 0.
 
 The exit status is 0 when every item matches and 1 otherwise.
 
@@ -182,14 +186,17 @@ SWEEP_LAMBDAS = (0.5, 0.9, 0.97, 1.03, 1.1, 1.5)
 FINAL_TOL = 1e-6
 
 
-def trajectory_digest(traj) -> str:
-    return hashlib.sha256(repr(traj.times).encode()
-                          + b"".join(Z.tobytes() for Z in traj.states)).hexdigest()[:16]
+def trajectory_digests(traj) -> list[str]:
+    """The digests of the samples before the last and of the last."""
+    return [hashlib.sha256(repr(times).encode() + b"".join(Z.tobytes() for Z in states))
+            .hexdigest()[:16]
+            for times, states in ((traj.times[:-1], traj.states[:-1]),
+                                  (traj.times[-1:], traj.states[-1:]))]
 
 
 def outcome_items() -> dict:
     """Per run, [(stop reason, coloring, class, axial index, verdict),
-    (n_steps, n_evals), final, spectral_abscissa, trajectory digest], keyed
+    (n_steps, n_evals), final, spectral_abscissa, trajectory digests], keyed
     by scenario, lambda, path (batch or alone) and seed."""
     from indecision import (AmbiguousQuantizationError, classify_orbital_exotic,
                             classify_state, enumerate_axial, get_scenario, integrate,
@@ -227,7 +234,7 @@ def outcome_items() -> dict:
             key = f"{sc.name}/lambda={'default' if lam is None else lam}/{path}/seed{seed}"
             items[key] = [[res.stop_reason, coloring, cls, index, verdict],
                           [res.n_steps, res.n_evals], res.final.tolist(),
-                          res.spectral_abscissa, trajectory_digest(traj)]
+                          res.spectral_abscissa, trajectory_digests(traj)]
     return items
 
 
@@ -240,10 +247,10 @@ def count_difference(tally, x, y):
 
 def compare_outcomes(found) -> int:
     """Print every run whose outcome differs and a summary, with the runs
-    whose step and evaluation counts, spectral abscissa and trajectory
-    digest differ; the number of mismatches."""
+    whose step and evaluation counts, spectral abscissa, samples before
+    the last and final bits differ; the number of mismatches."""
     (a, items_a), (b, items_b) = found.items()
-    mismatches, largest, digests = 0, 0.0, 0
+    mismatches, largest, digests = 0, 0.0, [0, 0]   # runs: earlier samples, final bits
     # runs differing, largest difference
     counts = {"n_steps": [0, 0], "n_evals": [0, 0], "spectral_abscissa": [0, 0.0]}
     for key in sorted(set(items_a) | set(items_b)):
@@ -251,9 +258,10 @@ def compare_outcomes(found) -> int:
             mismatches += 1
             print(f"MISMATCH {key}: only in {a if key in items_a else b}")
             continue
-        (head_a, counts_a, final_a, abscissa_a, digest_a), \
-            (head_b, counts_b, final_b, abscissa_b, digest_b) = items_a[key], items_b[key]
-        digests += digest_a != digest_b
+        (head_a, counts_a, final_a, abscissa_a, digests_a), \
+            (head_b, counts_b, final_b, abscissa_b, digests_b) = items_a[key], items_b[key]
+        for i, (x, y) in enumerate(zip(digests_a, digests_b)):
+            digests[i] += x != y
         diff = max(abs(x - y) for row_a, row_b in zip(final_a, final_b)
                    for x, y in zip(row_a, row_b))
         largest = max(largest, diff)
@@ -266,7 +274,8 @@ def compare_outcomes(found) -> int:
     print(f"{len(items_a)} runs; largest |final diff| {largest:.3g}; {mismatches} mismatches")
     print("; ".join(f"{name} differs on {runs} runs (largest difference {most})"
                     for name, (runs, most) in counts.items())
-          + f"; trajectory digest differs on {digests} runs")
+          + f"; samples before the last differ on {digests[0]} runs"
+          f"; the final differs in some bit on {digests[1]} runs")
     return mismatches
 
 
