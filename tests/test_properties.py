@@ -1,9 +1,8 @@
 """Property tests: the field's bitwise guarantees on generated configs,
 stacks and symmetries, the Newton finish's on permuted finish starts, and
-the exact layer (canonical form, isotropy,
-balance witness, dissensus basis) against its direct reference
-computations on generated colorings (hypothesis, derandomized so every run
-checks the same examples)."""
+the exact layer (canonical form, isotropy, balance witness, dissensus
+basis) against its direct reference computations on generated colorings
+(hypothesis, derandomized so every run checks the same examples)."""
 
 import dataclasses
 import sys
@@ -23,7 +22,7 @@ from indecision import (BUILTIN_SCENARIOS, Coloring, GainParams,  # noqa: E402
                         balance_witness, canonical_form, dim_Vd_intersection,
                         dissensus_intersection_basis, enumerate_axial, get_scenario,
                         integrate_batch, is_axial_Vd, isotropy_subgroup, random_near_origin)
-from indecision.integrate import _balanced_classes  # noqa: E402
+from indecision.integrate import _balanced_classes, _newton_finish  # noqa: E402
 from indecision.model import _compiled_model  # noqa: E402
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -206,8 +205,7 @@ def test_newton_finish_is_bitwise_equivariant_and_keeps_its_classes(finish_start
     tau = data.draw(st.permutations(range(cfg.shape.n)))
     perm = np.ix_(sigma, tau)
     tol = IntegratorConfig.equilibrium_tol
-    finish = sys.modules["indecision.integrate"]._newton_finish
-    want, got = finish(Z, FZ, cfg, tol), finish(Z[perm], FZ[perm], cfg, tol)
+    want, got = _newton_finish(Z, FZ, cfg, tol), _newton_finish(Z[perm], FZ[perm], cfg, tol)
     assert (got is None) == (want is None)
     if want is not None:
         assert np.array_equal(bits(got[0]), bits(want[0][perm]))
